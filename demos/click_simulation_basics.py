@@ -1,8 +1,9 @@
 """Walk through the position-based click simulator on a toy ranking.
 
-Shows the examination curve, perceived relevance for each grade, a few
-sampled sessions, and a Monte Carlo check that empirical click rates land
-on the closed-form expectation.
+Shows the examination curve, perceived relevance for each grade, the
+displayed order a scoring policy produces, a few sampled sessions, and a
+Monte Carlo check that empirical click rates land on the closed-form
+expectation rho_k**eta * P(r=1 | y).
 """
 
 import argparse
@@ -12,12 +13,11 @@ import numpy as np
 from ultrlab.clicks import (
     PositionBiasCurve,
     SimulationConfig,
-    expected_click_probability,
-    rank_by_scores,
+    perceived_relevance_probability,
     sample_click_matrix,
-    sample_session,
 )
-from ultrlab.data import LabeledDoc, QueryGroup
+from ultrlab.data import Dataset
+from ultrlab.training import DatasetView, LoggingPolicy
 
 
 def main():
@@ -40,28 +40,31 @@ def main():
     for k, e in enumerate(exam, start=1):
         print(f"  rank {k}: {e:.4f}")
 
-    print("\ndisplayed order for scores [0.3, 0.9, 0.1, 0.5, 0.9]:")
-    order = rank_by_scores([f"d{i}" for i in range(5)],
-                           np.array([0.3, 0.9, 0.1, 0.5, 0.9]))
-    print(" ", order)
+    print("\nperceived relevance P(r=1 | y) by grade:")
+    for y, p in enumerate(perceived_relevance_probability(np.arange(5), config)):
+        print(f"  grade {y}: {p:.4f}")
 
-    group = QueryGroup("q0", [LabeledDoc(f"d{i}", np.zeros(2), int(y))
-                              for i, y in enumerate(labels)])
-    print("\nthree sampled sessions over labels", labels.tolist())
-    for _ in range(3):
-        log = sample_session(group, range(labels.size), curve, config, rng)
-        print("  displayed", log.ranked_doc_ids,
-              "clicked", log.clicks.tolist())
+    scores = np.array([0.3, 0.9, 0.1, 0.5, 0.9])
+    query = Dataset(features=scores[:, None], labels=labels,
+                    doc_ids=[f"d{i}" for i in range(labels.size)],
+                    query_ids=["q0"], offsets=[0, labels.size])
+    policy = LoggingPolicy.from_linear(np.ones(1), DatasetView(query))
+    print(f"\ndisplayed order for scores {scores.tolist()} (ties by doc id):")
+    print("  ", [f"d{i}" for i in policy.order[0]])
+
+    _, shown, _ = policy.displayed(np.array([0]), config.top_n)
+    print("\nthree sampled sessions over displayed labels", shown[0].tolist())
+    for clicks in sample_click_matrix(np.repeat(shown, 3, axis=0), curve, config, rng):
+        print("  clicked", clicks.tolist())
 
     tiled = np.tile(labels, (args.sessions, 1))
     clicks = sample_click_matrix(tiled, curve, config, rng)
+    expected = exam * perceived_relevance_probability(labels, config)
     print(f"\nclick rate over {args.sessions} sessions vs expectation:")
     print("  rank  label  empirical  expected")
     for k in range(labels.size):
-        expected = expected_click_probability(int(labels[k]), k + 1,
-                                              curve, config)
         print(f"  {k + 1:4d}  {labels[k]:5d}  {clicks[:, k].mean():9.4f}"
-              f"  {expected:8.4f}")
+              f"  {expected[k]:8.4f}")
 
 
 if __name__ == "__main__":

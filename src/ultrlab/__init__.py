@@ -19,20 +19,14 @@ from .causal import (
     overestimation_report,
 )
 from .clicks import (
-    ClickLog,
     PositionBiasCurve,
     SimulationConfig,
-    examination_probability,
     perceived_relevance_probability,
-    rank_by_scores,
     sample_click_matrix,
-    sample_session,
 )
 from .data import (
     Dataset,
-    LabeledDoc,
     ParseError,
-    QueryGroup,
     generate_synthetic,
     parse_svmlight,
     serialize_svmlight,
@@ -49,7 +43,6 @@ from .propensity import (
     LPPModel,
     PositionPropensityModel,
     PropensityEstimate,
-    backdoor_adjust,
     backdoor_estimate,
     confounding_effect_step,
     dla_propensity,
@@ -57,7 +50,7 @@ from .propensity import (
     joint_propensity_step,
     position_targets_from_base,
 )
-from .ranker import RankerMLP, full_information_loss, ipw_ranking_loss, score_list
+from .ranker import RankerMLP, ipw_ranking_loss
 from .training import (
     ExperimentConfig,
     LoggingPolicy,

@@ -26,6 +26,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _consumed():
+    raise RuntimeError("backward() already ran through this graph")
+
+
 class Tensor:
     def __init__(self, data, requires_grad: bool = False, _prev=(), _op: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
@@ -245,6 +249,10 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             node._backward()
+            if node._prev:
+                # The closure holds its own output tensor: drop the cycle so the
+                # graph is freed by reference counting, not the cyclic collector.
+                node._backward = _consumed
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r})"

@@ -198,25 +198,6 @@ def interventional(
     return conditional(enumerate_joint(intervene(model, do_k)), target, given)
 
 
-def backdoor_adjustment_terms(
-    model: ToyCausalModel, do_k: int, given: Mapping[str, int]
-) -> np.ndarray:
-    """Per-type products P(x | given, cut graph) * P(E=1 | x, K=do_k, seen graph).
-
-    Summing the terms reconstructs the interventional examination probability
-    from observational conditionals plus the adjustment prior. Each factor is
-    computed from its own joint table, so the sum really is a second route.
-    """
-    observational = enumerate_joint(model)
-    mutilated = enumerate_joint(intervene(model, do_k))
-    terms = np.empty(model.n_types)
-    for x in range(model.n_types):
-        prior = conditional(mutilated, {"x": x}, given)
-        exam = conditional(observational, {"e": 1}, {**given, "x": x, "k": do_k})
-        terms[x] = prior * exam
-    return terms
-
-
 @dataclass
 class OverestimationReport:
     """Per-position comparison of the naive estimand against the causal truth."""

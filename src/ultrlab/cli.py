@@ -72,8 +72,8 @@ def _load_split(data_dir) -> SplitData:
         if not p.exists():
             raise ValueError(f"missing data file {p}")
     return SplitData(
-        train=parse_svmlight(train_path.read_text(), split="train"),
-        test=parse_svmlight(test_path.read_text(), split="test"),
+        train=parse_svmlight(train_path.read_text()),
+        test=parse_svmlight(test_path.read_text()),
     )
 
 
@@ -85,8 +85,7 @@ def cmd_gen_data(args) -> int:
     teacher = derive_seed(args.seed, "data", "teacher")
     for filename, n_queries, split in specs:
         ds = generate_synthetic(n_queries, args.docs, args.features,
-                                derive_seed(args.seed, "data", split), split=split,
-                                teacher_seed=teacher)
+                                derive_seed(args.seed, "data", split), teacher_seed=teacher)
         (out / filename).write_text(serialize_svmlight(ds))
         print(f"wrote {out / filename} ({n_queries} queries x {args.docs} docs)")
     return 0
@@ -115,12 +114,18 @@ def _train_one_seed(cfg_dict: dict, data_dir, out_dir: str, curve_path):
 
 
 def _parse_seeds(args):
-    if args.seeds:
-        lo, sep, hi = args.seeds.partition("..")
-        if not sep:
-            raise ValueError("--seeds wants a range like 0..4")
-        return list(range(int(lo), int(hi) + 1))
-    return [args.seed]
+    if args.seeds is None:
+        return [args.seed]
+    lo, sep, hi = args.seeds.partition("..")
+    if not sep:
+        raise ValueError(f"--seeds wants a range like 0..4, got {args.seeds!r}")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--seeds bounds must be integers, got {args.seeds!r}") from None
+    if hi < lo:
+        raise ValueError(f"--seeds range {args.seeds!r} is empty; write it low..high")
+    return list(range(lo, hi + 1))
 
 
 def cmd_train(args) -> int:
@@ -131,6 +136,7 @@ def cmd_train(args) -> int:
     if args.paradigm:
         cfg_dict["paradigm"] = args.paradigm
     seeds = _parse_seeds(args)
+    ExperimentConfig.from_dict(cfg_dict)  # fail on a bad config before any seed starts
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -7,12 +7,33 @@ both: ``c = e and r``. Examinations and relevance draws are latent; only
 clicks are logged.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import QueryGroup
+
+def check_field_types(config) -> None:
+    """Reject config values whose type does not match the field's annotation.
+
+    Integer fields take integers only (a bool is not a count), float fields
+    take integers or floats but no bools, and tuple fields take a list or
+    tuple of positive integers. Values from JSON or ``--set`` arrive untyped,
+    so this runs before any range check compares them.
+    """
+    def is_a(value, kind):
+        return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is tuple:
+            ok = isinstance(value, (list, tuple)) and all(
+                is_a(v, numbers.Integral) and v > 0 for v in value)
+        else:
+            ok = is_a(value, {int: numbers.Integral, float: numbers.Real}.get(f.type, f.type))
+        if not ok:
+            want = "a list of positive ints" if f.type is tuple else f.type.__name__
+            raise ValueError(f"{f.name} must be {want}, got {value!r}")
 
 
 @dataclass
@@ -25,6 +46,7 @@ class SimulationConfig:
     top_n: int = 10
 
     def __post_init__(self):
+        check_field_types(self)
         if self.eta < 0:
             raise ValueError("eta must be non-negative")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -85,67 +107,6 @@ def perceived_relevance_probability(labels, config: SimulationConfig) -> np.ndar
     return config.epsilon + (1.0 - config.epsilon) * gain
 
 
-def examination_probability(curve: PositionBiasCurve, position: int, eta: float) -> float:
-    """P(e=1 | k) for a 1-based displayed position."""
-    if not 1 <= position <= len(curve):
-        raise ValueError(f"position {position} outside curve of length {len(curve)}")
-    return float(curve.values[position - 1] ** eta)
-
-
-def rank_by_scores(doc_ids: Sequence[str], scores: np.ndarray) -> List[int]:
-    """Indices sorted by descending score, ties broken by ascending doc_id."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(doc_ids) != scores.size:
-        raise ValueError("doc_ids and scores length mismatch")
-    return sorted(range(scores.size), key=lambda i: (-scores[i], doc_ids[i]))
-
-
-@dataclass
-class ClickLog:
-    """One logged session: the displayed ranking and its binary clicks."""
-
-    query_id: str
-    ranked_doc_ids: List[str]
-    ranked_indices: np.ndarray
-    clicks: np.ndarray
-
-    def __post_init__(self):
-        self.ranked_indices = np.asarray(self.ranked_indices, dtype=np.int64)
-        self.clicks = np.asarray(self.clicks, dtype=np.int8)
-        if not (len(self.ranked_doc_ids) == self.ranked_indices.size == self.clicks.size):
-            raise ValueError("ranking and click arrays must share a length")
-        if np.any((self.clicks != 0) & (self.clicks != 1)):
-            raise ValueError("clicks must be 0/1")
-
-
-def sample_session(
-    group: QueryGroup,
-    ranked_indices: Sequence[int],
-    curve: PositionBiasCurve,
-    config: SimulationConfig,
-    rng: np.random.Generator,
-) -> ClickLog:
-    """Sample one session for a query under a fixed displayed ranking.
-
-    Only the first ``top_n`` ranks are shown; docs beyond are never examined.
-    """
-    shown = np.asarray(ranked_indices, dtype=np.int64)[: config.top_n]
-    if shown.size > len(curve):
-        raise ValueError(f"ranking of {shown.size} exceeds curve length {len(curve)}")
-    labels = group.labels[shown]
-    exam_p = curve.examination(config.eta)[: shown.size]
-    rel_p = perceived_relevance_probability(labels, config)
-    examined = rng.random(shown.size) < exam_p
-    relevant = rng.random(shown.size) < rel_p
-    clicks = (examined & relevant).astype(np.int8)
-    return ClickLog(
-        query_id=group.query_id,
-        ranked_doc_ids=[group.docs[i].doc_id for i in shown],
-        ranked_indices=shown,
-        clicks=clicks,
-    )
-
-
 def sample_click_matrix(
     ranked_labels: np.ndarray,
     curve: PositionBiasCurve,
@@ -164,12 +125,3 @@ def sample_click_matrix(
     examined = rng.random(ranked_labels.shape) < exam_p
     relevant = rng.random(ranked_labels.shape) < rel_p
     return (examined & relevant).astype(np.int8)
-
-
-def expected_click_probability(
-    label: int, position: int, curve: PositionBiasCurve, config: SimulationConfig
-) -> float:
-    """Closed-form P(c=1) for a grade at a rank; the simulator's ground truth."""
-    rho = examination_probability(curve, position, config.eta)
-    rel = perceived_relevance_probability(np.array([label]), config)[0]
-    return rho * float(rel)

@@ -5,8 +5,9 @@ Documents carry dense float64 feature vectors and integer relevance grades in
 benchmarks). Sparse SVMlight feature ids are densified on parse.
 """
 
-from dataclasses import dataclass, field
-from typing import Iterable, List
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -14,7 +15,8 @@ from .seeding import rng_for
 
 Y_MAX = 4
 
-_SPLITS = ("train", "valid", "test")
+QueryView = namedtuple("QueryView", "query_id labels docs")
+DocView = namedtuple("DocView", "doc_id features relevance")
 
 
 class ParseError(ValueError):
@@ -30,69 +32,65 @@ class LabelRangeError(ParseError):
 
 
 @dataclass
-class LabeledDoc:
-    """One query-document pair: opaque id, dense features, graded relevance."""
+class Dataset:
+    """Query-grouped documents as flat arrays, one row per document.
 
-    doc_id: str
-    features: np.ndarray
-    relevance: int
+    Query ``q`` owns rows ``offsets[q]:offsets[q + 1]`` of ``features``,
+    ``labels`` and ``doc_ids``, in file (or generation) order.
+    """
+
+    features: np.ndarray   # (n_docs, feature_dim) float64
+    labels: np.ndarray     # (n_docs,) int64 grades in [0, Y_MAX]
+    doc_ids: np.ndarray    # (n_docs,) str, unique within a query
+    query_ids: np.ndarray  # (n_queries,) str
+    offsets: np.ndarray    # (n_queries + 1,) int64, from 0 to n_docs
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError(f"doc {self.doc_id}: non-finite feature value")
-        if not 0 <= self.relevance <= Y_MAX:
-            raise ValueError(f"doc {self.doc_id}: relevance {self.relevance} outside [0, {Y_MAX}]")
-
-
-@dataclass
-class QueryGroup:
-    """A query id with its ordered candidate documents."""
-
-    query_id: str
-    docs: List[LabeledDoc]
-
-    def __post_init__(self):
-        if not self.docs:
-            raise ValueError(f"query {self.query_id}: empty document list")
-        ids = [d.doc_id for d in self.docs]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"query {self.query_id}: duplicate doc ids")
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([d.relevance for d in self.docs], dtype=np.int64)
-
-    @property
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([d.features for d in self.docs])
-
-
-@dataclass
-class Dataset:
-    """A split's worth of query groups with a declared feature dimension."""
-
-    groups: List[QueryGroup]
-    feature_dim: int
-    split: str = "train"
-
-    def __post_init__(self):
-        if self.split not in _SPLITS:
-            raise ValueError(f"split must be one of {_SPLITS}, got {self.split!r}")
-        for g in self.groups:
-            for d in g.docs:
-                if d.features.shape != (self.feature_dim,):
-                    raise ValueError(
-                        f"query {g.query_id} doc {d.doc_id}: feature length "
-                        f"{d.features.shape[0]} != feature_dim {self.feature_dim}"
-                    )
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.doc_ids = np.asarray(self.doc_ids, dtype=str)
+        self.query_ids = np.asarray(self.query_ids, dtype=str)
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        n = self.labels.shape[0] if self.labels.ndim == 1 else -1
+        if self.features.ndim != 2 or self.features.shape[0] != n or self.doc_ids.shape != (n,):
+            raise ValueError("features must be (n_docs, d) with one label and doc id per row")
+        if (self.query_ids.ndim != 1 or self.offsets.shape != (self.n_queries + 1,)
+                or self.offsets[0] != 0 or self.offsets[-1] != n):
+            raise ValueError("offsets must run from 0 to n_docs, one entry per query plus one")
+        lengths = np.diff(self.offsets)
+        if np.any(lengths <= 0):
+            raise ValueError(f"query {self.query_ids[np.argmax(lengths <= 0)]}: empty document list")
+        for bad, what in ((~np.isfinite(self.features).all(axis=1), "non-finite feature value"),
+                          ((self.labels < 0) | (self.labels > Y_MAX),
+                           f"relevance outside [0, {Y_MAX}]")):
+            if bad.any():
+                raise ValueError(f"doc {self.doc_ids[np.argmax(bad)]}: {what}")
+        owner = np.repeat(np.arange(self.n_queries), lengths)
+        order = np.lexsort((self.doc_ids, owner))
+        ids, owner = self.doc_ids[order], owner[order]
+        dup = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
+        if dup.any():
+            raise ValueError(f"query {self.query_ids[owner[np.argmax(dup)]]}: duplicate doc ids")
 
     @property
     def n_queries(self) -> int:
-        return len(self.groups)
+        return self.query_ids.size
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def groups(self) -> List[QueryView]:
+        """Per-query views of the arrays, built on each access."""
+        out = []
+        for qid, a, b in zip(self.query_ids, self.offsets[:-1], self.offsets[1:]):
+            docs = [DocView(self.doc_ids[i], self.features[i], self.labels[i]) for i in range(a, b)]
+            out.append(QueryView(qid, self.labels[a:b], docs))
+        return out
 
 
-def parse_svmlight(text: str, split: str = "train") -> Dataset:
+def parse_svmlight(text: str) -> Dataset:
     """Parse SVMlight/LETOR lines ``<label> qid:<id> <fid>:<val> ... [# comment]``.
 
     Feature ids are 1-based; ids absent from a line are filled with 0.0.
@@ -100,7 +98,8 @@ def parse_svmlight(text: str, split: str = "train") -> Dataset:
     the maximum feature id seen anywhere in the stream. A trailing comment, if
     present, becomes the document id; otherwise ids are assigned per group.
     """
-    rows = []  # (qid, label, {fid: val}, comment)
+    qids, labels, comments = [], [], []
+    cells_row, cells_fid, cells_val = [], [], []
     max_fid = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
@@ -138,44 +137,42 @@ def parse_svmlight(text: str, split: str = "train") -> Dataset:
                 raise ParseError(line_no, f"feature ids are 1-based, got {fid}")
             feats[fid] = val
             max_fid = max(max_fid, fid)
-        rows.append((qid, label, feats, comment))
+        cells_row.extend([len(qids)] * len(feats))
+        cells_fid.extend(feats)
+        cells_val.extend(feats.values())
+        qids.append(qid)
+        labels.append(label)
+        comments.append(comment)
 
-    grouped: dict = {}
-    order: List[str] = []
-    for qid, label, feats, comment in rows:
-        if qid not in grouped:
-            grouped[qid] = []
-            order.append(qid)
-        grouped[qid].append((label, feats, comment))
-
-    groups = []
-    for qid in order:
-        docs = []
-        for i, (label, feats, comment) in enumerate(grouped[qid]):
-            vec = np.zeros(max_fid, dtype=np.float64)
-            for fid, val in feats.items():
-                vec[fid - 1] = val
-            doc_id = comment if comment else f"q{qid}_d{i}"
-            docs.append(LabeledDoc(doc_id=doc_id, features=vec, relevance=label))
-        groups.append(QueryGroup(query_id=qid, docs=docs))
-    return Dataset(groups=groups, feature_dim=max_fid, split=split)
+    features = np.zeros((len(qids), max_fid), dtype=np.float64)
+    features[np.array(cells_row, dtype=np.int64),
+             np.array(cells_fid, dtype=np.int64) - 1] = cells_val
+    # Group lines by qid in first-appearance order, keeping line order within a group.
+    first: dict = {}
+    owner = np.array([first.setdefault(qid, len(first)) for qid in qids], dtype=np.int64)
+    order = np.argsort(owner, kind="stable")
+    offsets = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=len(first)), out=offsets[1:])
+    slot = np.arange(len(qids)) - offsets[owner[order]]
+    doc_ids = [comments[i] or f"q{qids[i]}_d{j}" for i, j in zip(order.tolist(), slot.tolist())]
+    return Dataset(features=features[order], labels=np.array(labels, dtype=np.int64)[order],
+                   doc_ids=doc_ids, query_ids=list(first), offsets=offsets)
 
 
 def serialize_svmlight(dataset: Dataset) -> str:
     """Render a Dataset back to SVMlight text; reparsing recovers it value-for-value."""
+    qids = np.repeat(dataset.query_ids, np.diff(dataset.offsets))
     lines = []
-    for group in dataset.groups:
-        for doc in group.docs:
-            feats = " ".join(
-                f"{fid}:{float(val)!r}" for fid, val in enumerate(doc.features, start=1)
-            )
-            lines.append(f"{doc.relevance} qid:{group.query_id} {feats} # {doc.doc_id}")
+    for qid, label, doc_id, vec in zip(qids.tolist(), dataset.labels.tolist(),
+                                       dataset.doc_ids.tolist(), dataset.features.tolist()):
+        feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(vec, start=1))
+        lines.append(f"{label} qid:{qid} {feats} # {doc_id}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def generate_synthetic(
     n_queries: int, docs_per_query: int, feature_dim: int, seed: int,
-    split: str = "train", teacher_seed: int = None
+    teacher_seed: int = None
 ) -> Dataset:
     """Generate a synthetic split with uniform [0,1] features and quantile-bucketed grades.
 
@@ -197,14 +194,10 @@ def generate_synthetic(
     edges = np.quantile(t, [0.2, 0.4, 0.6, 0.8])
     grades = np.searchsorted(edges, t, side="right")
 
-    groups = []
-    idx = 0
-    for q in range(n_queries):
-        docs = []
-        for d in range(docs_per_query):
-            docs.append(
-                LabeledDoc(doc_id=f"q{q}_d{d}", features=X[idx], relevance=int(grades[idx]))
-            )
-            idx += 1
-        groups.append(QueryGroup(query_id=str(q), docs=docs))
-    return Dataset(groups=groups, feature_dim=feature_dim, split=split)
+    return Dataset(
+        features=X,
+        labels=grades,
+        doc_ids=[f"q{q}_d{d}" for q in range(n_queries) for d in range(docs_per_query)],
+        query_ids=[str(q) for q in range(n_queries)],
+        offsets=np.arange(n_queries + 1) * docs_per_query,
+    )

@@ -23,8 +23,6 @@ from .autodiff import (
     AdaGrad,
     Parameter,
     Tensor,
-    freeze_parameters,
-    unfreeze_parameters,
 )
 from .autodiff import weighted_listwise_ce
 
@@ -221,12 +219,6 @@ class LPPModel:
         return self.ffn(m + p, train=train, rng=rng)
 
 
-def lpp_confounder_forward(model: LPPModel, x: np.ndarray) -> float:
-    """Eval-mode document-only score for a single feature vector."""
-    out = model.forward_confounder(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return float(out.data.reshape(-1)[0])
-
-
 TARGET_VARIANTS = ("logging_scores", "mrr", "dcg")
 
 
@@ -338,39 +330,20 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
     return float(loss.data)
 
 
-def backdoor_adjust(model: LPPModel, features: np.ndarray, k: int) -> float:
-    """Examination rate at a forced rank, averaged over the documents.
-
-    Every document in the batch is scored as if displayed at rank ``k``.
-    Holding the document distribution fixed while forcing the rank is what
-    removes the policy's position-by-relevance correlation from the estimate.
-
-    The scalar head is read as a log examination rate and the average is
-    taken on that log scale, so the returned rate is exp(mean head value).
-    Both training losses are softmax cross-entropies and therefore blind to
-    a per-list shift of the head, which leaves its absolute level floating
-    wherever initialization put it; rank-to-rank ratios of log-averaged
-    rates cancel that arbitrary level exactly, where a squashed arithmetic
-    mean would flatten them toward 1 whenever the level sits near zero.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("features must be a non-empty (docs, feature_dim) matrix")
-    if not 1 <= k <= model.n_positions:
-        raise ValueError(f"k must lie in [1, {model.n_positions}]")
-    positions = np.full(X.shape[0], k - 1, dtype=np.int64)
-    out = model.forward_joint(X, positions)
-    return float(np.exp(out.data.mean()))
-
-
 def backdoor_estimate(model: LPPModel, features: np.ndarray,
                       n_positions: Optional[int] = None) -> PropensityEstimate:
     """Backdoor-adjusted rates for every rank, normalized to rank 1.
 
-    One pass: the documents are encoded once and every rank's embedding is
-    added to the shared encoding block, which matches backdoor_adjust(k)
-    rank for rank. Normalizing by rank 1 maps the unnormalized rates back
-    to probability weights in (0, 1].
+    Every document is scored as if displayed at each forced rank in turn;
+    holding the document distribution fixed while forcing the rank removes
+    the policy's position-by-relevance correlation from the estimate. The
+    head is read as a log examination rate and averaged on that log scale:
+    both training losses are softmax cross-entropies, blind to a per-list
+    shift of the head, and ratios of log-averaged rates cancel that floating
+    level exactly, where a squashed arithmetic mean would flatten them
+    toward 1. The documents are encoded once and every rank's embedding is
+    added to the shared block; the test oracle ``backdoor_adjust(k)`` in
+    ``tests/helpers.py`` scores one rank at a time and must agree.
     """
     n = model.n_positions if n_positions is None else n_positions
     X = np.asarray(features, dtype=np.float64)
@@ -385,13 +358,3 @@ def backdoor_estimate(model: LPPModel, features: np.ndarray,
     out = model.ffn(Tensor(tiled))
     raw = np.exp(out.data.reshape(n, docs).mean(axis=1))
     return PropensityEstimate.from_raw(raw)
-
-
-__all__ = [
-    "DEFAULT_TAU", "FreezeContractError", "LPPModel", "PositionPropensityModel",
-    "PropensityEstimate", "backdoor_adjust", "backdoor_estimate",
-    "clipped_inverse_weights", "confounding_effect_step", "dla_propensity",
-    "irw_propensity_loss", "joint_propensity_step", "lpp_confounder_forward",
-    "position_targets_from_base", "relevance_weights_from_scores",
-    "target_weights", "freeze_parameters", "unfreeze_parameters",
-]

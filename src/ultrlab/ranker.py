@@ -5,7 +5,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import MLP, Parameter, Tensor, weighted_listwise_ce
-from .clicks import SimulationConfig, perceived_relevance_probability
 from .propensity import PropensityEstimate, clipped_inverse_weights
 
 DEFAULT_HIDDEN = (64, 32, 16)
@@ -36,16 +35,6 @@ class RankerMLP:
         return self.net.parameters()
 
 
-def score_list(model: RankerMLP, features, mode: str = "eval",
-               rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Plain-array scores for a document list; eval mode is deterministic."""
-    if mode not in ("eval", "train"):
-        raise ValueError("mode must be 'eval' or 'train'")
-    X = np.stack([np.asarray(f, dtype=np.float64) for f in features])
-    out = model.forward(X, train=(mode == "train"), rng=rng)
-    return out.data.reshape(-1).copy()
-
-
 def ipw_ranking_loss(scores: Tensor, clicks: np.ndarray,
                      propensity, tau: float = 0.05) -> Tensor:
     """Inverse-propensity-weighted listwise softmax cross-entropy on clicks.
@@ -66,17 +55,3 @@ def ipw_ranking_loss(scores: Tensor, clicks: np.ndarray,
         raise ValueError(f"propensity covers {weights.size} positions, need {n_pos}")
     inv = clipped_inverse_weights(weights[:n_pos], tau)
     return weighted_listwise_ce(scores, c * inv)
-
-
-def full_information_loss(scores: Tensor, labels: np.ndarray,
-                          config: SimulationConfig) -> Tensor:
-    """Listwise loss weighted by true perceived-relevance probabilities.
-
-    This is what the inverse-propensity-weighted click loss estimates: with
-    oracle propensities and a curve whose top value is 1, the Monte Carlo
-    average of the click loss over sessions converges to this quantity.
-    """
-    rel = perceived_relevance_probability(np.asarray(labels), config)
-    if rel.shape != scores.data.shape:
-        raise ValueError("labels must match scores shape")
-    return weighted_listwise_ce(scores, rel)

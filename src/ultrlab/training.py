@@ -16,13 +16,13 @@ frozen position-only step, backdoor-adjusted estimate, ranker update.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import AdaGrad, freeze_parameters, unfreeze_parameters
-from .clicks import PositionBiasCurve, SimulationConfig, sample_click_matrix
+from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, sample_click_matrix
 from .data import Dataset, generate_synthetic
 from .metrics import DEFAULT_CUTOFFS, normalized_propensity, propensity_error, ranking_metrics
 from .propensity import (
@@ -72,11 +72,9 @@ def make_split_data(n_train: int = 500, n_test: int = 100, docs_per_query: int =
     teacher = derive_seed(seed, "data", "teacher")
     return SplitData(
         train=generate_synthetic(n_train, docs_per_query, feature_dim,
-                                 derive_seed(seed, "data", "train"), split="train",
-                                 teacher_seed=teacher),
+                                 derive_seed(seed, "data", "train"), teacher_seed=teacher),
         test=generate_synthetic(n_test, docs_per_query, feature_dim,
-                                derive_seed(seed, "data", "test"), split="test",
-                                teacher_seed=teacher),
+                                derive_seed(seed, "data", "test"), teacher_seed=teacher),
     )
 
 
@@ -89,23 +87,19 @@ class DatasetView:
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        lengths = {len(g.docs) for g in dataset.groups}
-        if len(lengths) != 1:
+        lengths = np.unique(np.diff(dataset.offsets))
+        if lengths.size != 1:
             raise ValueError(
                 "training views need equal-length candidate lists per query; "
-                f"got lengths {sorted(lengths)}"
+                f"got lengths {lengths.tolist()}"
             )
-        self.n_docs = lengths.pop()
+        self.n_docs = int(lengths[0])
         self.n_queries = dataset.n_queries
-        feats = np.empty((self.n_queries, self.n_docs, dataset.feature_dim))
-        labels = np.empty((self.n_queries, self.n_docs), dtype=np.int64)
-        for qi, group in enumerate(dataset.groups):
-            order = sorted(range(self.n_docs), key=lambda i: group.docs[i].doc_id)
-            for slot, di in enumerate(order):
-                feats[qi, slot] = group.docs[di].features
-                labels[qi, slot] = group.docs[di].relevance
-        self.features = feats
-        self.labels = labels
+        owner = np.repeat(np.arange(self.n_queries), self.n_docs)
+        order = np.lexsort((dataset.doc_ids, owner))
+        self.features = dataset.features[order].reshape(
+            self.n_queries, self.n_docs, dataset.feature_dim)
+        self.labels = dataset.labels[order].reshape(self.n_queries, self.n_docs)
 
     def flat_features(self) -> np.ndarray:
         return self.features.reshape(-1, self.features.shape[-1])
@@ -220,6 +214,7 @@ class ExperimentConfig:
     probe_docs: int = 320
 
     def __post_init__(self):
+        check_field_types(self)
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"paradigm must be one of {PARADIGMS}")
         if self.algorithm not in ALGORITHMS:
@@ -249,6 +244,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
         sim = raw.pop("simulation", {})
+        if not isinstance(sim, dict) or not set(sim) <= {f.name for f in fields(SimulationConfig)}:
+            raise ValueError(f"simulation must be a section of SimulationConfig keys, got {sim!r}")
         return cls(simulation=SimulationConfig(**sim), **raw)
 
 
@@ -295,15 +292,6 @@ def evaluate_ranker(ranker: RankerMLP, view: DatasetView,
     order = rank_view_scores(scores)
     ranked = np.take_along_axis(view.labels, order, axis=1)
     rows = [ranking_metrics(ranked[q], cutoffs, y_max) for q in range(view.n_queries)]
-    return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
-
-
-def evaluate_policy(policy: LoggingPolicy, cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
-                    y_max: int = 4) -> Dict[str, float]:
-    """Metrics of a frozen policy's own displayed ordering on its dataset."""
-    ranked = np.take_along_axis(policy.view.labels, policy.order, axis=1)
-    rows = [ranking_metrics(ranked[q], cutoffs, y_max)
-            for q in range(policy.view.n_queries)]
     return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
 
 

@@ -1,17 +1,23 @@
 """Shared oracle machinery for the test suite.
 
-Three independent reference routes live here so the tests never check an
+Independent reference routes live here so the tests never check an
 implementation against itself: central finite differences for gradients,
-loop-and-math brute-force ranking metrics, and random strictly-interior
-causal models for the enumeration identities.
+loop-and-math brute-force ranking metrics, random strictly-interior causal
+models and the backdoor adjustment sum for the enumeration identities, the
+closed-form click probability
+behind the vectorized click sampler, the full-information loss that the
+IPW click loss estimates, and the one-rank-at-a-time backdoor readout
+behind ``backdoor_estimate``.
 """
 
 import math
+from typing import Mapping
 
 import numpy as np
 
 from ultrlab.autodiff import Tensor, weighted_listwise_ce
-from ultrlab.causal import ToyCausalModel
+from ultrlab.causal import ToyCausalModel, conditional, enumerate_joint, intervene
+from ultrlab.clicks import PositionBiasCurve, SimulationConfig, perceived_relevance_probability
 from ultrlab.propensity import LPPModel, PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
 
@@ -254,3 +260,77 @@ def random_causal_model(rng, n_types=None, n_positions=None):
             [rng.uniform(0.05, 0.3), rng.uniform(0.7, 1.0)],
         ]),
     )
+
+
+def examination_probability(curve: PositionBiasCurve, position: int, eta: float) -> float:
+    """P(e=1 | k) for a 1-based displayed position."""
+    if not 1 <= position <= len(curve):
+        raise ValueError(f"position {position} outside curve of length {len(curve)}")
+    return float(curve.values[position - 1] ** eta)
+
+
+def expected_click_probability(
+    label: int, position: int, curve: PositionBiasCurve, config: SimulationConfig
+) -> float:
+    """Closed-form P(c=1) for a grade at a rank; the simulator's ground truth."""
+    rho = examination_probability(curve, position, config.eta)
+    rel = perceived_relevance_probability(np.array([label]), config)[0]
+    return rho * float(rel)
+
+
+def full_information_loss(scores: Tensor, labels: np.ndarray,
+                          config: SimulationConfig) -> Tensor:
+    """Listwise loss weighted by true perceived-relevance probabilities.
+
+    This is what the inverse-propensity-weighted click loss estimates: with
+    oracle propensities and a curve whose top value is 1, the Monte Carlo
+    average of the click loss over sessions converges to this quantity.
+    """
+    rel = perceived_relevance_probability(np.asarray(labels), config)
+    if rel.shape != scores.data.shape:
+        raise ValueError("labels must match scores shape")
+    return weighted_listwise_ce(scores, rel)
+
+
+def backdoor_adjust(model: LPPModel, features: np.ndarray, k: int) -> float:
+    """Examination rate at a forced rank, averaged over the documents.
+
+    Every document in the batch is scored as if displayed at rank ``k``.
+    Holding the document distribution fixed while forcing the rank is what
+    removes the policy's position-by-relevance correlation from the estimate.
+
+    The scalar head is read as a log examination rate and the average is
+    taken on that log scale, so the returned rate is exp(mean head value).
+    Both training losses are softmax cross-entropies and therefore blind to
+    a per-list shift of the head, which leaves its absolute level floating
+    wherever initialization put it; rank-to-rank ratios of log-averaged
+    rates cancel that arbitrary level exactly, where a squashed arithmetic
+    mean would flatten them toward 1 whenever the level sits near zero.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("features must be a non-empty (docs, feature_dim) matrix")
+    if not 1 <= k <= model.n_positions:
+        raise ValueError(f"k must lie in [1, {model.n_positions}]")
+    positions = np.full(X.shape[0], k - 1, dtype=np.int64)
+    out = model.forward_joint(X, positions)
+    return float(np.exp(out.data.mean()))
+
+
+def backdoor_adjustment_terms(
+    model: ToyCausalModel, do_k: int, given: Mapping[str, int]
+) -> np.ndarray:
+    """Per-type products P(x | given, cut graph) * P(E=1 | x, K=do_k, seen graph).
+
+    Summing the terms reconstructs the interventional examination probability
+    from observational conditionals plus the adjustment prior. Each factor is
+    computed from its own joint table, so the sum really is a second route.
+    """
+    observational = enumerate_joint(model)
+    mutilated = enumerate_joint(intervene(model, do_k))
+    terms = np.empty(model.n_types)
+    for x in range(model.n_types):
+        prior = conditional(mutilated, {"x": x}, given)
+        exam = conditional(observational, {"e": 1}, {**given, "x": x, "k": do_k})
+        terms[x] = prior * exam
+    return terms

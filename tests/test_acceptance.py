@@ -23,10 +23,12 @@ import pytest
 
 from helpers import (
     GRADIENT_PRIMITIVES,
+    backdoor_adjustment_terms,
     brute_err,
     brute_ndcg,
     check_gradients,
     check_parameter_gradients,
+    full_information_loss,
     gradient_case,
     lpp_gradient_case,
     random_causal_model,
@@ -34,7 +36,6 @@ from helpers import (
 )
 from ultrlab.causal import (
     ToyCausalModel,
-    backdoor_adjustment_terms,
     conditional,
     enumerate_joint,
     interventional,
@@ -45,7 +46,7 @@ from ultrlab.clicks import PositionBiasCurve, sample_click_matrix
 from ultrlab.data import generate_synthetic
 from ultrlab.metrics import err_at_k, ndcg_at_k, normalized_propensity
 from ultrlab.propensity import PropensityEstimate
-from ultrlab.ranker import RankerMLP, full_information_loss, ipw_ranking_loss
+from ultrlab.ranker import RankerMLP, ipw_ranking_loss
 from ultrlab.training import (
     DatasetView,
     ExperimentConfig,

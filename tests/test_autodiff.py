@@ -1,6 +1,8 @@
 """Autodiff engine: gradient oracles, optimizer arithmetic, freeze contract."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -64,6 +66,25 @@ def test_square_loss_gradient():
     w = Tensor(np.array([3.0]), requires_grad=True)
     (w * w).sum().backward()
     assert w.grad[0] == pytest.approx(6.0, abs=1e-12)
+
+
+def test_backward_consumes_the_graph_and_frees_it_without_the_cycle_collector():
+    w = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    hidden = w.matmul(Tensor(np.ones((2, 1)))).elu()
+    loss = hidden.sum()
+    loss.backward()
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    ref = weakref.ref(hidden)
+    gc.disable()
+    try:
+        del hidden, loss
+        assert ref() is None
+    finally:
+        gc.enable()
+    # The leaf keeps its gradient and can start a new graph.
+    assert w.grad[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
+    (w * w).sum().backward()
 
 
 def test_unconnected_parameter_gets_no_gradient_and_no_update():

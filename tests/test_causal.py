@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_causal_model
+from helpers import backdoor_adjustment_terms, random_causal_model
 from ultrlab.causal import (
     JointTable,
     ToyCausalModel,
-    backdoor_adjustment_terms,
     conditional,
     enumerate_joint,
     intervene,

@@ -1,9 +1,13 @@
 """Command line interface: every subcommand exercised in-process."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrlab.causal import ToyCausalModel, overestimation_report
 from ultrlab.cli import main
@@ -39,7 +43,7 @@ def run_dir(tmp_path_factory, data_dir):
 
 def test_gen_data_files_parse_and_repeat(data_dir, tmp_path):
     train_text = (data_dir / "train.txt").read_text()
-    ds = parse_svmlight(train_text, split="train")
+    ds = parse_svmlight(train_text)
     assert ds.n_queries == 8 and ds.feature_dim == 5
     assert parse_svmlight((data_dir / "test.txt").read_text()).n_queries == 4
     again = tmp_path / "again"
@@ -185,6 +189,81 @@ def test_bad_seed_range_fails_cleanly(tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path / "o"), "--seeds", "3"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _train_fails_cleanly(out, *args):
+    """Run `train` with arguments that must be refused before any seed starts."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["train", "--out", str(out), *args])
+    lines = err.getvalue().splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+    return lines[0]
+
+
+@pytest.mark.parametrize("setting", ["total_steps=abc", "total_steps=true",
+                                     "total_steps=2000.0", "total_steps=[2000]",
+                                     "simulation.eta=true", "learning_rate=fast",
+                                     "ranker_hidden=[8,-1]", "simulation=5"])
+def test_bad_config_types_fail_cleanly(tmp_path, setting):
+    line = _train_fails_cleanly(tmp_path / "o", "--set", setting)
+    assert setting.split("=")[0].split(".")[-1] in line
+
+
+def test_unknown_simulation_key_in_config_file_fails_cleanly(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulation": {"etaa": 2}}))
+    assert "etaa" in _train_fails_cleanly(tmp_path / "o", "--config", str(cfg))
+
+
+@pytest.mark.parametrize("seeds", ["4..0", "", "..", "0..", "a..2", "0..1.5"])
+def test_reversed_empty_and_non_integer_seed_ranges_fail_cleanly(tmp_path, seeds):
+    line = _train_fails_cleanly(tmp_path / "o", "--seeds", seeds)
+    assert "--seeds" in line
+
+
+def test_single_seed_range(data_dir, tmp_path):
+    out = tmp_path / "one"
+    assert main(["train", "--out", str(out), "--data", str(data_dir),
+                 "--algorithm", "naive", "--paradigm", "Off",
+                 "--seeds", "3..3"] + TINY) == 0
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == [3]
+
+
+def _decodes_to_int(text):
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return False
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Only invalid values: a valid one would start a full-length run.
+_bad_seeds = st.one_of(
+    st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)).map(
+        lambda t: f"{t[0] + t[1]}..{t[0]}"),
+    st.text().filter(lambda s: ".." not in s),
+    st.tuples(st.integers(0, 9), st.sampled_from(["x", "1.0", "", "-", "e3"])).map(
+        lambda t: f"{t[0]}..{t[1]}"),
+)
+_bad_steps = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", "null", "[]", "{}", '"250"', "[250]"]),
+    st.text().filter(lambda s: not _decodes_to_int(s)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.one_of(st.none(), _bad_seeds), steps=st.one_of(st.none(), _bad_steps))
+def test_fuzzed_bad_seeds_and_steps_fail_cleanly(tmp_path_factory, seeds, steps):
+    if seeds is None and steps is None:
+        steps = "abc"
+    args = [] if seeds is None else [f"--seeds={seeds}"]  # a value may start with "-"
+    args += [] if steps is None else ["--set", f"total_steps={steps}"]
+    _train_fails_cleanly(tmp_path_factory.getbasetemp() / "never-written", *args)
 
 
 def test_unknown_flag_exits_two():

@@ -3,24 +3,25 @@
 import numpy as np
 import pytest
 
+from helpers import examination_probability, expected_click_probability
 from ultrlab.clicks import (
-    ClickLog,
     PositionBiasCurve,
     SimulationConfig,
-    examination_probability,
-    expected_click_probability,
     perceived_relevance_probability,
-    rank_by_scores,
     sample_click_matrix,
-    sample_session,
 )
-from ultrlab.data import LabeledDoc, QueryGroup
+from ultrlab.data import Dataset
+from ultrlab.training import DatasetView, LoggingPolicy
 
 
-def _group(labels):
-    docs = [LabeledDoc(f"d{i}", np.full(3, 0.1 * i), int(y))
-            for i, y in enumerate(labels)]
-    return QueryGroup("q0", docs)
+def _policy(doc_ids, first_features, labels):
+    """A one-query linear policy that scores each document by its first feature."""
+    n = len(doc_ids)
+    features = np.zeros((n, 2))
+    features[:, 0] = first_features
+    ds = Dataset(features=features, labels=labels, doc_ids=doc_ids,
+                 query_ids=["q0"], offsets=[0, n])
+    return LoggingPolicy.from_linear(np.array([1.0, 0.0]), DatasetView(ds))
 
 
 def test_examination_probability_values():
@@ -75,65 +76,57 @@ def test_simulation_config_validation():
 
 
 def test_rank_by_scores_breaks_ties_by_doc_id():
-    order = rank_by_scores(["b", "a", "c"], np.array([1.0, 1.0, 2.0]))
-    assert order == [2, 1, 0]
-    with pytest.raises(ValueError):
-        rank_by_scores(["a"], np.array([1.0, 2.0]))
-
-
-def test_click_log_validation():
-    with pytest.raises(ValueError):
-        ClickLog("q", ["a"], np.array([0]), np.array([0, 1]))
-    with pytest.raises(ValueError):
-        ClickLog("q", ["a"], np.array([0]), np.array([2]))
+    """Displayed order is descending score; equal scores show in doc_id order."""
+    policy = _policy(["b", "a", "c"], [1.0, 1.0, 2.0], [1, 2, 3])
+    _, labels, scores = policy.displayed(np.array([0]), 3)
+    assert np.array_equal(labels, np.array([[3, 2, 1]]))  # c, then a before b
+    assert np.array_equal(scores, np.array([[2.0, 1.0, 1.0]]))
 
 
 def test_everything_clicked_in_the_degenerate_limit():
-    group = _group([4, 4, 4])
     curve = PositionBiasCurve(values=np.ones(3))
     cfg = SimulationConfig(epsilon=0.0, top_n=3)
-    log = sample_session(group, [0, 1, 2], curve, cfg, np.random.default_rng(0))
-    assert np.array_equal(log.clicks, np.ones(3, dtype=np.int8))
+    clicks = sample_click_matrix(np.full((4, 3), 4), curve, cfg, np.random.default_rng(0))
+    assert np.array_equal(clicks, np.ones((4, 3), dtype=np.int8))
 
 
 def test_session_truncates_at_top_n():
-    group = _group([4, 4, 4, 4])
-    curve = PositionBiasCurve.inverse_rank(4)
+    """Only the policy's first top_n documents are displayed and can be clicked."""
+    policy = _policy(["d0", "d1", "d2", "d3"], [0.0, 1.0, 2.0, 3.0], [4, 3, 2, 1])
     cfg = SimulationConfig(top_n=2)
-    log = sample_session(group, [3, 2, 1, 0], curve, cfg, np.random.default_rng(1))
-    assert log.clicks.size == 2
-    assert log.ranked_doc_ids == ["d3", "d2"]
-    assert np.array_equal(log.ranked_indices, np.array([3, 2]))
+    feats, labels, _ = policy.displayed(np.array([0]), cfg.top_n)
+    assert np.array_equal(labels, np.array([[1, 2]]))  # d3, d2
+    assert np.array_equal(feats[0, :, 0], np.array([3.0, 2.0]))
+    clicks = sample_click_matrix(labels, PositionBiasCurve.inverse_rank(4), cfg,
+                                 np.random.default_rng(1))
+    assert clicks.shape == (1, 2)
 
 
 def test_session_rejects_ranking_longer_than_curve():
-    group = _group([1, 2, 3])
     curve = PositionBiasCurve.inverse_rank(2)
     with pytest.raises(ValueError):
-        sample_session(group, [0, 1, 2], curve, SimulationConfig(top_n=3),
-                       np.random.default_rng(0))
+        sample_click_matrix(np.array([[1, 2, 3]]), curve, SimulationConfig(top_n=3),
+                            np.random.default_rng(0))
 
 
 def test_clicks_never_exceed_examinations():
-    group = _group([0, 3, 1, 4, 2])
+    labels = np.tile(np.array([0, 3, 1, 4, 2]), (200, 1))
     curve = PositionBiasCurve.inverse_rank(5)
     cfg = SimulationConfig(top_n=5)
-    for seed in range(50):
-        log = sample_session(group, [4, 3, 2, 1, 0], curve, cfg,
-                             np.random.default_rng(seed))
+    for seed in range(10):
+        clicks = sample_click_matrix(labels, curve, cfg, np.random.default_rng(seed))
         replay = np.random.default_rng(seed)
-        examined = replay.random(5) < curve.examination(cfg.eta)
-        assert np.all(log.clicks <= examined.astype(np.int8))
+        examined = replay.random(labels.shape) < curve.examination(cfg.eta)
+        assert np.all(clicks <= examined.astype(np.int8))
 
 
 def test_identical_seeds_give_identical_sessions():
-    group = _group([2, 0, 4])
+    labels = np.tile(np.array([2, 0, 4]), (20, 1))
     curve = PositionBiasCurve.inverse_rank(3)
     cfg = SimulationConfig(top_n=3)
-    a = sample_session(group, [0, 1, 2], curve, cfg, np.random.default_rng(7))
-    b = sample_session(group, [0, 1, 2], curve, cfg, np.random.default_rng(7))
-    assert np.array_equal(a.clicks, b.clicks)
-    assert a.ranked_doc_ids == b.ranked_doc_ids
+    a = sample_click_matrix(labels, curve, cfg, np.random.default_rng(7))
+    b = sample_click_matrix(labels, curve, cfg, np.random.default_rng(7))
+    assert np.array_equal(a, b)
 
 
 def test_click_matrix_validates_shape_and_curve_length():

@@ -7,25 +7,26 @@ from hypothesis import strategies as st
 
 from ultrlab.data import (
     Dataset,
-    LabeledDoc,
     LabelRangeError,
     ParseError,
-    QueryGroup,
     generate_synthetic,
     parse_svmlight,
     serialize_svmlight,
 )
 
 
+def _query_rows(ds, q):
+    return slice(ds.offsets[q], ds.offsets[q + 1])
+
+
 def test_single_line_parse():
     ds = parse_svmlight("2 qid:7 1:0.5 3:1.0")
     assert ds.n_queries == 1
-    group = ds.groups[0]
-    assert group.query_id == "7"
-    assert len(group.docs) == 1
-    doc = group.docs[0]
-    assert doc.relevance == 2
-    assert np.array_equal(doc.features, np.array([0.5, 0.0, 1.0]))
+    assert list(ds.query_ids) == ["7"]
+    assert list(ds.offsets) == [0, 1]
+    assert ds.labels.tolist() == [2]
+    assert np.array_equal(ds.features, np.array([[0.5, 0.0, 1.0]]))
+    assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
     assert ds.feature_dim == 3
 
 
@@ -38,20 +39,22 @@ def test_empty_stream():
 def test_lines_group_by_qid():
     ds = parse_svmlight("0 qid:1 1:1.0\n4 qid:1 1:2.0")
     assert ds.n_queries == 1
-    assert np.array_equal(ds.groups[0].labels, np.array([0, 4]))
+    assert np.array_equal(ds.labels[_query_rows(ds, 0)], np.array([0, 4]))
 
 
 def test_interleaved_qids_group_in_first_appearance_order():
     text = "1 qid:b 1:1.0\n2 qid:a 1:2.0\n3 qid:b 1:3.0"
     ds = parse_svmlight(text)
-    assert [g.query_id for g in ds.groups] == ["b", "a"]
-    assert np.array_equal(ds.groups[0].labels, np.array([1, 3]))
+    assert list(ds.query_ids) == ["b", "a"]
+    assert list(ds.offsets) == [0, 2, 3]
+    assert np.array_equal(ds.labels, np.array([1, 3, 2]))
+    assert np.array_equal(ds.features[:, 0], np.array([1.0, 3.0, 2.0]))
+    assert list(ds.doc_ids) == ["qb_d0", "qb_d1", "qa_d0"]
 
 
 def test_comment_becomes_doc_id_and_default_ids_count_up():
     ds = parse_svmlight("1 qid:3 1:0.1 # doc-alpha\n2 qid:3 1:0.2")
-    assert ds.groups[0].docs[0].doc_id == "doc-alpha"
-    assert ds.groups[0].docs[1].doc_id == "q3_d1"
+    assert list(ds.doc_ids) == ["doc-alpha", "q3_d1"]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -78,14 +81,45 @@ def test_label_out_of_range_is_its_own_error():
 def test_duplicate_doc_ids_rejected():
     with pytest.raises(ValueError):
         parse_svmlight("1 qid:1 1:0.5 # same\n2 qid:1 1:0.6 # same")
+    # The same id in two different queries is fine.
+    ds = parse_svmlight("1 qid:1 1:0.5 # same\n2 qid:2 1:0.6 # same")
+    assert ds.n_queries == 2
 
 
-def test_dataset_validates_feature_dim_and_split():
-    doc = LabeledDoc("d", np.zeros(3), 0)
-    with pytest.raises(ValueError):
-        Dataset(groups=[QueryGroup("q", [doc])], feature_dim=4)
-    with pytest.raises(ValueError):
-        Dataset(groups=[], feature_dim=0, split="dev")
+def _valid_arrays(**overrides):
+    arrays = dict(features=np.zeros((3, 2)), labels=[0, 4, 1], doc_ids=["a", "b", "a"],
+                  query_ids=["q", "r"], offsets=[0, 2, 3])
+    arrays.update(overrides)
+    return arrays
+
+
+def test_dataset_validates_its_arrays():
+    ds = Dataset(**_valid_arrays())
+    assert ds.n_queries == 2 and ds.feature_dim == 2
+    bad = [
+        dict(features=np.zeros((2, 2))),                   # a row short
+        dict(features=np.zeros(3)),                        # not (n_docs, d)
+        dict(features=np.array([[0.0, np.inf], [0, 0], [0, 0]])),
+        dict(labels=[0, 5, 1]),
+        dict(labels=[0, -1, 1]),
+        dict(doc_ids=["a", "a", "b"]),                     # duplicate within query q
+        dict(offsets=[0, 0, 3]),                           # empty query
+        dict(offsets=[0, 2]),                              # one offset short
+        dict(offsets=[0, 2, 4]),                           # past the last row
+    ]
+    for override in bad:
+        with pytest.raises(ValueError):
+            Dataset(**_valid_arrays(**override))
+
+
+def test_groups_view_matches_the_arrays():
+    ds = parse_svmlight("1 qid:b 1:1.0 # x\n2 qid:a 2:2.0\n3 qid:b 1:3.0")
+    groups = ds.groups
+    assert [g.query_id for g in groups] == ["b", "a"]
+    assert [[d.doc_id for d in g.docs] for g in groups] == [["x", "qb_d1"], ["qa_d0"]]
+    assert np.array_equal(groups[0].labels, np.array([1, 3]))
+    assert [d.relevance for d in groups[0].docs] == [1, 3]
+    assert np.array_equal(groups[1].docs[0].features, np.array([0.0, 2.0]))
 
 
 def _dataset_strategy():
@@ -98,39 +132,38 @@ def _dataset_strategy():
 @settings(max_examples=40, deadline=None)
 @given(_dataset_strategy())
 def test_serialize_parse_round_trip(raw_groups):
-    groups = []
-    for qi, docs in enumerate(raw_groups):
-        labeled = [
-            LabeledDoc(doc_id=f"q{qi}_d{di}", features=np.array(feats), relevance=lab)
-            for di, (lab, feats) in enumerate(docs)
-        ]
-        groups.append(QueryGroup(query_id=str(qi), docs=labeled))
-    ds = Dataset(groups=groups, feature_dim=3 if groups else 0)
+    docs = [(qi, di, lab, feats) for qi, group in enumerate(raw_groups)
+            for di, (lab, feats) in enumerate(group)]
+    ds = Dataset(
+        features=np.array([d[3] for d in docs]).reshape(len(docs), 3 if docs else 0),
+        labels=[d[2] for d in docs],
+        doc_ids=[f"q{qi}_d{di}" for qi, di, _, _ in docs],
+        query_ids=[str(qi) for qi in range(len(raw_groups))],
+        offsets=np.cumsum([0] + [len(g) for g in raw_groups]),
+    )
     back = parse_svmlight(serialize_svmlight(ds))
     assert back.n_queries == ds.n_queries
-    for g1, g2 in zip(ds.groups, back.groups):
-        assert g1.query_id == g2.query_id
-        for d1, d2 in zip(g1.docs, g2.docs):
-            assert d1.doc_id == d2.doc_id
-            assert d1.relevance == d2.relevance
-            assert np.array_equal(d1.features, d2.features)
+    assert np.array_equal(back.query_ids, ds.query_ids)
+    assert np.array_equal(back.offsets, ds.offsets)
+    assert np.array_equal(back.doc_ids, ds.doc_ids)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
 
 
 def test_round_trip_of_generated_data():
     ds = generate_synthetic(5, 4, 6, seed=3)
     back = parse_svmlight(serialize_svmlight(ds))
     assert back.feature_dim == ds.feature_dim
-    for g1, g2 in zip(ds.groups, back.groups):
-        for d1, d2 in zip(g1.docs, g2.docs):
-            assert np.array_equal(d1.features, d2.features)
-            assert d1.relevance == d2.relevance
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.doc_ids, ds.doc_ids)
 
 
 def test_generate_minimal_dataset():
     ds = generate_synthetic(1, 1, 4, seed=42)
     assert ds.n_queries == 1
-    assert len(ds.groups[0].docs) == 1
-    assert 0 <= ds.groups[0].docs[0].relevance <= 4
+    assert list(ds.offsets) == [0, 1]
+    assert 0 <= ds.labels[0] <= 4
 
 
 def test_generate_is_deterministic():
@@ -147,14 +180,12 @@ def test_generate_differs_across_seeds():
 
 def test_generated_grades_cover_all_five_levels():
     ds = generate_synthetic(500, 10, 16, seed=1)
-    seen = {doc.relevance for g in ds.groups for doc in g.docs}
-    assert seen == {0, 1, 2, 3, 4}
+    assert set(ds.labels.tolist()) == {0, 1, 2, 3, 4}
 
 
 def test_generated_grades_stay_in_range():
     ds = generate_synthetic(50, 8, 5, seed=2)
-    labels = np.concatenate([g.labels for g in ds.groups])
-    assert labels.min() >= 0 and labels.max() <= 4
+    assert ds.labels.min() >= 0 and ds.labels.max() <= 4
 
 
 def test_shared_teacher_separates_features_from_labeling():
@@ -162,9 +193,7 @@ def test_shared_teacher_separates_features_from_labeling():
     same_teacher = generate_synthetic(20, 5, 6, seed=2, teacher_seed=77)
     own_teacher = generate_synthetic(20, 5, 6, seed=2)
     assert serialize_svmlight(base) != serialize_svmlight(same_teacher)
-    labels_shared = [d.relevance for g in same_teacher.groups for d in g.docs]
-    labels_own = [d.relevance for g in own_teacher.groups for d in g.docs]
-    assert labels_shared != labels_own
+    assert not np.array_equal(same_teacher.labels, own_teacher.labels)
 
 
 def test_generate_validates_arguments():

@@ -12,6 +12,7 @@ from ultrlab.autodiff import (
     unfreeze_parameters,
     weighted_listwise_ce,
 )
+from helpers import backdoor_adjust
 from ultrlab.clicks import PositionBiasCurve
 from ultrlab.propensity import (
     TARGET_VARIANTS,
@@ -19,14 +20,12 @@ from ultrlab.propensity import (
     LPPModel,
     PositionPropensityModel,
     PropensityEstimate,
-    backdoor_adjust,
     backdoor_estimate,
     clipped_inverse_weights,
     confounding_effect_step,
     dla_propensity,
     irw_propensity_loss,
     joint_propensity_step,
-    lpp_confounder_forward,
     position_targets_from_base,
     relevance_weights_from_scores,
     target_weights,
@@ -275,13 +274,17 @@ def test_lpp_parameter_partition():
 
 def test_confounder_forward_scalar_behaviour():
     model = small_lpp(seed=4)
-    x = np.array([0.3, -0.2, 0.9])
-    a = lpp_confounder_forward(model, x)
-    assert a == lpp_confounder_forward(model, x)
-    assert a != lpp_confounder_forward(model, x + 0.5)
+    x = np.array([[0.3, -0.2, 0.9]])
+
+    def score(features):
+        return float(model.forward_confounder(features).data.reshape(-1)[0])
+
+    a = score(x)
+    assert a == score(x)
+    assert a != score(x + 0.5)
     for p in model.g_pt:
         p.data[:] = 0.0
-    assert lpp_confounder_forward(model, x) == 0.0
+    assert score(x) == 0.0
 
 
 def test_confounding_step_moves_only_the_document_pathway():

@@ -7,12 +7,8 @@ import pytest
 
 from ultrlab.clicks import SimulationConfig
 from ultrlab.propensity import PropensityEstimate
-from ultrlab.ranker import (
-    RankerMLP,
-    full_information_loss,
-    ipw_ranking_loss,
-    score_list,
-)
+from helpers import full_information_loss
+from ultrlab.ranker import RankerMLP, ipw_ranking_loss
 
 
 def make_ranker(seed=0, feature_dim=4, hidden=(6, 5), dropout=0.1):
@@ -40,29 +36,31 @@ def test_forward_validation():
         RankerMLP(0, np.random.default_rng(0))
 
 
+def _scores(ranker, X, train=False, rng=None):
+    return ranker.forward(X, train=train, rng=rng).data.reshape(-1)
+
+
 def test_scoring_is_per_document():
     """Each row's score depends on that row alone, so scoring a permuted
     stack permutes the scores."""
     ranker = make_ranker(seed=2)
     X = np.random.default_rng(3).normal(size=(6, 4))
     perm = np.array([3, 0, 5, 1, 4, 2])
-    scores = score_list(ranker, X)
-    assert np.array_equal(score_list(ranker, X[perm]), scores[perm])
+    scores = _scores(ranker, X)
+    assert np.array_equal(_scores(ranker, X[perm]), scores[perm])
 
 
 def test_eval_scoring_is_deterministic():
     ranker = make_ranker(seed=4, dropout=0.5)
     X = np.random.default_rng(5).normal(size=(3, 4))
-    assert np.array_equal(score_list(ranker, X), score_list(ranker, X))
-    with pytest.raises(ValueError):
-        score_list(ranker, X, mode="test")
+    assert np.array_equal(_scores(ranker, X), _scores(ranker, X))
 
 
 def test_train_scoring_uses_dropout():
     ranker = make_ranker(seed=6, dropout=0.5)
     X = np.random.default_rng(7).normal(size=(3, 4))
-    a = score_list(ranker, X, mode="train", rng=np.random.default_rng(8))
-    b = score_list(ranker, X, mode="train", rng=np.random.default_rng(9))
+    a = _scores(ranker, X, train=True, rng=np.random.default_rng(8))
+    b = _scores(ranker, X, train=True, rng=np.random.default_rng(9))
     assert not np.array_equal(a, b)
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from ultrlab.autodiff import freeze_parameters
 from ultrlab.clicks import PositionBiasCurve, SimulationConfig
-from ultrlab.data import Dataset, LabeledDoc, QueryGroup, generate_synthetic
+from ultrlab.data import Dataset, generate_synthetic
+from ultrlab.metrics import ranking_metrics
 from ultrlab.propensity import PropensityEstimate
 from ultrlab.training import (
     CURVE_COLUMNS,
@@ -19,7 +20,6 @@ from ultrlab.training import (
     SplitData,
     StepBatch,
     UPELearner,
-    evaluate_policy,
     evaluate_ranker,
     make_split_data,
     run_experiment,
@@ -66,10 +66,21 @@ def sample_click_matrix(labels, curve, sim, rng):
     return training_sample_click_matrix(labels, curve, sim, rng)
 
 
+def _one_query(doc_ids, features, labels):
+    return Dataset(features=features, labels=labels, doc_ids=doc_ids,
+                   query_ids=["q"], offsets=[0, len(doc_ids)])
+
+
+def _policy_metrics(policy):
+    """Mean metrics of a frozen policy's own displayed ordering on its dataset."""
+    ranked = np.take_along_axis(policy.view.labels, policy.order, axis=1)
+    rows = [ranking_metrics(r) for r in ranked]
+    return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
+
+
 def test_make_split_data_shares_one_teacher():
     data = make_split_data(n_train=12, n_test=6, docs_per_query=4,
                            feature_dim=5, seed=3)
-    assert data.train.split == "train" and data.test.split == "test"
     assert data.train.n_queries == 12 and data.test.n_queries == 6
     again = make_split_data(n_train=12, n_test=6, docs_per_query=4,
                             feature_dim=5, seed=3)
@@ -78,20 +89,23 @@ def test_make_split_data_shares_one_teacher():
 
 
 def test_dataset_view_sorts_docs_by_id():
-    docs = [LabeledDoc("b", np.array([1.0, 0.0]), 1),
-            LabeledDoc("a", np.array([0.0, 1.0]), 2)]
-    ds = Dataset(groups=[QueryGroup("q", docs)], feature_dim=2)
+    ds = _one_query(["b", "a"], np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 2])
     view = DatasetView(ds)
     assert np.array_equal(view.labels, np.array([[2, 1]]))
     assert np.array_equal(view.features[0, 0], np.array([0.0, 1.0]))
+    # Sorting stays within each query even where ids interleave across queries.
+    two = Dataset(features=np.arange(8.0).reshape(4, 2), labels=[1, 2, 3, 4],
+                  doc_ids=["b", "a", "c", "a"], query_ids=["q", "r"], offsets=[0, 2, 4])
+    view = DatasetView(two)
+    assert np.array_equal(view.labels, np.array([[2, 1], [4, 3]]))
+    assert np.array_equal(view.features[1, 0], np.array([6.0, 7.0]))
 
 
 def test_dataset_view_requires_equal_list_lengths():
-    g1 = QueryGroup("a", [LabeledDoc("d0", np.zeros(2), 0)])
-    g2 = QueryGroup("b", [LabeledDoc("d0", np.zeros(2), 0),
-                          LabeledDoc("d1", np.zeros(2), 1)])
-    with pytest.raises(ValueError):
-        DatasetView(Dataset(groups=[g1, g2], feature_dim=2))
+    ds = Dataset(features=np.zeros((3, 2)), labels=[0, 0, 1],
+                 doc_ids=["d0", "d0", "d1"], query_ids=["a", "b"], offsets=[0, 1, 3])
+    with pytest.raises(ValueError, match=r"got lengths \[1, 2\]"):
+        DatasetView(ds)
 
 
 def test_logging_policy_from_linear_and_displayed():
@@ -135,9 +149,9 @@ def test_weak_policy_quality_brackets(default_data):
     rng = np.random.default_rng(99)
     rand = LoggingPolicy(view=view,
                          scores=rng.normal(size=(view.n_queries, view.n_docs)))
-    full_ndcg = evaluate_policy(full)["ndcg@10"]
-    weak_ndcg = evaluate_policy(weak)["ndcg@10"]
-    rand_ndcg = evaluate_policy(rand)["ndcg@10"]
+    full_ndcg = _policy_metrics(full)["ndcg@10"]
+    weak_ndcg = _policy_metrics(weak)["ndcg@10"]
+    rand_ndcg = _policy_metrics(rand)["ndcg@10"]
     assert full_ndcg > 0.9
     assert rand_ndcg < weak_ndcg < full_ndcg
 
@@ -153,8 +167,8 @@ def test_weak_policy_sampling_errors(small_data):
         train_weak_policy(small_data.train, 0.01, seed=1)
     with pytest.raises(ValueError):
         train_weak_policy(small_data.train, 0.0, seed=1)
-    flat_docs = [LabeledDoc(f"d{i}", np.ones(2) * i, 2) for i in range(3)]
-    flat = Dataset(groups=[QueryGroup("q", flat_docs)], feature_dim=2)
+    flat = _one_query([f"d{i}" for i in range(3)],
+                      np.arange(3.0)[:, None] * np.ones(2), [2, 2, 2])
     with pytest.raises(SamplingError):
         train_weak_policy(flat, 1.0, seed=1)
 
@@ -172,6 +186,23 @@ def test_config_validation():
         ExperimentConfig(weak_fraction=1.5)
     with pytest.raises(ValueError):
         ExperimentConfig(total_steps=0)
+
+
+def test_config_field_types():
+    """Counts take ints only, rates take ints or floats, never bools or strings."""
+    for bad in (dict(total_steps=True), dict(total_steps=2000.0), dict(total_steps="2000"),
+                dict(batch_queries=False), dict(seed=1.5), dict(learning_rate=True),
+                dict(learning_rate="0.02"), dict(ranker_hidden=[8, 0]),
+                dict(ranker_hidden=[8, True]), dict(ranker_hidden=8),
+                dict(lpp_ffn_hidden="16"), dict(paradigm=1), dict(upe_freeze=1),
+                dict(simulation={"eta": 1.0})):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    for bad in (dict(eta=True), dict(eta="2"), dict(top_n=10.0), dict(y_max=True)):
+        with pytest.raises(ValueError):
+            SimulationConfig(**bad)
+    assert SimulationConfig(eta=2).eta == 2
+    assert ExperimentConfig(learning_rate=1, ranker_hidden=[8, 4]).ranker_hidden == (8, 4)
 
 
 def test_config_round_trips_through_dict():
@@ -352,7 +383,7 @@ def test_evaluate_ranker_agrees_with_policy_route(small_data):
     train_view = DatasetView(small_data.train)
     direct = evaluate_ranker(result.ranker, train_view)
     policy = LoggingPolicy.from_ranker(result.ranker, train_view)
-    via_policy = evaluate_policy(policy)
+    via_policy = _policy_metrics(policy)
     for key, value in direct.items():
         assert via_policy[key] == pytest.approx(value, abs=1e-12)
 

@@ -6,6 +6,11 @@ and accumulates gradients into every reachable tensor that asked for them.
 Just enough ops for feedforward scorers with listwise losses: broadcasting
 add/mul, matmul, ELU, sigmoid, inverted dropout, row-wise log-softmax,
 sum/mean, reshape, and row lookup for embeddings.
+
+Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
+the tape: ``MLP.infer`` runs the same layers on plain arrays and shares the
+in-place ELU kernel ``_elu`` with ``Tensor.elu``, so its output has the same
+bits as the eval-mode ``Tensor`` forward.
 """
 
 from typing import Callable, List, Optional, Sequence
@@ -24,6 +29,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _elu(x: np.ndarray) -> np.ndarray:
+    """ELU in place, returning x; expm1 sees only min(x, 0), so it cannot overflow."""
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    np.maximum(x, 0.0, out=x)
+    x += neg
+    return x
 
 
 def _consumed():
@@ -110,14 +124,17 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def elu(self, alpha: float = 1.0) -> "Tensor":
-        pos = self.data > 0.0
-        y = np.where(pos, self.data, alpha * np.expm1(self.data))
+    def elu(self) -> "Tensor":
+        y = _elu(self.data.copy())
         out = Tensor(y, self.requires_grad, (self,), "elu")
 
         def _backward():
             if self.requires_grad:
-                self._accumulate(out.grad * np.where(pos, 1.0, y + alpha))
+                # d/dx is 1 where y > 0 and y + 1 elsewhere: min(y, 0) + 1.
+                g = np.minimum(y, 0.0)
+                g += 1.0
+                g *= out.grad
+                self._accumulate(g)
         out._backward = _backward
         return out
 
@@ -345,6 +362,16 @@ class MLP:
                 if train and self.dropout > 0.0:
                     mask = dropout_masks[i] if dropout_masks is not None else None
                     h = h.dropout(self.dropout, rng=rng, mask=mask)
+        return h
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward on plain arrays: no tape, no dropout, x left unchanged."""
+        h = x
+        for i, layer in enumerate(self.layers):
+            h = h @ layer.W.data
+            h += layer.b.data
+            if i < len(self.layers) - 1:
+                _elu(h)
         return h
 
     def parameters(self) -> List[Parameter]:

@@ -343,7 +343,9 @@ def backdoor_estimate(model: LPPModel, features: np.ndarray,
     level exactly, where a squashed arithmetic mean would flatten them
     toward 1. The documents are encoded once and every rank's embedding is
     added to the shared block; the test oracle ``backdoor_adjust(k)`` in
-    ``tests/helpers.py`` scores one rank at a time and must agree.
+    ``tests/helpers.py`` scores one rank at a time and must agree. The
+    readout needs no gradient, so it runs on plain arrays through
+    ``MLP.infer`` and builds no tape.
     """
     n = model.n_positions if n_positions is None else n_positions
     X = np.asarray(features, dtype=np.float64)
@@ -351,10 +353,8 @@ def backdoor_estimate(model: LPPModel, features: np.ndarray,
         raise ValueError("features must be a non-empty (docs, feature_dim) matrix")
     if not 1 <= n <= model.n_positions:
         raise ValueError(f"n_positions must lie in [1, {model.n_positions}]")
-    m = model.encoder_d(Tensor(X)).data
+    m = model.encoder_d.infer(X)
     docs = m.shape[0]
-    tiled = np.repeat(m[None, :, :], n, axis=0).reshape(n * docs, -1)
-    tiled += np.repeat(model.position_table.data[:n], docs, axis=0)
-    out = model.ffn(Tensor(tiled))
-    raw = np.exp(out.data.reshape(n, docs).mean(axis=1))
+    tiled = (model.position_table.data[:n, None, :] + m[None, :, :]).reshape(n * docs, -1)
+    raw = np.exp(model.ffn.infer(tiled).reshape(n, docs).mean(axis=1))
     return PropensityEstimate.from_raw(raw)

@@ -20,16 +20,24 @@ class RankerMLP:
         self.feature_dim = feature_dim
         self.net = MLP(feature_dim, hidden, 1, rng, "ranker", dropout=dropout)
 
-    def forward(self, features: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None,
-                dropout_masks: Optional[Sequence[np.ndarray]] = None) -> Tensor:
-        """Score a stack of feature rows; returns a column of scores, one per row."""
+    def _rows(self, features: np.ndarray) -> np.ndarray:
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_dim:
             raise ValueError(f"features must be (n, {self.feature_dim})")
         if X.shape[0] == 0:
             raise ValueError("empty document list")
-        return self.net(Tensor(X), train=train, rng=rng, dropout_masks=dropout_masks)
+        return X
+
+    def forward(self, features: np.ndarray, train: bool = False,
+                rng: Optional[np.random.Generator] = None,
+                dropout_masks: Optional[Sequence[np.ndarray]] = None) -> Tensor:
+        """Score a stack of feature rows; returns a column of scores, one per row."""
+        return self.net(Tensor(self._rows(features)), train=train, rng=rng,
+                        dropout_masks=dropout_masks)
+
+    def score(self, features: np.ndarray) -> np.ndarray:
+        """Eval-mode score column as a plain array, built with no tape."""
+        return self.net.infer(self._rows(features))
 
     def parameters(self) -> Sequence[Parameter]:
         return self.net.parameters()

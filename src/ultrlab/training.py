@@ -129,8 +129,8 @@ class LoggingPolicy:
 
     @classmethod
     def from_ranker(cls, ranker: RankerMLP, view: DatasetView) -> "LoggingPolicy":
-        out = ranker.forward(view.flat_features(), train=False)
-        return cls(view=view, scores=out.data.reshape(view.n_queries, view.n_docs))
+        scores = ranker.score(view.flat_features())
+        return cls(view=view, scores=scores.reshape(view.n_queries, view.n_docs))
 
     @classmethod
     def from_linear(cls, weights: np.ndarray, view: DatasetView) -> "LoggingPolicy":
@@ -159,7 +159,8 @@ def train_weak_policy(dataset: Dataset, fraction: float, seed: int) -> LoggingPo
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     view = DatasetView(dataset)
-    n_sampled = int(fraction * view.n_queries)
+    # The slack absorbs float rounding: (1 / 49) * 49 is 0.9999999999999999.
+    n_sampled = int(fraction * view.n_queries + 1e-9)
     if n_sampled == 0:
         raise SamplingError(
             f"fraction {fraction} of {view.n_queries} queries samples none"
@@ -287,8 +288,7 @@ def evaluate_ranker(ranker: RankerMLP, view: DatasetView,
                     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
                     y_max: int = 4) -> Dict[str, float]:
     """Mean test metrics: rank every query by eval-mode score, true labels."""
-    scores = ranker.forward(view.flat_features(), train=False)
-    scores = scores.data.reshape(view.n_queries, view.n_docs)
+    scores = ranker.score(view.flat_features()).reshape(view.n_queries, view.n_docs)
     order = rank_view_scores(scores)
     ranked = np.take_along_axis(view.labels, order, axis=1)
     rows = [ranking_metrics(ranked[q], cutoffs, y_max) for q in range(view.n_queries)]

@@ -38,6 +38,33 @@ def test_elu_scalar_values():
     assert t.data[1] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
 
 
+def test_elu_does_not_overflow_on_large_inputs():
+    with np.errstate(over="raise"):
+        t = Tensor(np.array([800.0, -1.0])).elu()
+    assert np.array_equal(t.data, [800.0, np.expm1(-1.0)])
+
+
+# The ranker (16 -> 64 -> 32 -> 16 -> 1) and the two LPP MLPs.
+INFER_SHAPES = [(16, (64, 32, 16), 1), (16, (32,), 16), (16, (16, 64), 1)]
+
+
+@pytest.mark.parametrize("in_dim,hidden,out_dim", INFER_SHAPES)
+def test_mlp_infer_is_bit_identical_to_the_eval_forward(in_dim, hidden, out_dim):
+    rng = np.random.default_rng(11)
+    net = MLP(in_dim, hidden, out_dim, rng, "net", dropout=0.1)
+    for p in net.parameters():
+        p.data += 0.1 * rng.normal(size=p.data.shape)
+    X = rng.normal(scale=3.0, size=(40, in_dim))
+    X[:5] = 0.0
+    X[5:10] = -np.abs(X[5:10])
+    X[10, :4] = [711.0, 800.0, -750.0, 1e3]
+    X_before = X.copy()
+    out = net.infer(X)
+    assert np.array_equal(out, net(Tensor(X), train=False).data)
+    assert np.array_equal(X, X_before)
+    assert not np.shares_memory(out, X)
+
+
 def test_sigmoid_is_stable_at_extremes():
     s = Tensor(np.array([-800.0, 0.0, 800.0])).sigmoid().data
     assert np.all(np.isfinite(s))

@@ -26,12 +26,13 @@ def test_zeroed_ranker_scores_zero():
 
 def test_forward_validation():
     ranker = make_ranker()
-    with pytest.raises(ValueError):
-        ranker.forward(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ranker.forward(np.zeros((0, 4)))
-    with pytest.raises(ValueError):
-        ranker.forward(np.zeros(4))
+    for bad in (np.zeros((2, 3)), np.zeros((0, 4)), np.zeros(4)):
+        with pytest.raises(ValueError) as from_forward:
+            ranker.forward(bad)
+        # The tape-free eval path rejects the same inputs with the same message.
+        with pytest.raises(ValueError) as from_score:
+            ranker.score(bad)
+        assert str(from_score.value) == str(from_forward.value)
     with pytest.raises(ValueError):
         RankerMLP(0, np.random.default_rng(0))
 
@@ -54,6 +55,7 @@ def test_eval_scoring_is_deterministic():
     ranker = make_ranker(seed=4, dropout=0.5)
     X = np.random.default_rng(5).normal(size=(3, 4))
     assert np.array_equal(_scores(ranker, X), _scores(ranker, X))
+    assert np.array_equal(ranker.score(X).reshape(-1), _scores(ranker, X))
 
 
 def test_train_scoring_uses_dropout():

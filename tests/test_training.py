@@ -1,13 +1,17 @@
 """Training loop: policies, learner wiring, paradigm equivalence, determinism."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from ultrlab import training
 from ultrlab.autodiff import freeze_parameters
 from ultrlab.clicks import PositionBiasCurve, SimulationConfig
 from ultrlab.data import Dataset, generate_synthetic
 from ultrlab.metrics import ranking_metrics
-from ultrlab.propensity import PropensityEstimate
+from ultrlab.propensity import LPPModel, PropensityEstimate, backdoor_estimate
+from ultrlab.ranker import RankerMLP
 from ultrlab.training import (
     CURVE_COLUMNS,
     DatasetView,
@@ -162,9 +166,28 @@ def test_weak_policy_is_deterministic(small_data):
     assert np.array_equal(a.scores, b.scores)
 
 
-def test_weak_policy_sampling_errors(small_data):
+def test_weak_policy_sampling_errors(small_data, default_data, monkeypatch):
     with pytest.raises(SamplingError):
         train_weak_policy(small_data.train, 0.01, seed=1)
+    sizes = []
+
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def choice(self, n, size, replace):
+            sizes.append(size)
+            return self.rng.choice(n, size=size, replace=replace)
+
+    rng_for = training.rng_for
+    monkeypatch.setattr(training, "rng_for", lambda *key: CountingRng(rng_for(*key)))
+    # (1 / n) * n rounds to just below 1 for these n; each still samples one query.
+    for n in (49, 98):
+        data = generate_synthetic(n, 6, 5, seed=3, teacher_seed=4)
+        train_weak_policy(data, 1.0 / n, seed=1)
+    # An exact product keeps its count, so the same rows are drawn.
+    train_weak_policy(default_data.train, 0.01, seed=123)
+    assert sizes == [1, 1, 5]
     with pytest.raises(ValueError):
         train_weak_policy(small_data.train, 0.0, seed=1)
     flat = _one_query([f"d{i}" for i in range(3)],
@@ -386,6 +409,25 @@ def test_evaluate_ranker_agrees_with_policy_route(small_data):
     via_policy = _policy_metrics(policy)
     for key, value in direct.items():
         assert via_policy[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_forward_only_passes_leave_nothing_for_the_cycle_collector(small_data):
+    """Readout, eval and policy refresh build no tape, so no reference cycles."""
+    view = DatasetView(small_data.train)
+    d = view.features.shape[-1]
+    ranker = RankerMLP(d, np.random.default_rng(0))
+    model = LPPModel(d, view.n_docs, np.random.default_rng(1))
+    calls = [lambda: backdoor_estimate(model, view.flat_features()[:32]),
+             lambda: evaluate_ranker(ranker, view),
+             lambda: LoggingPolicy.from_ranker(ranker, view)]
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shorter_curve_than_display_raises(small_data):

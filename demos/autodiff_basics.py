@@ -13,7 +13,7 @@ from ultrlab.autodiff import MLP, AdaGrad, Tensor, weighted_listwise_ce
 def scalar_example():
     x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
     w = Tensor(np.array([[0.5], [-1.0], [0.25]]), requires_grad=True)
-    y = x.matmul(w).sigmoid().sum()
+    y = x.matmul(w).elu().sum()
     y.backward()
     print("y =", float(y.data))
     print("dy/dx =", x.grad.reshape(-1))
@@ -21,9 +21,9 @@ def scalar_example():
 
     h = 1e-6
     bumped = np.array([[1.0 + h, 2.0, 3.0]])
-    y_plus = float(Tensor(bumped).matmul(Tensor(w.data)).sigmoid().sum().data)
+    y_plus = float(Tensor(bumped).matmul(Tensor(w.data)).elu().sum().data)
     bumped[0, 0] -= 2 * h
-    y_minus = float(Tensor(bumped).matmul(Tensor(w.data)).sigmoid().sum().data)
+    y_minus = float(Tensor(bumped).matmul(Tensor(w.data)).elu().sum().data)
     print(f"finite difference for x[0]: {(y_plus - y_minus) / (2 * h):.8f} "
           f"(analytic {x.grad[0, 0]:.8f})")
 
@@ -48,8 +48,8 @@ def fit_example():
     print("\nfitting a 4-feature linear target with a small network")
     for step in range(1, 401):
         out = net(Tensor(X))
-        err = out - Tensor(target.reshape(-1, 1))
-        loss = (err * err).mean()
+        err = out + Tensor(-target.reshape(-1, 1))
+        loss = (err * err).sum() / len(X)
         opt.zero_grad()
         loss.backward()
         opt.step()

@@ -58,8 +58,5 @@ from .training import (
     SplitData,
     make_split_data,
     run_experiment,
-    run_offline,
-    run_online,
     train_weak_policy,
-    upe_iteration,
 )

@@ -4,8 +4,8 @@ A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar result walks the tape in reverse topological order
 and accumulates gradients into every reachable tensor that asked for them.
 Just enough ops for feedforward scorers with listwise losses: broadcasting
-add/mul, matmul, ELU, sigmoid, inverted dropout, row-wise log-softmax,
-sum/mean, reshape, and row lookup for embeddings.
+add/mul, matmul, ELU, inverted dropout, row-wise log-softmax, sum, reshape,
+and row lookup for embeddings.
 
 Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
 the tape: ``MLP.infer`` runs the same layers on plain arrays and shares the
@@ -95,15 +95,6 @@ class Tensor:
     def __neg__(self):
         return self * -1.0
 
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rmul__(self, other):
-        return self * other
-
     def __truediv__(self, scalar):
         if isinstance(scalar, Tensor):
             raise TypeError("division only by plain scalars")
@@ -135,18 +126,6 @@ class Tensor:
                 g += 1.0
                 g *= out.grad
                 self._accumulate(g)
-        out._backward = _backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        x = self.data
-        s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(s, self.requires_grad, (self,), "sigmoid")
-
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * s * (1.0 - s))
         out._backward = _backward
         return out
 
@@ -200,32 +179,12 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def mean(self, axis: Optional[int] = None) -> "Tensor":
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) / n
-
     def reshape(self, *shape) -> "Tensor":
         out = Tensor(self.data.reshape(*shape), self.requires_grad, (self,), "reshape")
 
         def _backward():
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.data.shape))
-        out._backward = _backward
-        return out
-
-    def first_cols(self, n: int) -> "Tensor":
-        """The leading n columns of a 2-D tensor."""
-        if self.data.ndim != 2:
-            raise ValueError("first_cols expects a 2-D tensor")
-        if not 1 <= n <= self.data.shape[1]:
-            raise ValueError(f"n must lie in [1, {self.data.shape[1]}]")
-        out = Tensor(self.data[:, :n].copy(), self.requires_grad, (self,), "first_cols")
-
-        def _backward():
-            if self.requires_grad:
-                g = np.zeros_like(self.data)
-                g[:, :n] = out.grad
-                self._accumulate(g)
         out._backward = _backward
         return out
 
@@ -323,6 +282,13 @@ class AdaGrad:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+    def minimize(self, loss: Tensor) -> float:
+        """One descent step on a scalar loss: zero, backpropagate, update."""
+        self.zero_grad()
+        loss.backward()
+        self.step()
+        return float(loss.data)
 
 
 class Linear:

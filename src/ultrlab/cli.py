@@ -9,6 +9,7 @@ Configuration is one JSON object mirroring ExperimentConfig (with a nested
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,13 +26,13 @@ from .ranker import RankerMLP
 from .seeding import derive_seed
 from .training import (
     CURVE_COLUMNS,
+    DatasetView,
     ExperimentConfig,
     SplitData,
     evaluate_ranker,
     make_split_data,
     run_experiment,
 )
-from .training import DatasetView
 
 
 def _load_config(path, overrides):
@@ -39,8 +40,12 @@ def _load_config(path, overrides):
     if path is not None:
         with open(path) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
         for key, value in loaded.items():
             if key == "simulation":
+                if not isinstance(value, dict):
+                    raise ValueError(f"simulation must be a JSON object, got {value!r}")
                 cfg_dict["simulation"].update(value)
             elif key in cfg_dict:
                 cfg_dict[key] = value
@@ -136,6 +141,8 @@ def cmd_train(args) -> int:
     if args.paradigm:
         cfg_dict["paradigm"] = args.paradigm
     seeds = _parse_seeds(args)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     ExperimentConfig.from_dict(cfg_dict)  # fail on a bad config before any seed starts
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +164,7 @@ def cmd_train(args) -> int:
         "config": cfg_dict,
         "master_seed": seeds[0],
         "seeds": seeds,
-        "data": str(args.data) if args.data else "synthetic-default",
+        "data": os.path.relpath(args.data, out) if args.data else "synthetic-default",
         "results": {str(e["seed"]): e for e in entries},
         "wall_clock_s": time.monotonic() - started,
     }
@@ -293,7 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,19 +18,20 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (
-    MLP,
-    AdaGrad,
-    Parameter,
-    Tensor,
-)
-from .autodiff import weighted_listwise_ce
+from .autodiff import MLP, AdaGrad, Parameter, Tensor, weighted_listwise_ce
 
 DEFAULT_TAU = 0.05
 
 
 class FreezeContractError(RuntimeError):
     """The document pathway changed while only position embeddings may move."""
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the maximum so exp cannot overflow."""
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def clipped_inverse_weights(weights: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
@@ -101,13 +102,9 @@ class PositionPropensityModel:
         self.n_positions = n_positions
         self.logits = Parameter(np.zeros((1, n_positions)), "position_logits")
 
-    def batch_scores(self, batch_rows: int, n_positions: Optional[int] = None) -> Tensor:
+    def batch_scores(self, batch_rows: int) -> Tensor:
         """The logits repeated per session row, so listwise losses apply rowwise."""
-        n = self.n_positions if n_positions is None else n_positions
-        if not 1 <= n <= self.n_positions:
-            raise ValueError(f"n_positions must lie in [1, {self.n_positions}]")
-        row = self.logits if n == self.n_positions else self.logits.first_cols(n)
-        return row.take_rows(np.zeros(batch_rows, dtype=np.int64))
+        return self.logits.take_rows(np.zeros(batch_rows, dtype=np.int64))
 
     def parameters(self) -> List[Parameter]:
         return [self.logits]
@@ -115,10 +112,7 @@ class PositionPropensityModel:
 
 def dla_propensity(model: PositionPropensityModel) -> PropensityEstimate:
     """Softmax over the position logits, renormalized to rank 1."""
-    z = model.logits.data.reshape(-1)
-    z = z - z.max()
-    p = np.exp(z)
-    return PropensityEstimate.from_raw(p / p.sum())
+    return PropensityEstimate.from_raw(_softmax(model.logits.data.reshape(-1)))
 
 
 def irw_propensity_loss(position_scores: Tensor, clicks: np.ndarray,
@@ -154,13 +148,7 @@ def relevance_weights_from_scores(scores: np.ndarray) -> np.ndarray:
     for n = 10), which caps how much relevance decay the dual loss can
     divide out of the click signal.
     """
-    z = np.asarray(scores, dtype=np.float64)
-    squeeze = z.ndim == 1
-    z = np.atleast_2d(z)
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p[0] if squeeze else p
+    return _softmax(np.asarray(scores, dtype=np.float64))
 
 
 class LPPModel:
@@ -241,9 +229,7 @@ def target_weights(variant: str, logging_scores: Optional[np.ndarray],
         z = np.asarray(logging_scores, dtype=np.float64)
         if z.shape != (batch_rows, n_positions):
             raise ValueError("logging_scores must be (batch_rows, n_positions)")
-        z = z - z.max(axis=-1, keepdims=True)
-        p = np.exp(z)
-        scores = p / p.sum(axis=-1, keepdims=True)
+        scores = _softmax(z)
     else:
         ranks = np.arange(1, n_positions + 1, dtype=np.float64)
         if variant == "mrr":
@@ -253,8 +239,7 @@ def target_weights(variant: str, logging_scores: Optional[np.ndarray],
         else:
             raise ValueError(f"target variant must be one of {TARGET_VARIANTS}")
         scores = np.tile(profile, (batch_rows, 1))
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(scores)
 
 
 def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
@@ -273,11 +258,7 @@ def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
     B, N, d = X.shape
     weights = target_weights(variant, logging_scores, B, N)
     logits = model.forward_confounder(X.reshape(B * N, d), train=True, rng=rng)
-    loss = weighted_listwise_ce(logits.reshape(B, N), weights)
-    optimizer.zero_grad()
-    loss.backward()
-    optimizer.step()
-    return float(loss.data)
+    return optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights))
 
 
 def position_targets_from_base(base: PositionPropensityModel) -> np.ndarray:
@@ -312,22 +293,17 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
         y = np.tile(y, (B, 1))
     if y.shape != (B, N):
         raise ValueError("position_targets must be (n_positions,) or (batch, n_positions)")
-    y = y - y.max(axis=-1, keepdims=True)
-    weights = np.exp(y)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = _softmax(y)
 
     snapshot = [p.data.copy() for p in model.g_pt] if enforce_freeze else None
     positions = np.tile(np.arange(N, dtype=np.int64), B)
     logits = model.forward_joint(X.reshape(B * N, d), positions, train=True, rng=rng)
-    loss = weighted_listwise_ce(logits.reshape(B, N), weights)
-    optimizer.zero_grad()
-    loss.backward()
-    optimizer.step()
+    loss = optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights))
     if enforce_freeze:
         for p, before in zip(model.g_pt, snapshot):
             if not np.array_equal(p.data, before):
                 raise FreezeContractError(f"frozen parameter {p.name!r} changed")
-    return float(loss.data)
+    return loss
 
 
 def backdoor_estimate(model: LPPModel, features: np.ndarray,

@@ -1,18 +1,20 @@
 """End-to-end click-log training: four algorithms under two logging paradigms.
 
-Per step: sample a query batch, display the logging policy's ranking, draw
-simulated clicks, and hand the batch to the learner. The offline paradigm
-keeps one fixed (weak) policy for the whole run; the deterministic online
-paradigm re-freezes the current ranker as the policy every refresh interval.
+``run_experiment`` is the one way to start a run. Per step it samples a
+query batch, displays the logging policy's ranking, draws simulated clicks,
+and hands the batch to the learner. The offline paradigm ('Off') keeps one
+fixed (weak) policy for the whole run; the deterministic online paradigm
+('OnD') re-freezes the current ranker as the policy every refresh interval.
 Query sampling and click randomness are derived from the master seed by
 labels that never mention the learner, so every algorithm consumes the same
 stream; results are pure functions of (config, data).
 
-Learners: 'naive' trains the ranker with uniform weights, 'ipw_oracle' with
-the simulator's true curve, 'dla' jointly trains the ranker and a
-position-only propensity model via the dual inverse-weighted losses, and
-'upe' runs the full loop: base propensity update, confounding-effect step,
-frozen position-only step, backdoor-adjusted estimate, ranker update.
+Learners: ``IPWLearner`` trains the ranker under a fixed estimate, uniform
+for 'naive' and the simulator's true curve for 'ipw_oracle'. ``DLALearner``
+adds a position-only propensity model trained by the dual inverse-weighted
+loss. ``UPELearner`` is DLA plus the two-step policy-aware model: per step the
+base (DLA) propensity update, the confounding-effect step, the frozen
+position-only step, the backdoor-adjusted estimate, then the ranker update.
 """
 
 import time
@@ -255,7 +257,6 @@ class StepBatch:
     """One training step's displayed lists: everything a learner may see."""
 
     features: np.ndarray        # (batch, positions, feature_dim), displayed order
-    labels: np.ndarray          # (batch, positions) true grades (simulator only)
     clicks: np.ndarray          # (batch, positions) binary
     logging_scores: np.ndarray  # (batch, positions) policy scores, displayed order
 
@@ -295,16 +296,21 @@ def evaluate_ranker(ranker: RankerMLP, view: DatasetView,
     return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
 
 
-class _RankerOnlyLearner:
-    """Shared base: a ranker trained by the IPW click loss with some estimate."""
+class IPWLearner:
+    """A ranker trained by the IPW click loss under a fixed propensity estimate.
 
-    def __init__(self, cfg: ExperimentConfig, feature_dim: int, n_positions: int):
+    'naive' fixes the uniform estimate and 'ipw_oracle' the simulator's true
+    curve; DLALearner and UPELearner learn theirs and override ``estimate``.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, feature_dim: int, estimate: PropensityEstimate):
         self.cfg = cfg
-        self.n_positions = n_positions
+        self.n_positions = len(estimate)
         self.ranker = RankerMLP(feature_dim, rng_for(cfg.seed, cfg.algorithm, "init"),
                                 hidden=cfg.ranker_hidden, dropout=cfg.dropout)
         self.opt_ranker = AdaGrad(self.ranker.parameters(), lr=cfg.learning_rate)
         self.drop_rng = rng_for(cfg.seed, cfg.algorithm, "ranker-dropout")
+        self._estimate = estimate
 
     def _scores(self, batch: StepBatch):
         B, N, d = batch.features.shape
@@ -312,46 +318,18 @@ class _RankerOnlyLearner:
                                   train=True, rng=self.drop_rng)
         return out.reshape(B, N)
 
-    def _ranker_update(self, scores, batch: StepBatch, estimate: PropensityEstimate):
-        loss = ipw_ranking_loss(scores, batch.clicks, estimate, tau=self.cfg.tau)
-        self.opt_ranker.zero_grad()
-        loss.backward()
-        self.opt_ranker.step()
-        return float(loss.data)
+    def _ranker_update(self, scores, batch: StepBatch, estimate: PropensityEstimate) -> float:
+        return self.opt_ranker.minimize(
+            ipw_ranking_loss(scores, batch.clicks, estimate, tau=self.cfg.tau))
 
     def step(self, batch: StepBatch) -> float:
         return self._ranker_update(self._scores(batch), batch, self.estimate())
 
     def estimate(self) -> PropensityEstimate:
-        raise NotImplementedError
-
-
-class NaiveLearner(_RankerOnlyLearner):
-    """No propensity correction at all: every position weighted 1."""
-
-    def __init__(self, cfg, feature_dim, n_positions):
-        super().__init__(cfg, feature_dim, n_positions)
-        self._estimate = PropensityEstimate.uniform(n_positions)
-
-    def estimate(self) -> PropensityEstimate:
         return self._estimate
 
 
-class OracleIPWLearner(_RankerOnlyLearner):
-    """Ranker trained with the simulator's true relative propensities."""
-
-    def __init__(self, cfg, feature_dim, n_positions, curve: PositionBiasCurve):
-        super().__init__(cfg, feature_dim, n_positions)
-        self._estimate = PropensityEstimate(
-            weights=PropensityEstimate.from_curve(curve, cfg.simulation.eta)
-            .weights[:n_positions]
-        )
-
-    def estimate(self) -> PropensityEstimate:
-        return self._estimate
-
-
-class DLALearner(_RankerOnlyLearner):
+class DLALearner(IPWLearner):
     """Dual updates: IPW loss trains the ranker, IRW loss trains the logits.
 
     Both losses read the same forward; relevance weights for the dual loss
@@ -359,33 +337,38 @@ class DLALearner(_RankerOnlyLearner):
     """
 
     def __init__(self, cfg, feature_dim, n_positions):
-        super().__init__(cfg, feature_dim, n_positions)
+        # Zero logits give the uniform estimate; estimate() reads the logits.
+        super().__init__(cfg, feature_dim, PropensityEstimate.uniform(n_positions))
         self.position_model = PositionPropensityModel(n_positions)
         self.opt_prop = AdaGrad(self.position_model.parameters(), lr=cfg.learning_rate)
+
+    def _position_update(self, scores, batch: StepBatch) -> float:
+        """The IRW step on the position logits against the ranker's softmax."""
+        rel = relevance_weights_from_scores(scores.data)
+        pos_scores = self.position_model.batch_scores(batch.clicks.shape[0])
+        return self.opt_prop.minimize(
+            irw_propensity_loss(pos_scores, batch.clicks, rel, tau=self.cfg.tau))
 
     def step(self, batch: StepBatch) -> float:
         scores = self._scores(batch)
         estimate = self.estimate()
-        rel = relevance_weights_from_scores(scores.data)
-        pos_scores = self.position_model.batch_scores(batch.clicks.shape[0],
-                                                      batch.clicks.shape[1])
-        irw = irw_propensity_loss(pos_scores, batch.clicks, rel, tau=self.cfg.tau)
-        self.opt_prop.zero_grad()
-        irw.backward()
-        self.opt_prop.step()
+        self._position_update(scores, batch)
         return self._ranker_update(scores, batch, estimate)
 
     def estimate(self) -> PropensityEstimate:
         return dla_propensity(self.position_model)
 
 
-class UPELearner(_RankerOnlyLearner):
-    """The full loop: base propensity, two-step policy-aware model, adjust, rank."""
+class UPELearner(DLALearner):
+    """DLA plus the two-step policy-aware model and its backdoor readout.
+
+    The dual IRW update still trains ``position_model``; its softmax becomes
+    the target of the frozen position-only step, and the ranker is weighted
+    by the backdoor-adjusted estimate instead of the position logits.
+    """
 
     def __init__(self, cfg, feature_dim, n_positions, probe_features: np.ndarray):
         super().__init__(cfg, feature_dim, n_positions)
-        self.base = PositionPropensityModel(n_positions)
-        self.opt_base = AdaGrad(self.base.parameters(), lr=cfg.learning_rate)
         self.lpp = LPPModel(feature_dim, n_positions,
                             rng_for(cfg.seed, cfg.algorithm, "init-lpp"),
                             embed_dim=cfg.lpp_embed_dim,
@@ -398,74 +381,84 @@ class UPELearner(_RankerOnlyLearner):
         self.last_estimate = PropensityEstimate.uniform(n_positions)
 
     def step(self, batch: StepBatch) -> float:
-        return upe_iteration(self, batch)
+        """One loop body, in order: the dual IRW update of ``position_model``,
+        document-pathway fit, frozen position fit to that model's softmax,
+        backdoor-adjusted estimate over the batch, ranker update."""
+        cfg = self.cfg
+        B, N, d = batch.features.shape
+        scores = self._scores(batch)
+        self._position_update(scores, batch)
+        targets = position_targets_from_base(self.position_model)
+
+        confounding_effect_step(self.lpp, self.opt_lpp, batch.features,
+                                batch.logging_scores, variant=cfg.target_variant,
+                                rng=self.lpp_rng)
+        if cfg.upe_freeze:
+            freeze_parameters(self.lpp.g_pt)
+        try:
+            joint_propensity_step(self.lpp, self.opt_lpp, batch.features, targets,
+                                  rng=self.lpp_rng, enforce_freeze=cfg.upe_freeze)
+        finally:
+            if cfg.upe_freeze:
+                unfreeze_parameters(self.lpp.g_pt)
+
+        self.last_estimate = backdoor_estimate(
+            self.lpp, batch.features.reshape(B * N, d), N)
+        return self._ranker_update(scores, batch, self.last_estimate)
 
     def estimate(self) -> PropensityEstimate:
         """Eval-time estimate over the fixed probe documents."""
         return backdoor_estimate(self.lpp, self.probe_features, self.n_positions)
 
 
-def upe_iteration(state: UPELearner, batch: StepBatch) -> float:
-    """One loop body, in order: base update, document-pathway fit, frozen
-    position fit, backdoor-adjusted estimate over the batch, ranker update."""
-    cfg = state.cfg
-    B, N, d = batch.features.shape
-
-    scores = state._scores(batch)
-
-    rel = relevance_weights_from_scores(scores.data)
-    pos_scores = state.base.batch_scores(B, N)
-    base_loss = irw_propensity_loss(pos_scores, batch.clicks, rel, tau=cfg.tau)
-    state.opt_base.zero_grad()
-    base_loss.backward()
-    state.opt_base.step()
-    targets = position_targets_from_base(state.base)[:N]
-
-    confounding_effect_step(state.lpp, state.opt_lpp, batch.features,
-                            batch.logging_scores, variant=cfg.target_variant,
-                            rng=state.lpp_rng)
-
-    if cfg.upe_freeze:
-        freeze_parameters(state.lpp.g_pt)
-    try:
-        joint_propensity_step(state.lpp, state.opt_lpp, batch.features, targets,
-                              rng=state.lpp_rng, enforce_freeze=cfg.upe_freeze)
-    finally:
-        if cfg.upe_freeze:
-            unfreeze_parameters(state.lpp.g_pt)
-
-    state.last_estimate = backdoor_estimate(
-        state.lpp, batch.features.reshape(B * N, d), N)
-    return state._ranker_update(scores, batch, state.last_estimate)
-
-
-def _build_learner(cfg: ExperimentConfig, feature_dim: int, n_positions: int,
-                   curve: PositionBiasCurve, probe_features: np.ndarray):
-    if cfg.algorithm == "naive":
-        return NaiveLearner(cfg, feature_dim, n_positions)
-    if cfg.algorithm == "ipw_oracle":
-        return OracleIPWLearner(cfg, feature_dim, n_positions, curve)
+def _build_learner(cfg: ExperimentConfig, view: DatasetView, n_positions: int,
+                   curve: PositionBiasCurve):
+    feature_dim = view.dataset.feature_dim
+    if cfg.algorithm == "upe":
+        feats = view.flat_features()
+        take = min(cfg.probe_docs, feats.shape[0])
+        probe_rows = rng_for(cfg.seed, "probe").choice(feats.shape[0], size=take, replace=False)
+        return UPELearner(cfg, feature_dim, n_positions, feats[probe_rows])
     if cfg.algorithm == "dla":
         return DLALearner(cfg, feature_dim, n_positions)
-    return UPELearner(cfg, feature_dim, n_positions, probe_features)
+    if cfg.algorithm == "naive":
+        return IPWLearner(cfg, feature_dim, PropensityEstimate.uniform(n_positions))
+    true_weights = PropensityEstimate.from_curve(curve, cfg.simulation.eta).weights
+    return IPWLearner(cfg, feature_dim, PropensityEstimate(weights=true_weights[:n_positions]))
 
 
-def _execute(cfg: ExperimentConfig, data: SplitData, policy: LoggingPolicy,
-             curve: PositionBiasCurve, refresh: bool) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, data: SplitData,
+                   curve: Optional[PositionBiasCurve] = None,
+                   policy: Optional[LoggingPolicy] = None) -> RunResult:
+    """Train one learner on simulated clicks from a logging policy.
+
+    Without a policy, 'Off' logs with the weak linear scorer built for this
+    seed and 'OnD' with a snapshot of the freshly initialized ranker. The
+    policy is replaced by a snapshot of the current ranker every refresh
+    interval exactly when the paradigm is 'OnD'. The curve defaults to
+    inverse rank over the displayed positions and never changes.
+    """
     started = time.monotonic()
+    if policy is None:
+        if cfg.paradigm == "Off":
+            policy = train_weak_policy(data.train, cfg.weak_fraction,
+                                       derive_seed(cfg.seed, "weak-policy"))
+        else:
+            bootstrap = RankerMLP(data.train.feature_dim,
+                                  rng_for(cfg.seed, cfg.algorithm, "init"),
+                                  hidden=cfg.ranker_hidden, dropout=cfg.dropout)
+            policy = LoggingPolicy.from_ranker(bootstrap, DatasetView(data.train))
     train_view = policy.view
-    test_view = DatasetView(data.test)
+    if train_view.dataset is not data.train:
+        raise ValueError("policy was built on a different dataset")
     n_positions = min(cfg.simulation.top_n, train_view.n_docs)
+    if curve is None:
+        curve = PositionBiasCurve.inverse_rank(n_positions)
     if len(curve) < n_positions:
         raise ValueError("bias curve shorter than the displayed list")
+    test_view = DatasetView(data.test)
 
-    probe_rng = rng_for(cfg.seed, "probe")
-    all_feats = train_view.flat_features()
-    take = min(cfg.probe_docs, all_feats.shape[0])
-    probe = all_feats[probe_rng.choice(all_feats.shape[0], size=take, replace=False)]
-
-    learner = _build_learner(cfg, train_view.dataset.feature_dim, n_positions,
-                             curve, probe)
+    learner = _build_learner(cfg, train_view, n_positions, curve)
     batch_rng = rng_for(cfg.seed, "batch")
     click_rng = rng_for(cfg.seed, "clicks")
 
@@ -483,17 +476,16 @@ def _execute(cfg: ExperimentConfig, data: SplitData, policy: LoggingPolicy,
         curve_rows.append(row)
 
     record(0)
-    replace_policy = policy
+    refresh = cfg.paradigm == "OnD"
     for step in range(1, cfg.total_steps + 1):
         if refresh and step > 1 and (step - 1) % cfg.refresh_interval == 0:
-            replace_policy = LoggingPolicy.from_ranker(learner.ranker, train_view)
+            policy = LoggingPolicy.from_ranker(learner.ranker, train_view)
         n_q = train_view.n_queries
         size = min(cfg.batch_queries, n_q)
         rows = batch_rng.choice(n_q, size=size, replace=False)
-        feats, labels, log_scores = replace_policy.displayed(rows, n_positions)
+        feats, labels, log_scores = policy.displayed(rows, n_positions)
         clicks = sample_click_matrix(labels, curve, cfg.simulation, click_rng)
-        learner.step(StepBatch(features=feats, labels=labels, clicks=clicks,
-                               logging_scores=log_scores))
+        learner.step(StepBatch(features=feats, clicks=clicks, logging_scores=log_scores))
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             record(step)
 
@@ -510,53 +502,3 @@ def _execute(cfg: ExperimentConfig, data: SplitData, policy: LoggingPolicy,
         duration_s=time.monotonic() - started,
         ranker=learner.ranker,
     )
-
-
-def run_offline(cfg: ExperimentConfig, data: SplitData,
-                policy: Optional[LoggingPolicy] = None,
-                curve: Optional[PositionBiasCurve] = None) -> RunResult:
-    """Fixed-policy training; by default the policy is the weak linear scorer."""
-    if cfg.paradigm != "Off":
-        raise ValueError("run_offline requires paradigm 'Off'")
-    if policy is None:
-        policy = train_weak_policy(data.train, cfg.weak_fraction,
-                                   derive_seed(cfg.seed, "weak-policy"))
-    if policy.view.dataset is not data.train:
-        raise ValueError("policy was built on a different dataset")
-    if curve is None:
-        curve = PositionBiasCurve.inverse_rank(
-            min(cfg.simulation.top_n, policy.view.n_docs))
-    return _execute(cfg, data, policy, curve, refresh=False)
-
-
-def run_online(cfg: ExperimentConfig, data: SplitData,
-               initial_policy: Optional[LoggingPolicy] = None,
-               curve: Optional[PositionBiasCurve] = None) -> RunResult:
-    """Deterministic online training: the policy refreshes from the ranker.
-
-    The step-0 policy is a snapshot of the freshly initialized ranker unless
-    one is supplied; the simulator's bias curve never changes.
-    """
-    if cfg.paradigm != "OnD":
-        raise ValueError("run_online requires paradigm 'OnD'")
-    train_view = initial_policy.view if initial_policy is not None \
-        else DatasetView(data.train)
-    if train_view.dataset is not data.train:
-        raise ValueError("policy was built on a different dataset")
-    if curve is None:
-        curve = PositionBiasCurve.inverse_rank(
-            min(cfg.simulation.top_n, train_view.n_docs))
-    if initial_policy is None:
-        bootstrap = RankerMLP(train_view.dataset.feature_dim,
-                              rng_for(cfg.seed, cfg.algorithm, "init"),
-                              hidden=cfg.ranker_hidden, dropout=cfg.dropout)
-        initial_policy = LoggingPolicy.from_ranker(bootstrap, train_view)
-    return _execute(cfg, data, initial_policy, curve, refresh=True)
-
-
-def run_experiment(cfg: ExperimentConfig, data: SplitData,
-                   curve: Optional[PositionBiasCurve] = None) -> RunResult:
-    """Dispatch on the paradigm; the offline weak policy is built per seed."""
-    if cfg.paradigm == "OnD":
-        return run_online(cfg, data, curve=curve)
-    return run_offline(cfg, data, curve=curve)

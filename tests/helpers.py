@@ -126,10 +126,9 @@ def brute_err(labels, k, y_max=4):
 
 
 GRADIENT_PRIMITIVES = (
-    "add_broadcast", "mul_broadcast", "neg", "sub", "div_scalar", "matmul",
-    "elu", "sigmoid", "dropout", "log_softmax", "sum_all", "sum_axis",
-    "sum_keepdims", "mean", "reshape", "first_cols", "take_rows",
-    "weighted_listwise_ce",
+    "add_broadcast", "mul_broadcast", "neg", "div_scalar", "matmul", "elu",
+    "dropout", "log_softmax", "sum_all", "sum_axis", "sum_keepdims", "reshape",
+    "take_rows", "weighted_listwise_ce",
 )
 
 
@@ -149,9 +148,6 @@ def gradient_case(name, rng):
         return arrays, lambda ts: ((ts[0] * ts[1]) * Tensor(W34)).sum()
     if name == "neg":
         return [rng.normal(size=(3, 4))], lambda ts: ((-ts[0]) * Tensor(W34)).sum()
-    if name == "sub":
-        arrays = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
-        return arrays, lambda ts: ((ts[0] - ts[1]) * Tensor(W34)).sum()
     if name == "div_scalar":
         return [rng.normal(size=(3, 4))], lambda ts: ((ts[0] / 3.7) * Tensor(W34)).sum()
     if name == "matmul":
@@ -159,9 +155,6 @@ def gradient_case(name, rng):
         return arrays, lambda ts: (ts[0].matmul(ts[1]) * Tensor(W34)).sum()
     if name == "elu":
         return [rng.normal(size=(3, 4))], lambda ts: (ts[0].elu() * Tensor(W34)).sum()
-    if name == "sigmoid":
-        arrays = [3.0 * rng.normal(size=(3, 4))]
-        return arrays, lambda ts: (ts[0].sigmoid() * Tensor(W34)).sum()
     if name == "dropout":
         mask = (rng.random((3, 4)) >= 0.4) / 0.6
         return [rng.normal(size=(3, 4))], (
@@ -179,18 +172,10 @@ def gradient_case(name, rng):
         w = rng.normal(size=(3, 1))
         return [rng.normal(size=(3, 4))], (
             lambda ts: (ts[0].sum(axis=1, keepdims=True) * Tensor(w)).sum())
-    if name == "mean":
-        w = rng.normal(size=3)
-        return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].mean(axis=1) * Tensor(w)).sum())
     if name == "reshape":
         W26 = rng.normal(size=(2, 6))
         return [rng.normal(size=(3, 4))], (
             lambda ts: (ts[0].reshape(2, 6) * Tensor(W26)).sum())
-    if name == "first_cols":
-        W32 = rng.normal(size=(3, 2))
-        return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].first_cols(2) * Tensor(W32)).sum())
     if name == "take_rows":
         idx = np.array([0, 2, 2, 4, 1])
         W53 = rng.normal(size=(5, 3))

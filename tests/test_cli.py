@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ def test_train_writes_manifest_and_artifacts(run_dir):
         assert "ndcg@10" in entry["final_metrics"]
     header = (run_dir / "curves_seed0.csv").read_text().splitlines()[0]
     assert header == ",".join(CURVE_COLUMNS)
+
+
+def test_manifest_records_the_data_directory_relative_to_the_output(run_dir, data_dir):
+    """The manifest's bytes must not depend on where the directories live."""
+    recorded = json.loads((run_dir / "manifest.json").read_text())["data"]
+    assert not Path(recorded).is_absolute()
+    assert (run_dir / recorded).resolve() == data_dir.resolve()
 
 
 def test_train_rerun_is_byte_identical(run_dir, data_dir, tmp_path):
@@ -191,16 +199,22 @@ def test_bad_seed_range_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _train_fails_cleanly(out, *args):
-    """Run `train` with arguments that must be refused before any seed starts."""
+def _fails_cleanly(*argv):
+    """Run the CLI on arguments it must refuse: exit 1, one `error:` line."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = main(["train", "--out", str(out), *args])
+        rc = main(list(argv))
     lines = err.getvalue().splitlines()
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert not out.exists()
     return lines[0]
+
+
+def _train_fails_cleanly(out, *args):
+    """Run `train` with arguments that must be refused before any seed starts."""
+    line = _fails_cleanly("train", "--out", str(out), *args)
+    assert not out.exists()
+    return line
 
 
 @pytest.mark.parametrize("setting", ["total_steps=abc", "total_steps=true",
@@ -210,6 +224,32 @@ def _train_fails_cleanly(out, *args):
 def test_bad_config_types_fail_cleanly(tmp_path, setting):
     line = _train_fails_cleanly(tmp_path / "o", "--set", setting)
     assert setting.split("=")[0].split(".")[-1] in line
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"simulation": 5}', "directory"],
+                         ids=["top-level-list", "simulation-number", "directory"])
+def test_bad_config_files_fail_cleanly(tmp_path, content):
+    cfg = tmp_path / "cfg"
+    if content == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_text(content)
+    _train_fails_cleanly(tmp_path / "o", "--config", str(cfg))
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_worker_counts_fail_cleanly(tmp_path, workers):
+    line = _train_fails_cleanly(tmp_path / "o", "--workers", workers)
+    assert "--workers" in line
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_unusable_output_paths_fail_cleanly(tmp_path, command):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    out = taken if command == "gen-data" else taken / "x"
+    _fails_cleanly(command, "--out", str(out))
+    assert taken.read_text() == ""
 
 
 def test_unknown_simulation_key_in_config_file_fails_cleanly(tmp_path):

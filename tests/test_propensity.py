@@ -115,9 +115,6 @@ def test_position_model_batch_scores_shapes():
     out = model.batch_scores(3)
     assert out.data.shape == (3, 4)
     assert np.array_equal(out.data, np.zeros((3, 4)))
-    assert model.batch_scores(2, 2).data.shape == (2, 2)
-    with pytest.raises(ValueError):
-        model.batch_scores(2, 5)
     with pytest.raises(ValueError):
         PositionPropensityModel(0)
 

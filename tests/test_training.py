@@ -17,9 +17,8 @@ from ultrlab.training import (
     DatasetView,
     DLALearner,
     ExperimentConfig,
+    IPWLearner,
     LoggingPolicy,
-    NaiveLearner,
-    OracleIPWLearner,
     SamplingError,
     SplitData,
     StepBatch,
@@ -27,8 +26,6 @@ from ultrlab.training import (
     evaluate_ranker,
     make_split_data,
     run_experiment,
-    run_offline,
-    run_online,
     train_weak_policy,
 )
 from ultrlab.training import sample_click_matrix as training_sample_click_matrix
@@ -62,8 +59,7 @@ def _policy_and_batch(data, cfg, n_pos=6, seed=21):
     feats, labels, scores = policy.displayed(rows, n_pos)
     clicks = sample_click_matrix(labels, curve, cfg.simulation,
                                  np.random.default_rng(seed))
-    return policy, StepBatch(features=feats, labels=labels, clicks=clicks,
-                             logging_scores=scores)
+    return policy, StepBatch(features=feats, clicks=clicks, logging_scores=scores)
 
 
 def sample_click_matrix(labels, curve, sim, rng):
@@ -236,12 +232,13 @@ def test_config_round_trips_through_dict():
     assert back.simulation == cfg.simulation
 
 
-def test_oracle_learner_uses_the_true_curve():
-    cfg = _small_cfg(algorithm="ipw_oracle", simulation=SimulationConfig(eta=2.0))
-    curve = PositionBiasCurve.inverse_rank(6)
-    learner = OracleIPWLearner(cfg, 5, 6, curve)
-    exam = curve.examination(2.0)
-    assert np.allclose(learner.estimate().weights, exam / exam[0], atol=1e-12)
+def test_oracle_learner_uses_the_true_curve(small_data):
+    cfg = _small_cfg(algorithm="ipw_oracle", simulation=SimulationConfig(eta=2.0),
+                     total_steps=10, refresh_interval=10, eval_every=10)
+    curve = PositionBiasCurve.inverse_rank(8)
+    result = run_experiment(cfg, small_data, curve=curve)
+    exam = curve.examination(2.0)[:6]
+    assert np.allclose(result.final_estimate.weights, exam / exam[0], atol=1e-12)
 
 
 def test_naive_learner_equals_dla_pinned_to_uniform(small_data):
@@ -249,7 +246,7 @@ def test_naive_learner_equals_dla_pinned_to_uniform(small_data):
     ranker update is the uniform-weight update, so the two rankers stay
     bitwise identical."""
     cfg = _small_cfg(algorithm="naive")
-    naive = NaiveLearner(cfg, 5, 6)
+    naive = IPWLearner(cfg, 5, PropensityEstimate.uniform(6))
     pinned = DLALearner(cfg, 5, 6)
     for a, b in zip(naive.ranker.parameters(), pinned.ranker.parameters()):
         assert np.array_equal(a.data, b.data)
@@ -286,7 +283,7 @@ def test_upe_iteration_moves_the_right_parameters(small_data):
     policy, batch = _policy_and_batch(small_data, cfg, seed=55)
     probe = policy.view.flat_features()[:20]
     learner = UPELearner(cfg, 5, 6, probe)
-    base_before = learner.base.logits.data.copy()
+    base_before = learner.position_model.logits.data.copy()
     table_before = learner.lpp.position_table.data.copy()
     pathway_before = [p.data.copy() for p in learner.lpp.g_pt]
     ranker_before = [p.data.copy() for p in learner.ranker.parameters()]
@@ -296,7 +293,7 @@ def test_upe_iteration_moves_the_right_parameters(small_data):
         assert est.weights[0] == 1.0
         assert np.all(est.weights > 0) and np.all(est.weights <= 1.0)
         assert not any(p.frozen for p in learner.lpp.g_pt)
-    assert not np.array_equal(learner.base.logits.data, base_before)
+    assert not np.array_equal(learner.position_model.logits.data, base_before)
     assert not np.array_equal(learner.lpp.position_table.data, table_before)
     assert any(not np.array_equal(p.data, b)
                for p, b in zip(learner.lpp.g_pt, pathway_before))
@@ -319,10 +316,8 @@ def test_paradigms_coincide_without_refresh(small_data):
     policy = train_weak_policy(small_data.train, 0.5, seed=2)
     kw = dict(algorithm="dla", total_steps=30, refresh_interval=30,
               eval_every=10)
-    on = run_online(_small_cfg(paradigm="OnD", **kw), small_data,
-                    initial_policy=policy)
-    off = run_offline(_small_cfg(paradigm="Off", **kw), small_data,
-                      policy=policy)
+    on = run_experiment(_small_cfg(paradigm="OnD", **kw), small_data, policy=policy)
+    off = run_experiment(_small_cfg(paradigm="Off", **kw), small_data, policy=policy)
     assert on.curves_csv() == off.curves_csv()
     assert np.array_equal(on.final_estimate.weights, off.final_estimate.weights)
 
@@ -342,9 +337,9 @@ def test_click_stream_is_learner_independent(small_data, monkeypatch):
     for algo in ("naive", "upe"):
         monkeypatch.setattr("ultrlab.training.sample_click_matrix",
                             record_for(algo))
-        run_offline(_small_cfg(algorithm=algo, total_steps=10,
-                               refresh_interval=10, eval_every=5),
-                    small_data, policy=policy)
+        run_experiment(_small_cfg(algorithm=algo, total_steps=10,
+                                  refresh_interval=10, eval_every=5),
+                       small_data, policy=policy)
     naive_steps, upe_steps = recorded["naive"], recorded["upe"]
     assert len(naive_steps) == len(upe_steps) == 10
     for (l1, c1), (l2, c2) in zip(naive_steps, upe_steps):
@@ -364,17 +359,10 @@ def test_online_refresh_reshuffles_displayed_orders(small_data, monkeypatch):
     monkeypatch.setattr(LoggingPolicy, "from_ranker", classmethod(spy))
     cfg = _small_cfg(paradigm="OnD", algorithm="naive", total_steps=30,
                      refresh_interval=10, eval_every=15, learning_rate=0.2)
-    run_online(cfg, small_data)
+    run_experiment(cfg, small_data)
     assert len(snapshots) == 3
     assert any(not np.array_equal(snapshots[0], later)
                for later in snapshots[1:])
-
-
-def test_run_paradigm_mismatches_raise(small_data):
-    with pytest.raises(ValueError):
-        run_online(_small_cfg(paradigm="Off"), small_data)
-    with pytest.raises(ValueError):
-        run_offline(_small_cfg(paradigm="OnD"), small_data)
 
 
 def test_offline_rejects_policy_from_other_data(small_data):
@@ -382,7 +370,7 @@ def test_offline_rejects_policy_from_other_data(small_data):
                             feature_dim=5, seed=6)
     policy = train_weak_policy(other.train, 0.5, seed=2)
     with pytest.raises(ValueError):
-        run_offline(_small_cfg(), small_data, policy=policy)
+        run_experiment(_small_cfg(), small_data, policy=policy)
 
 
 def test_curve_csv_schema(small_data):
@@ -433,11 +421,10 @@ def test_forward_only_passes_leave_nothing_for_the_cycle_collector(small_data):
 def test_shorter_curve_than_display_raises(small_data):
     cfg = _small_cfg()
     with pytest.raises(ValueError):
-        run_offline(cfg, small_data, curve=PositionBiasCurve.inverse_rank(3))
+        run_experiment(cfg, small_data, curve=PositionBiasCurve.inverse_rank(3))
 
 
-def test_naive_matches_uniform_ipw_by_definition():
-    est = PropensityEstimate.uniform(6)
-    cfg = _small_cfg()
-    learner = NaiveLearner(cfg, 5, 6)
-    assert np.array_equal(learner.estimate().weights, est.weights)
+def test_naive_matches_uniform_ipw_by_definition(small_data):
+    cfg = _small_cfg(total_steps=10, refresh_interval=10, eval_every=10)
+    result = run_experiment(cfg, small_data)
+    assert np.array_equal(result.final_estimate.weights, np.ones(6))

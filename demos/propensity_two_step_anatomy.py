@@ -34,7 +34,7 @@ def main():
     rng = np.random.default_rng(0)
     n_positions, feature_dim = 4, 3
     model = LPPModel(feature_dim, n_positions, rng, embed_dim=4,
-                     encoder_hidden=(6,), ffn_hidden=(5,), dropout=0.0)
+                     encoder_hidden=(6,), ffn_hidden=(5,))
     opt = AdaGrad(model.parameters(), lr=0.1)
 
     features = rng.uniform(size=(2, n_positions, feature_dim))

@@ -31,13 +31,7 @@ from .data import (
     parse_svmlight,
     serialize_svmlight,
 )
-from .metrics import (
-    err_at_k,
-    ndcg_at_k,
-    normalized_propensity,
-    propensity_error,
-    ranking_metrics,
-)
+from .metrics import normalized_propensity, propensity_error, ranking_metrics
 from .propensity import (
     FreezeContractError,
     LPPModel,

@@ -212,15 +212,6 @@ class OverestimationReport:
         """How much the position-only estimand inflates each true propensity."""
         return self.estimand / self.causal
 
-    @property
-    def estimand_weight(self) -> np.ndarray:
-        """Relative inverse-propensity weight per position under the estimand."""
-        return self.estimand[0] / self.estimand
-
-    @property
-    def causal_weight(self) -> np.ndarray:
-        return self.causal[0] / self.causal
-
     def as_csv(self) -> str:
         lines = ["position,observed_ctr,estimand,causal,overestimation"]
         over = self.overestimation

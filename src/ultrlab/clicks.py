@@ -47,8 +47,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not 0.0 <= self.eta < np.inf:
+            raise ValueError(f"eta must be finite and non-negative, got {self.eta!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.y_max < 1:

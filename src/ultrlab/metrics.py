@@ -1,8 +1,9 @@
-"""Graded ranking quality metrics: nDCG@k and ERR@k.
+"""Graded ranking quality metrics: nDCG@k and ERR@k, plus propensity summaries.
 
-Both take labels already arranged in display order (best-first ranking to be
-scored), use exponential gain ``2**y - 1``, and truncate at the cutoff or the
-list end, whichever comes first.
+The ranking metrics take a (queries, ranks) label matrix, each row already
+arranged in display order (the best-first ranking to be scored), use
+exponential gain ``2**y - 1``, and truncate at the cutoff or the list end,
+whichever comes first.
 """
 
 from typing import Dict, Sequence
@@ -12,58 +13,43 @@ import numpy as np
 DEFAULT_CUTOFFS = (1, 3, 5, 10)
 
 
-def dcg_at_k(ranked_labels, k: int) -> float:
-    """Discounted cumulative gain: sum of (2^y - 1) / log2(rank + 1) up to k."""
-    y = np.asarray(ranked_labels, dtype=np.float64)[: int(k)]
-    if k < 1:
-        raise ValueError("cutoff must be >= 1")
-    if y.size == 0:
-        return 0.0
-    ranks = np.arange(1, y.size + 1, dtype=np.float64)
-    return float(((np.power(2.0, y) - 1.0) / np.log2(ranks + 1.0)).sum())
-
-
-def ndcg_at_k(ranked_labels, k: int) -> float:
-    """DCG normalized by the ideal (label-sorted) DCG.
-
-    An all-zero list has no ideal to fall short of, so it scores 1.0.
-    """
-    y = np.asarray(ranked_labels, dtype=np.float64)
-    ideal = dcg_at_k(np.sort(y)[::-1], k)
-    if ideal == 0.0:
-        return 1.0
-    return dcg_at_k(y, k) / ideal
-
-
-def err_at_k(ranked_labels, k: int, y_max: int = 4) -> float:
-    """Expected reciprocal rank under the cascade stop model.
-
-    Rank i satisfies with probability R_i = (2^y_i - 1) / 2^y_max; the metric
-    is sum over ranks of (1/i) R_i prod_{j<i} (1 - R_j).
-    """
-    if k < 1:
-        raise ValueError("cutoff must be >= 1")
-    y = np.asarray(ranked_labels, dtype=np.float64)[: int(k)]
-    if np.any(y < 0) or np.any(y > y_max):
-        raise ValueError(f"labels must lie in [0, {y_max}]")
-    R = (np.power(2.0, y) - 1.0) / (2.0 ** y_max)
-    err = 0.0
-    not_stopped = 1.0
-    for i, r in enumerate(R, start=1):
-        err += not_stopped * r / i
-        not_stopped *= 1.0 - r
-    return float(err)
-
-
 def ranking_metrics(
-    ranked_labels, cutoffs: Sequence[int] = DEFAULT_CUTOFFS, y_max: int = 4
-) -> Dict[str, float]:
-    """nDCG and ERR at every cutoff, keyed 'ndcg@k' / 'err@k'."""
+    ranked, cutoffs: Sequence[int] = DEFAULT_CUTOFFS, y_max: int = 4
+) -> Dict[str, np.ndarray]:
+    """Per-query nDCG and ERR at every cutoff, keyed 'ndcg@k' then 'err@k'.
+
+    nDCG divides the row's sum of (2^y - 1) / log2(rank + 1) up to k by the
+    same sum over its label-sorted ideal; a row with no gain has no ideal to
+    fall short of, so it scores 1.0. ERR is the cascade stop model: rank i
+    satisfies with probability R_i = (2^y_i - 1) / 2^y_max, and the metric is
+    the running sum over ranks of (1/i) R_i prod_{j<i} (1 - R_j).
+    """
+    y = np.asarray(ranked, dtype=np.float64)
+    if y.ndim != 2:
+        raise ValueError("ranked labels must be a (queries, ranks) matrix")
+    if any(k < 1 for k in cutoffs):
+        raise ValueError("cutoff must be >= 1")
+    if not np.all((y >= 0) & (y <= y_max)):
+        raise ValueError(f"labels must lie in [0, {y_max}]")
+    n = y.shape[1]
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    gain = np.power(2.0, y) - 1.0
+    discount = np.log2(ranks + 1.0)
+    dcg = gain / discount
+    ideal = -np.sort(-gain, axis=1) / discount
+    R = gain / 2.0 ** y_max
+    stay = np.ones_like(R)
+    stay[:, 1:] = 1.0 - R[:, :-1]
+    err = np.zeros((y.shape[0], n + 1))
+    np.cumsum(np.cumprod(stay, axis=1) * R / ranks, axis=1, out=err[:, 1:])
+
     out = {}
     for k in cutoffs:
-        out[f"ndcg@{k}"] = ndcg_at_k(ranked_labels, k)
+        top = ideal[:, :k].sum(axis=1)
+        out[f"ndcg@{k}"] = np.divide(dcg[:, :k].sum(axis=1), top,
+                                     out=np.ones_like(top), where=top != 0.0)
     for k in cutoffs:
-        out[f"err@{k}"] = err_at_k(ranked_labels, k, y_max=y_max)
+        out[f"err@{k}"] = err[:, min(k, n)].copy()
     return out
 
 

@@ -163,16 +163,15 @@ class LPPModel:
 
     def __init__(self, feature_dim: int, n_positions: int, rng: np.random.Generator,
                  embed_dim: int = 16, encoder_hidden: Sequence[int] = (32,),
-                 ffn_hidden: Sequence[int] = (16, 64), dropout: float = 0.1):
+                 ffn_hidden: Sequence[int] = (16, 64)):
         if feature_dim < 1 or n_positions < 1:
             raise ValueError("feature_dim and n_positions must be >= 1")
         self.feature_dim = feature_dim
         self.n_positions = n_positions
-        self.encoder_d = MLP(feature_dim, encoder_hidden, embed_dim, rng,
-                             "lpp.encoder_d", dropout=dropout)
+        self.encoder_d = MLP(feature_dim, encoder_hidden, embed_dim, rng, "lpp.encoder_d")
         self.position_table = Parameter(np.zeros((n_positions, embed_dim)),
                                         "lpp.encoder_p")
-        self.ffn = MLP(embed_dim, ffn_hidden, 1, rng, "lpp.ffn", dropout=dropout)
+        self.ffn = MLP(embed_dim, ffn_hidden, 1, rng, "lpp.ffn")
 
     @property
     def g_pt(self) -> List[Parameter]:
@@ -185,16 +184,12 @@ class LPPModel:
     def parameters(self) -> List[Parameter]:
         return [*self.g_pt, *self.g_pos]
 
-    def forward_confounder(self, features: np.ndarray, train: bool = False,
-                           rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward_confounder(self, features: np.ndarray) -> Tensor:
         """Document-only score column: head(encoder(x))."""
         X = np.asarray(features, dtype=np.float64)
-        m = self.encoder_d(Tensor(X), train=train, rng=rng)
-        return self.ffn(m, train=train, rng=rng)
+        return self.ffn(self.encoder_d(Tensor(X)))
 
-    def forward_joint(self, features: np.ndarray, positions: np.ndarray,
-                      train: bool = False,
-                      rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward_joint(self, features: np.ndarray, positions: np.ndarray) -> Tensor:
         """Position-aware score column: head(encoder(x) + embedding[k])."""
         X = np.asarray(features, dtype=np.float64)
         pos = np.asarray(positions, dtype=np.int64)
@@ -202,9 +197,9 @@ class LPPModel:
             raise ValueError("positions must give one 0-based rank per feature row")
         if np.any(pos < 0) or np.any(pos >= self.n_positions):
             raise ValueError(f"positions must lie in [0, {self.n_positions})")
-        m = self.encoder_d(Tensor(X), train=train, rng=rng)
+        m = self.encoder_d(Tensor(X))
         p = self.position_table.take_rows(pos)
-        return self.ffn(m + p, train=train, rng=rng)
+        return self.ffn(m + p)
 
 
 TARGET_VARIANTS = ("logging_scores", "mrr", "dcg")
@@ -244,8 +239,7 @@ def target_weights(variant: str, logging_scores: Optional[np.ndarray],
 
 def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
                             features: np.ndarray, logging_scores: Optional[np.ndarray],
-                            variant: str = "logging_scores",
-                            rng: Optional[np.random.Generator] = None) -> float:
+                            variant: str = "logging_scores") -> float:
     """Fit the document pathway to per-session policy targets; one optimizer step.
 
     ``features`` is (batch, positions, feature_dim) in displayed order. The
@@ -257,7 +251,7 @@ def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
         raise ValueError("features must be (batch, positions, feature_dim)")
     B, N, d = X.shape
     weights = target_weights(variant, logging_scores, B, N)
-    logits = model.forward_confounder(X.reshape(B * N, d), train=True, rng=rng)
+    logits = model.forward_confounder(X.reshape(B * N, d))
     return optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights))
 
 
@@ -270,7 +264,6 @@ def position_targets_from_base(base: PositionPropensityModel) -> np.ndarray:
 
 def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
                           features: np.ndarray, position_targets: np.ndarray,
-                          rng: Optional[np.random.Generator] = None,
                           enforce_freeze: bool = True) -> float:
     """Fit position embeddings to base-propensity targets with the pathway locked.
 
@@ -297,7 +290,7 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
 
     snapshot = [p.data.copy() for p in model.g_pt] if enforce_freeze else None
     positions = np.tile(np.arange(N, dtype=np.int64), B)
-    logits = model.forward_joint(X.reshape(B * N, d), positions, train=True, rng=rng)
+    logits = model.forward_joint(X.reshape(B * N, d), positions)
     loss = optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights))
     if enforce_freeze:
         for p, before in zip(model.g_pt, snapshot):

@@ -172,15 +172,12 @@ def train_weak_policy(dataset: Dataset, fraction: float, seed: int) -> LoggingPo
 
     diffs = []
     for qi in rows:
-        y = view.labels[qi]
-        X = view.features[qi]
-        for i in range(view.n_docs):
-            for j in range(view.n_docs):
-                if y[i] > y[j]:
-                    diffs.append(X[i] - X[j])
-    if not diffs:
+        y, X = view.labels[qi], view.features[qi]
+        i, j = np.nonzero(y[:, None] > y[None, :])
+        diffs.append(X[i] - X[j])
+    D = np.concatenate(diffs)
+    if D.shape[0] == 0:
         raise SamplingError("sampled queries contain no unequal label pairs")
-    D = np.stack(diffs)
     w = np.zeros(dataset.feature_dim)
     lr = 0.1
     for _ in range(100):
@@ -228,8 +225,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.total_steps % self.refresh_interval != 0:
             raise ValueError("refresh_interval must divide total_steps")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError("tau must lie in (0, 1]")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
         if not 0.0 < self.weak_fraction <= 1.0:
             raise ValueError("weak_fraction must lie in (0, 1]")
         self.ranker_hidden = tuple(self.ranker_hidden)
@@ -290,10 +292,8 @@ def evaluate_ranker(ranker: RankerMLP, view: DatasetView,
                     y_max: int = 4) -> Dict[str, float]:
     """Mean test metrics: rank every query by eval-mode score, true labels."""
     scores = ranker.score(view.flat_features()).reshape(view.n_queries, view.n_docs)
-    order = rank_view_scores(scores)
-    ranked = np.take_along_axis(view.labels, order, axis=1)
-    rows = [ranking_metrics(ranked[q], cutoffs, y_max) for q in range(view.n_queries)]
-    return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
+    ranked = np.take_along_axis(view.labels, rank_view_scores(scores), axis=1)
+    return {key: float(v.mean()) for key, v in ranking_metrics(ranked, cutoffs, y_max).items()}
 
 
 class IPWLearner:
@@ -373,10 +373,8 @@ class UPELearner(DLALearner):
                             rng_for(cfg.seed, cfg.algorithm, "init-lpp"),
                             embed_dim=cfg.lpp_embed_dim,
                             encoder_hidden=cfg.lpp_encoder_hidden,
-                            ffn_hidden=cfg.lpp_ffn_hidden,
-                            dropout=0.0)
+                            ffn_hidden=cfg.lpp_ffn_hidden)
         self.opt_lpp = AdaGrad(self.lpp.parameters(), lr=cfg.learning_rate)
-        self.lpp_rng = rng_for(cfg.seed, cfg.algorithm, "lpp-dropout")
         self.probe_features = probe_features
         self.last_estimate = PropensityEstimate.uniform(n_positions)
 
@@ -391,13 +389,12 @@ class UPELearner(DLALearner):
         targets = position_targets_from_base(self.position_model)
 
         confounding_effect_step(self.lpp, self.opt_lpp, batch.features,
-                                batch.logging_scores, variant=cfg.target_variant,
-                                rng=self.lpp_rng)
+                                batch.logging_scores, variant=cfg.target_variant)
         if cfg.upe_freeze:
             freeze_parameters(self.lpp.g_pt)
         try:
             joint_propensity_step(self.lpp, self.opt_lpp, batch.features, targets,
-                                  rng=self.lpp_rng, enforce_freeze=cfg.upe_freeze)
+                                  enforce_freeze=cfg.upe_freeze)
         finally:
             if cfg.upe_freeze:
                 unfreeze_parameters(self.lpp.g_pt)

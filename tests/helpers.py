@@ -206,8 +206,7 @@ def ranker_gradient_case(rng):
 
 def lpp_gradient_case(rng):
     """A small full two-pathway model; loss mixes both forward views."""
-    model = LPPModel(4, 3, rng, embed_dim=5, encoder_hidden=(7,),
-                     ffn_hidden=(6, 4), dropout=0.0)
+    model = LPPModel(4, 3, rng, embed_dim=5, encoder_hidden=(7,), ffn_hidden=(6, 4))
     model.position_table.data[:] = 0.3 * rng.normal(size=model.position_table.data.shape)
     X = rng.uniform(size=(6, 4))
     positions = np.array([0, 1, 2, 0, 1, 2])

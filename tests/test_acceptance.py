@@ -44,7 +44,7 @@ from ultrlab.causal import (
 from ultrlab.cli import main as cli_main
 from ultrlab.clicks import PositionBiasCurve, sample_click_matrix
 from ultrlab.data import generate_synthetic
-from ultrlab.metrics import err_at_k, ndcg_at_k, normalized_propensity
+from ultrlab.metrics import normalized_propensity, ranking_metrics
 from ultrlab.propensity import PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
 from ultrlab.training import (
@@ -274,9 +274,10 @@ def test_criterion_7_metric_oracle_equivalence():
         n = int(rng.integers(1, 12))
         labels = rng.integers(0, 5, size=n)
         k = int(rng.integers(1, n + 1))
+        got = ranking_metrics(labels[None, :], cutoffs=(k,))
         worst = max(worst,
-                    abs(ndcg_at_k(labels, k) - brute_ndcg(labels, k)),
-                    abs(err_at_k(labels, k) - brute_err(labels, k)))
+                    abs(got[f"ndcg@{k}"][0] - brute_ndcg(labels, k)),
+                    abs(got[f"err@{k}"][0] - brute_err(labels, k)))
     ok = worst <= 1e-12
     detail = f"1000 random lists, worst |ndcg/err - brute force| {worst:.2e}"
     assert ok, report(7, ok, detail)

@@ -220,7 +220,10 @@ def _train_fails_cleanly(out, *args):
 @pytest.mark.parametrize("setting", ["total_steps=abc", "total_steps=true",
                                      "total_steps=2000.0", "total_steps=[2000]",
                                      "simulation.eta=true", "learning_rate=fast",
-                                     "ranker_hidden=[8,-1]", "simulation=5"])
+                                     "ranker_hidden=[8,-1]", "simulation=5",
+                                     "simulation.eta=NaN", "simulation.eta=Infinity",
+                                     "learning_rate=NaN", "learning_rate=Infinity",
+                                     "tau=0", "tau=1.5", "dropout=1.0", "dropout=-0.1"])
 def test_bad_config_types_fail_cleanly(tmp_path, setting):
     line = _train_fails_cleanly(tmp_path / "o", "--set", setting)
     assert setting.split("=")[0].split(".")[-1] in line

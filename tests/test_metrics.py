@@ -7,57 +7,66 @@ from hypothesis import strategies as st
 
 from helpers import brute_err, brute_ndcg
 from ultrlab.clicks import PositionBiasCurve
-from ultrlab.metrics import (
-    dcg_at_k,
-    err_at_k,
-    ndcg_at_k,
-    normalized_propensity,
-    propensity_error,
-    ranking_metrics,
-)
+from ultrlab.metrics import normalized_propensity, propensity_error, ranking_metrics
 from ultrlab.propensity import PropensityEstimate
+
+
+def ndcg(labels, k):
+    """nDCG@k of one list, scored as a 1-row matrix."""
+    return float(ranking_metrics([labels], cutoffs=(k,))[f"ndcg@{k}"][0])
+
+
+def err(labels, k):
+    return float(ranking_metrics([labels], cutoffs=(k,))[f"err@{k}"][0])
 
 
 def test_ideal_ordering_scores_one():
     for labels in ([4, 3, 2, 1, 0], [2, 2, 1], [4]):
         for k in (1, 2, 5, 10):
-            assert ndcg_at_k(labels, k) == pytest.approx(1.0, abs=1e-12)
+            assert ndcg(labels, k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ndcg_hand_value():
-    assert ndcg_at_k([0, 4], 2) == pytest.approx(1.0 / np.log2(3.0), abs=1e-12)
+    assert ndcg([0, 4], 2) == pytest.approx(1.0 / np.log2(3.0), abs=1e-12)
 
 
 def test_all_zero_labels_score_one_by_convention():
-    assert ndcg_at_k([0, 0, 0], 3) == 1.0
+    assert ndcg([0, 0, 0], 3) == 1.0
 
 
 def test_dcg_basics():
-    assert dcg_at_k([], 3) == 0.0
-    assert dcg_at_k([4], 1) == pytest.approx(15.0, abs=1e-12)
+    """Gain 2^y - 1 and discount log2(rank + 1), read through the nDCG ratio."""
+    want = (1.0 + 15.0 / np.log2(3.0)) / (15.0 + 1.0 / np.log2(3.0))
+    assert ndcg([1, 4], 2) == pytest.approx(want, abs=1e-12)
+    empty = ranking_metrics(np.zeros((2, 0)), cutoffs=(3,))
+    assert np.array_equal(empty["ndcg@3"], [1.0, 1.0])
+    assert np.array_equal(empty["err@3"], [0.0, 0.0])
     with pytest.raises(ValueError):
-        dcg_at_k([1], 0)
+        ranking_metrics([[1]], cutoffs=(0,))
 
 
 def test_err_single_top_grade():
-    assert err_at_k([4], 1) == pytest.approx(15.0 / 16.0, abs=1e-12)
+    assert err([4], 1) == pytest.approx(15.0 / 16.0, abs=1e-12)
 
 
 def test_err_all_zero():
-    assert err_at_k([0, 0, 0], 3) == 0.0
+    assert err([0, 0, 0], 3) == 0.0
 
 
 def test_err_two_top_grades():
     want = 15.0 / 16.0 + 0.5 * (15.0 / 16.0) * (1.0 / 16.0)
-    assert err_at_k([4, 4], 2) == pytest.approx(want, abs=1e-12)
-    assert err_at_k([4, 4], 2) == pytest.approx(0.966796875, abs=1e-9)
+    assert err([4, 4], 2) == pytest.approx(want, abs=1e-12)
+    assert err([4, 4], 2) == pytest.approx(0.966796875, abs=1e-9)
 
 
 def test_err_rejects_bad_labels():
+    for bad in ([[5]], [[-1]], [[np.nan]]):
+        with pytest.raises(ValueError):
+            ranking_metrics(bad, cutoffs=(1,))
     with pytest.raises(ValueError):
-        err_at_k([5], 1)
+        ranking_metrics([[1]], cutoffs=(1, 0))
     with pytest.raises(ValueError):
-        err_at_k([1], 0)
+        ranking_metrics([3, 1, 0])
 
 
 def test_metrics_match_brute_force_on_random_lists():
@@ -66,23 +75,39 @@ def test_metrics_match_brute_force_on_random_lists():
         n = int(rng.integers(1, 13))
         labels = rng.integers(0, 5, size=n).tolist()
         k = int(rng.integers(1, 16))
-        assert abs(ndcg_at_k(labels, k) - brute_ndcg(labels, k)) <= 1e-12
-        assert abs(err_at_k(labels, k) - brute_err(labels, k)) <= 1e-12
+        assert abs(ndcg(labels, k) - brute_ndcg(labels, k)) <= 1e-12
+        assert abs(err(labels, k) - brute_err(labels, k)) <= 1e-12
+
+
+def test_many_row_matrix_matches_brute_force_row_by_row():
+    rng = np.random.default_rng(31)
+    ranked = rng.integers(0, 5, size=(200, 12))
+    ranked[:20] = 0
+    ranked[20:40] = np.sort(ranked[20:40], axis=1)[:, ::-1]
+    ranked[40:60, 3:] = 0
+    cutoffs = (1, 2, 7, 12, 15)
+    out = ranking_metrics(ranked, cutoffs=cutoffs)
+    for k in cutoffs:
+        assert out[f"ndcg@{k}"].shape == out[f"err@{k}"].shape == (200,)
+        for q, row in enumerate(ranked.tolist()):
+            assert abs(out[f"ndcg@{k}"][q] - brute_ndcg(row, k)) <= 1e-12
+            assert abs(out[f"err@{k}"][q] - brute_err(row, k)) <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=10))
 def test_err_nondecreasing_and_ndcg_bounded(labels):
-    errs = [err_at_k(labels, k) for k in range(1, len(labels) + 1)]
+    out = ranking_metrics([labels], cutoffs=range(1, len(labels) + 2))
+    errs = [out[f"err@{k}"][0] for k in range(1, len(labels) + 1)]
     assert all(b >= a - 1e-15 for a, b in zip(errs, errs[1:]))
     for k in range(1, len(labels) + 2):
-        v = ndcg_at_k(labels, k)
-        assert 0.0 <= v <= 1.0 + 1e-12
+        assert 0.0 <= out[f"ndcg@{k}"][0] <= 1.0 + 1e-12
 
 
 def test_ranking_metrics_keys():
-    out = ranking_metrics([3, 1, 0], cutoffs=(1, 3))
-    assert set(out) == {"ndcg@1", "ndcg@3", "err@1", "err@3"}
+    out = ranking_metrics([[3, 1, 0], [0, 1, 3]], cutoffs=(1, 3))
+    assert list(out) == ["ndcg@1", "ndcg@3", "err@1", "err@3"]
+    assert all(v.shape == (2,) for v in out.values())
 
 
 def test_normalized_propensity_headline_value():

@@ -36,7 +36,6 @@ def small_lpp(seed=0, feature_dim=3, n_positions=4, **kw):
     kw.setdefault("embed_dim", 4)
     kw.setdefault("encoder_hidden", (5,))
     kw.setdefault("ffn_hidden", (4,))
-    kw.setdefault("dropout", 0.0)
     return LPPModel(feature_dim, n_positions, np.random.default_rng(seed), **kw)
 
 

@@ -74,8 +74,7 @@ def _one_query(doc_ids, features, labels):
 def _policy_metrics(policy):
     """Mean metrics of a frozen policy's own displayed ordering on its dataset."""
     ranked = np.take_along_axis(policy.view.labels, policy.order, axis=1)
-    rows = [ranking_metrics(r) for r in ranked]
-    return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
+    return {key: float(v.mean()) for key, v in ranking_metrics(ranked).items()}
 
 
 def test_make_split_data_shares_one_teacher():

@@ -38,6 +38,9 @@ def ranking_metrics(
     dcg = gain / discount
     ideal = -np.sort(-gain, axis=1) / discount
     R = gain / 2.0 ** y_max
+    # The product over stay is the chance of reaching each rank unsatisfied.
+    # cumsum adds in rank order, so err@k carries the bits of a running sum,
+    # where a row .sum() would add pairwise; column 0 is the empty prefix.
     stay = np.ones_like(R)
     stay[:, 1:] = 1.0 - R[:, :-1]
     err = np.zeros((y.shape[0], n + 1))

@@ -1,15 +1,15 @@
 """Anatomy of one policy-aware propensity iteration, printed step by step.
 
 Builds a tiny batch by hand and walks the two-step update: fit the document
-pathway to compressed policy targets, freeze it, fit the position
-embeddings to base-model targets, then read the backdoor-adjusted estimate.
-Each stage prints which parameter block moved, so the freeze contract is
-visible rather than implied.
+pathway to compressed policy targets, then hold it fixed while the position
+embeddings alone fit base-model targets, then read the backdoor-adjusted
+estimate. Each stage prints which parameter block moved, so the freeze
+contract is visible rather than implied.
 """
 
 import numpy as np
 
-from ultrlab.autodiff import AdaGrad, freeze_parameters, unfreeze_parameters
+from ultrlab.autodiff import AdaGrad
 from ultrlab.propensity import (
     LPPModel,
     PositionPropensityModel,
@@ -60,11 +60,7 @@ def main():
 
         before_doc = snapshot(model.g_pt)
         before_pos = snapshot(model.g_pos)
-        freeze_parameters(model.g_pt)
-        try:
-            joint_propensity_step(model, opt, features, targets)
-        finally:
-            unfreeze_parameters(model.g_pt)
+        joint_propensity_step(model, opt, features, targets)
         print("  position-only step moved:", moved(model.g_pos, before_pos))
         print("  frozen pathway untouched:",
               moved(model.g_pt, before_doc) == [])

@@ -235,32 +235,22 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor updated by an optimizer; freezing pauses updates."""
+    """A named leaf tensor updated by an optimizer."""
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.frozen = False
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape}, frozen={self.frozen})"
-
-
-def freeze_parameters(params: Sequence[Parameter]):
-    for p in params:
-        p.frozen = True
-
-
-def unfreeze_parameters(params: Sequence[Parameter]):
-    for p in params:
-        p.frozen = False
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 class AdaGrad:
     """Per-coordinate AdaGrad: G += g^2, then theta -= lr * g / sqrt(G + damping).
 
-    Frozen parameters are skipped entirely: no update and no accumulator
-    growth, so freezing and unfreezing brackets a pure pause.
+    ``step`` and ``minimize`` update the parameters they are given, all of the
+    optimizer's by default. A parameter left out keeps its data and its
+    accumulator, so leaving it out of a step is a pure pause.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float, damping: float = 1e-6):
@@ -271,9 +261,9 @@ class AdaGrad:
         self.damping = damping
         self.state = {id(p): np.zeros_like(p.data) for p in self.params}
 
-    def step(self):
-        for p in self.params:
-            if p.frozen or p.grad is None:
+    def step(self, params: Optional[Sequence[Parameter]] = None):
+        for p in self.params if params is None else params:
+            if p.grad is None:
                 continue
             G = self.state[id(p)]
             G += p.grad * p.grad
@@ -283,11 +273,11 @@ class AdaGrad:
         for p in self.params:
             p.grad = None
 
-    def minimize(self, loss: Tensor) -> float:
-        """One descent step on a scalar loss: zero, backpropagate, update."""
+    def minimize(self, loss: Tensor, params: Optional[Sequence[Parameter]] = None) -> float:
+        """One descent step on a scalar loss: zero, backpropagate, update ``params``."""
         self.zero_grad()
         loss.backward()
-        self.step()
+        self.step(params)
         return float(loss.data)
 
 

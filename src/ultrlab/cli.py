@@ -209,7 +209,11 @@ def cmd_export_curves(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
-        files = [run_dir / e["curves"] for e in manifest["results"].values()]
+        try:
+            files = [run_dir / e["curves"] for e in manifest["results"].values()]
+        except (AttributeError, KeyError, TypeError):
+            raise ValueError(f"{manifest_path}: results must map each seed to an "
+                             "object naming its curves file") from None
     else:
         files = sorted(run_dir.glob("curves_seed*.csv"))
     if not files:
@@ -218,7 +222,17 @@ def cmd_export_curves(args) -> int:
     rows = []
     for path in files:
         with open(path) as fh:
-            rows.extend(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            missing = [c for c in CURVE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path}: header lacks columns {missing}")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"{path}:{reader.line_num}: row does not match "
+                                     f"the {len(reader.fieldnames)}-column header")
+                rows.append(row)
+    if not rows:
+        raise ValueError(f"curve CSVs under {run_dir} hold no rows")
 
     metric_cols = [c for c in CURVE_COLUMNS if c not in ("step", "algorithm", "seed")]
     grouped = {}

@@ -6,9 +6,9 @@ with inverse-relevance weights (the dual of the ranker's inverse-propensity
 loss). The logging-policy-aware model factors examination into a document
 encoder (how strongly features drove the displayed position) plus a position
 embedding, shares one scalar head between both views, and is trained in two
-steps per iteration: fit the document pathway to policy targets, then freeze
-it and fit only the position embeddings to base propensity targets. Averaging
-the squashed head over documents at a forced position reads off an
+steps per iteration: fit the document pathway to policy targets, then hold it
+fixed and fit only the position embeddings to base propensity targets.
+Averaging the squashed head over documents at a forced position reads off an
 examination probability with the document pathway held at its distribution,
 which strips the policy-induced correlation out of the estimate.
 """
@@ -35,17 +35,21 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def clipped_inverse_weights(weights: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """weight_1 / max(weight_k, tau): inverse weights with a variance floor."""
+    """weight_1 / max(weight_k, tau) per row: inverse weights with a variance floor.
+
+    A 1-D input is one row. Every row needs a positive first entry and no
+    negative entry.
+    """
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    if np.all(w <= 0.0):
-        raise ValueError("degenerate weights: nothing positive to invert")
+    if np.any(w[..., 0] <= 0.0):
+        raise ValueError("degenerate weights: a row's first entry must be positive")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    return w[0] / np.maximum(w, tau)
+    return w[..., :1] / np.maximum(w, tau)
 
 
 @dataclass
@@ -128,14 +132,7 @@ def irw_propensity_loss(position_scores: Tensor, clicks: np.ndarray,
     rel = np.asarray(relevance_weights, dtype=np.float64)
     if c.shape != position_scores.data.shape or rel.shape != c.shape:
         raise ValueError("scores, clicks and relevance weights must share a shape")
-    if rel.ndim == 1:
-        inv = clipped_inverse_weights(rel, tau)
-    else:
-        first = rel[:, :1]
-        if np.any(first <= 0.0):
-            raise ValueError("degenerate weights: nothing positive to invert")
-        inv = first / np.maximum(rel, tau)
-    return weighted_listwise_ce(position_scores, c * inv)
+    return weighted_listwise_ce(position_scores, c * clipped_inverse_weights(rel, tau))
 
 
 def relevance_weights_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -155,8 +152,9 @@ class LPPModel:
     """Document encoder + position embedding table + shared scalar head.
 
     Parameters split into two partitions: ``g_pt`` (encoder and head, the
-    document pathway) and ``g_pos`` (the embedding table). The two-step
-    training contract only ever updates ``g_pos`` while ``g_pt`` is frozen.
+    document pathway) and ``g_pos`` (the embedding table). The joint step of
+    the two-step training updates only ``g_pos`` and checks that ``g_pt``
+    kept its bits.
     Position embeddings start at zero, so at initialization the joint forward
     coincides exactly with the document-only forward.
     """
@@ -267,20 +265,16 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
                           enforce_freeze: bool = True) -> float:
     """Fit position embeddings to base-propensity targets with the pathway locked.
 
-    Requires ``freeze_parameters(model.g_pt)`` beforehand and verifies after
-    the step that the pathway is bit-for-bit unchanged. Passing
-    ``enforce_freeze=False`` drops both checks, which lets the document
-    pathway chase position targets too; kept only to measure how much the
-    contract matters.
+    The update names ``model.g_pos`` as the only parameters it moves, and
+    afterwards checks that the document pathway ``g_pt`` is bit-for-bit
+    unchanged. Passing ``enforce_freeze=False`` updates every parameter and
+    drops the check, which lets the document pathway chase position targets
+    too; kept only to measure how much the contract matters.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 3:
         raise ValueError("features must be (batch, positions, feature_dim)")
     B, N, d = X.shape
-    if enforce_freeze and not all(p.frozen for p in model.g_pt):
-        raise FreezeContractError(
-            "document pathway must be frozen before the position-only step"
-        )
     y = np.asarray(position_targets, dtype=np.float64)
     if y.ndim == 1:
         y = np.tile(y, (B, 1))
@@ -291,11 +285,13 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
     snapshot = [p.data.copy() for p in model.g_pt] if enforce_freeze else None
     positions = np.tile(np.arange(N, dtype=np.int64), B)
     logits = model.forward_joint(X.reshape(B * N, d), positions)
-    loss = optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights))
+    loss = optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights),
+                              model.g_pos if enforce_freeze else model.parameters())
     if enforce_freeze:
         for p, before in zip(model.g_pt, snapshot):
             if not np.array_equal(p.data, before):
-                raise FreezeContractError(f"frozen parameter {p.name!r} changed")
+                raise FreezeContractError(
+                    f"document-pathway parameter {p.name!r} changed in the position-only step")
     return loss
 
 

@@ -44,17 +44,15 @@ class RankerMLP:
 
 
 def ipw_ranking_loss(scores: Tensor, clicks: np.ndarray,
-                     propensity, tau: float = 0.05) -> Tensor:
+                     propensity: PropensityEstimate, tau: float = 0.05) -> Tensor:
     """Inverse-propensity-weighted listwise softmax cross-entropy on clicks.
 
     Each clicked position k contributes its negative log softmax score times
     w_k = weight_1 / max(weight_k, tau); unclicked positions only enter
     through the softmax normalizer. Rows are whole sessions; the loss is the
-    mean over rows. Weights come from a PropensityEstimate or any positive
-    position-weight vector normalized at position 1.
+    mean over rows. The estimate may cover more positions than the list.
     """
-    weights = propensity.weights if isinstance(propensity, PropensityEstimate) \
-        else np.asarray(propensity, dtype=np.float64)
+    weights = propensity.weights
     c = np.asarray(clicks, dtype=np.float64)
     if c.shape != scores.data.shape:
         raise ValueError("clicks must match scores shape")

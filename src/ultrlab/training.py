@@ -13,8 +13,9 @@ Learners: ``IPWLearner`` trains the ranker under a fixed estimate, uniform
 for 'naive' and the simulator's true curve for 'ipw_oracle'. ``DLALearner``
 adds a position-only propensity model trained by the dual inverse-weighted
 loss. ``UPELearner`` is DLA plus the two-step policy-aware model: per step the
-base (DLA) propensity update, the confounding-effect step, the frozen
-position-only step, the backdoor-adjusted estimate, then the ranker update.
+base (DLA) propensity update, the confounding-effect step, the position-only
+step that moves the position embeddings alone, the backdoor-adjusted
+estimate, then the ranker update.
 """
 
 import time
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import AdaGrad, freeze_parameters, unfreeze_parameters
+from .autodiff import AdaGrad
 from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, sample_click_matrix
 from .data import Dataset, generate_synthetic
 from .metrics import DEFAULT_CUTOFFS, normalized_propensity, propensity_error, ranking_metrics
@@ -363,7 +364,7 @@ class UPELearner(DLALearner):
     """DLA plus the two-step policy-aware model and its backdoor readout.
 
     The dual IRW update still trains ``position_model``; its softmax becomes
-    the target of the frozen position-only step, and the ranker is weighted
+    the target of the position-only step, and the ranker is weighted
     by the backdoor-adjusted estimate instead of the position logits.
     """
 
@@ -380,7 +381,7 @@ class UPELearner(DLALearner):
 
     def step(self, batch: StepBatch) -> float:
         """One loop body, in order: the dual IRW update of ``position_model``,
-        document-pathway fit, frozen position fit to that model's softmax,
+        document-pathway fit, position-only fit to that model's softmax,
         backdoor-adjusted estimate over the batch, ranker update."""
         cfg = self.cfg
         B, N, d = batch.features.shape
@@ -390,14 +391,8 @@ class UPELearner(DLALearner):
 
         confounding_effect_step(self.lpp, self.opt_lpp, batch.features,
                                 batch.logging_scores, variant=cfg.target_variant)
-        if cfg.upe_freeze:
-            freeze_parameters(self.lpp.g_pt)
-        try:
-            joint_propensity_step(self.lpp, self.opt_lpp, batch.features, targets,
-                                  enforce_freeze=cfg.upe_freeze)
-        finally:
-            if cfg.upe_freeze:
-                unfreeze_parameters(self.lpp.g_pt)
+        joint_propensity_step(self.lpp, self.opt_lpp, batch.features, targets,
+                              enforce_freeze=cfg.upe_freeze)
 
         self.last_estimate = backdoor_estimate(
             self.lpp, batch.features.reshape(B * N, d), N)

@@ -1,4 +1,4 @@
-"""Autodiff engine: gradient oracles, optimizer arithmetic, freeze contract."""
+"""Autodiff engine: gradient oracles, optimizer arithmetic, subset steps."""
 
 import gc
 import math
@@ -16,10 +16,8 @@ from ultrlab.autodiff import (
     Linear,
     Parameter,
     Tensor,
-    freeze_parameters,
     load_params,
     save_params,
-    unfreeze_parameters,
     weighted_listwise_ce,
 )
 
@@ -155,54 +153,64 @@ def test_adagrad_rejects_bad_lr():
 
 
 def test_frozen_parameters_do_not_move():
+    """A parameter left out of ``step(params)`` keeps its data and its accumulator."""
     rng = np.random.default_rng(5)
     params = [Parameter(rng.normal(size=(3,)), f"p{i}") for i in range(4)]
-    freeze_parameters(params)
     opt = AdaGrad(params, lr=0.5)
     for p in params:
         p.grad = np.ones(3)
     before = [p.data.copy() for p in params]
-    opt.step()
-    for p, b in zip(params, before):
+    opt.step([])
+    opt.step(params[2:])
+    for p, b in zip(params[:2], before):
         assert np.array_equal(p.data, b)
+        assert np.array_equal(opt.state[id(p)], np.zeros(3))
+    for p, b in zip(params[2:], before[2:]):
+        assert not np.array_equal(p.data, b)
 
 
 def test_freeze_subset_over_many_steps():
+    """Left out for 100 steps, a parameter's first full step is the step a
+    fresh optimizer takes: its accumulator never grew."""
     rng = np.random.default_rng(6)
-    frozen = [Parameter(rng.normal(size=(2, 2)), "a0"),
-              Parameter(rng.normal(size=(2,)), "a1")]
+    held = [Parameter(rng.normal(size=(2, 2)), "a0"),
+            Parameter(rng.normal(size=(2,)), "a1")]
     live = [Parameter(rng.normal(size=(2, 2)), "b0"),
             Parameter(rng.normal(size=(2,)), "b1")]
-    freeze_parameters(frozen)
-    opt = AdaGrad(frozen + live, lr=0.1)
-    snap = [p.data.copy() for p in frozen]
+    opt = AdaGrad(held + live, lr=0.1)
+    snap = [p.data.copy() for p in held]
     live_snap = [p.data.copy() for p in live]
     for step in range(100):
-        for p in frozen + live:
+        for p in held + live:
             p.grad = rng.normal(size=p.data.shape)
-        opt.step()
-    for p, s in zip(frozen, snap):
+        opt.step(live)
+    for p, s in zip(held, snap):
         assert np.array_equal(p.data, s)
     for p, s in zip(live, live_snap):
         assert not np.array_equal(p.data, s)
-    unfreeze_parameters(frozen)
-    for p in frozen + live:
+    fresh = [Parameter(s.copy(), f"fresh{i}") for i, s in enumerate(snap)]
+    for p in held + live + fresh:
         p.grad = np.ones(p.data.shape)
     opt.step()
-    for p, s in zip(frozen, snap):
-        assert not np.array_equal(p.data, s)
+    AdaGrad(fresh, lr=0.1).step()
+    for p, f in zip(held, fresh):
+        assert np.array_equal(p.data, f.data)
 
 
 def test_freeze_none_behaves_as_plain_step():
-    p1 = Parameter(np.array([1.0]), "p1")
-    p2 = Parameter(np.array([1.0]), "p2")
-    a, b = AdaGrad([p1], lr=0.1), AdaGrad([p2], lr=0.1)
+    """``step()`` and ``step(all parameters)`` give the same bits."""
+    rng = np.random.default_rng(9)
+    a = [Parameter(rng.normal(size=(3,)), f"a{i}") for i in range(2)]
+    b = [Parameter(p.data.copy(), f"b{i}") for i, p in enumerate(a)]
+    opt_a, opt_b = AdaGrad(a, lr=0.1), AdaGrad(b, lr=0.1)
     for _ in range(3):
-        p1.grad = np.array([0.5])
-        p2.grad = np.array([0.5])
-        a.step()
-        b.step()
-    assert np.array_equal(p1.data, p2.data)
+        for pa, pb in zip(a, b):
+            pa.grad = rng.normal(size=3)
+            pb.grad = pa.grad.copy()
+        opt_a.step()
+        opt_b.step(b)
+    for pa, pb in zip(a, b):
+        assert np.array_equal(pa.data, pb.data)
 
 
 def test_zero_mlp_outputs_zero():

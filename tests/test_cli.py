@@ -186,6 +186,30 @@ def test_export_curves_empty_dir_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+FULL_HEADER = ",".join(CURVE_COLUMNS)
+
+
+@pytest.mark.parametrize("files", [
+    {"curves_seed0.csv": "step,algorithm,seed,ndcg@1\n0,upe,0\n"},
+    {"curves_seed0.csv": f"{FULL_HEADER}\n0,upe,0\n"},
+    {"curves_seed0.csv": FULL_HEADER + "\n",
+     "curves_seed1.csv": FULL_HEADER + "\n"},
+    {"manifest.json": '{"results": ["curves_seed0.csv"]}',
+     "curves_seed0.csv": FULL_HEADER + "\n"},
+], ids=["short-header", "ragged-row", "header-only", "manifest-results-list"])
+def test_export_curves_bad_inputs_fail_with_one_line(tmp_path, capsys, files):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for name, text in files.items():
+        (runs / name).write_text(text)
+    out = tmp_path / "x.csv"
+    rc = main(["export-curves", "--runs", str(runs), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path / "o"),
                "--set", "no_such_option=3"])

@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ultrlab.autodiff import (
-    AdaGrad,
-    Tensor,
-    freeze_parameters,
-    unfreeze_parameters,
-    weighted_listwise_ce,
-)
+from ultrlab.autodiff import AdaGrad, Tensor, weighted_listwise_ce
 from helpers import backdoor_adjust
 from ultrlab.clicks import PositionBiasCurve
 from ultrlab.propensity import (
@@ -98,6 +92,10 @@ def test_clipped_inverse_weights():
         clipped_inverse_weights(np.array([]))
     with pytest.raises(ValueError):
         clipped_inverse_weights(np.array([0.0, 0.0]))
+    with pytest.raises(ValueError):
+        clipped_inverse_weights(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        clipped_inverse_weights(np.array([[1.0, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         clipped_inverse_weights(np.array([1.0, -0.1]))
     with pytest.raises(ValueError):
@@ -311,30 +309,34 @@ def test_position_targets_from_base():
     assert np.allclose(position_targets_from_base(base), targets, atol=1e-12)
 
 
-def test_joint_step_requires_the_freeze():
-    model = small_lpp(seed=8)
+def test_joint_step_detects_a_pathway_update(monkeypatch):
+    """An optimizer that ignores the parameters it is given trips the check."""
+    model = small_lpp(seed=9)
     opt = AdaGrad(model.parameters(), lr=0.05)
-    X = np.random.default_rng(9).normal(size=(2, 4, 3))
-    targets = np.full(4, -math.log(4.0))
+    X = np.random.default_rng(10).normal(size=(2, 4, 3))
+    targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
+    step_all = AdaGrad.step
+    monkeypatch.setattr(AdaGrad, "step", lambda self, params=None: step_all(self))
     with pytest.raises(FreezeContractError):
         joint_propensity_step(model, opt, X, targets)
 
 
 def test_joint_step_honours_the_freeze_bitwise():
+    """With no setup by the caller the step moves the table alone: the
+    pathway gets gradient, but neither its bits nor the shared optimizer's
+    accumulators for it change."""
     model = small_lpp(seed=10)
     opt = AdaGrad(model.parameters(), lr=0.05)
     X = np.random.default_rng(11).normal(size=(2, 4, 3))
     targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
     pathway_before = [p.data.copy() for p in model.g_pt]
     table_before = model.position_table.data.copy()
-    freeze_parameters(model.g_pt)
-    try:
-        loss = joint_propensity_step(model, opt, X, targets)
-    finally:
-        unfreeze_parameters(model.g_pt)
+    loss = joint_propensity_step(model, opt, X, targets)
     assert np.isfinite(loss)
     for p, before in zip(model.g_pt, pathway_before):
+        assert p.grad is not None
         assert np.array_equal(p.data, before)
+        assert not np.any(opt.state[id(p)])
     assert not np.array_equal(model.position_table.data, table_before)
 
 
@@ -353,15 +355,11 @@ def test_joint_step_target_shapes():
     model = small_lpp(seed=14)
     opt = AdaGrad(model.parameters(), lr=0.05)
     X = np.random.default_rng(15).normal(size=(2, 4, 3))
-    freeze_parameters(model.g_pt)
-    try:
-        joint_propensity_step(model, opt, X, np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            joint_propensity_step(model, opt, X, np.zeros(3))
-        with pytest.raises(ValueError):
-            joint_propensity_step(model, opt, X.reshape(8, 3), np.zeros(4))
-    finally:
-        unfreeze_parameters(model.g_pt)
+    joint_propensity_step(model, opt, X, np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        joint_propensity_step(model, opt, X, np.zeros(3))
+    with pytest.raises(ValueError):
+        joint_propensity_step(model, opt, X.reshape(8, 3), np.zeros(4))
 
 
 def test_alternating_steps_keep_the_partition_separate():
@@ -377,11 +375,7 @@ def test_alternating_steps_keep_the_partition_separate():
         confounding_effect_step(model, opt, X, scores)
         assert np.array_equal(model.position_table.data, table)
         pathway = [p.data.copy() for p in model.g_pt]
-        freeze_parameters(model.g_pt)
-        try:
-            joint_propensity_step(model, opt, X, targets)
-        finally:
-            unfreeze_parameters(model.g_pt)
+        joint_propensity_step(model, opt, X, targets)
         for p, before in zip(model.g_pt, pathway):
             assert np.array_equal(p.data, before)
 
@@ -464,11 +458,7 @@ def test_joint_training_recovers_base_ratios():
     assert np.allclose(np.exp(targets), [2 / 3, 1 / 3], atol=1e-15)
     x = np.array([0.4, -0.1, 0.7])
     X = np.tile(x, (4, 2, 1))
-    freeze_parameters(model.g_pt)
-    try:
-        for _ in range(500):
-            joint_propensity_step(model, opt, X, targets)
-    finally:
-        unfreeze_parameters(model.g_pt)
+    for _ in range(500):
+        joint_propensity_step(model, opt, X, targets)
     est = backdoor_estimate(model, x[None])
     assert est.weights[1] == pytest.approx(0.5, abs=1e-3)

@@ -84,13 +84,14 @@ def test_ipw_loss_reweights_clicks():
     assert float(loss.data) == pytest.approx(3 * math.log(2.0), abs=1e-12)
 
 
-def test_ipw_loss_accepts_plain_vectors_and_longer_estimates():
+def test_ipw_loss_accepts_longer_estimates():
     scores = make_ranker().forward(np.zeros((2, 4))).reshape(1, 2)
     clicks = np.array([[1.0, 1.0]])
-    via_estimate = ipw_ranking_loss(
+    exact = ipw_ranking_loss(
         scores, clicks, PropensityEstimate(weights=np.array([1.0, 0.5])))
-    via_vector = ipw_ranking_loss(scores, clicks, np.array([1.0, 0.5, 0.1]))
-    assert float(via_estimate.data) == float(via_vector.data)
+    longer = ipw_ranking_loss(
+        scores, clicks, PropensityEstimate(weights=np.array([1.0, 0.5, 0.1])))
+    assert float(exact.data) == float(longer.data)
 
 
 def test_ipw_loss_is_shift_invariant():
@@ -110,7 +111,7 @@ def test_ipw_loss_validation():
     with pytest.raises(ValueError):
         ipw_ranking_loss(scores, np.zeros((1, 2)), PropensityEstimate.uniform(2))
     with pytest.raises(ValueError):
-        ipw_ranking_loss(scores, np.zeros((2, 2)), np.array([1.0]))
+        ipw_ranking_loss(scores, np.zeros((2, 2)), PropensityEstimate(weights=[1.0]))
 
 
 def test_full_information_loss_weights_by_perceived_relevance():

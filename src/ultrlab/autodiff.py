@@ -7,6 +7,16 @@ Just enough ops for feedforward scorers with listwise losses: broadcasting
 add/mul, matmul, ELU, inverted dropout, row-wise log-softmax, sum, reshape,
 and row lookup for embeddings.
 
+Gradient buffers are handed over, not copied: the first gradient a tensor
+receives becomes its ``.grad``, and later ones are added into it in place.
+That is safe under one invariant: a gradient buffer is handed to at most one
+tensor whose backward has not yet run. Most backward closures build a fresh
+array anyway; the pass-throughs are ``+`` (an operand with the output's shape
+gets ``out.grad`` itself) and ``reshape`` (a view of it), both reached only
+after ``out`` is finished, and ``+`` copies for its second operand when the
+first already took the buffer. An inner tensor's ``.grad`` may thus change
+after its own backward ran; only the leaves' gradients are final.
+
 Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
 the tape: ``MLP.infer`` runs the same layers on plain arrays and shares the
 in-place ELU kernel ``_elu`` with ``Tensor.elu``, so its output has the same
@@ -59,8 +69,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # Ops on 0-d tensors return numpy scalars; keep .grad an ndarray.
+            self.grad = grad if isinstance(grad, np.ndarray) else np.array(grad)
+        else:
+            self.grad += grad
 
     @staticmethod
     def _wrap(other) -> "Tensor":
@@ -75,7 +87,9 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(_unbroadcast(out.grad, self.data.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.data.shape))
+                g = _unbroadcast(out.grad, other.data.shape)
+                # Never hand one buffer to both operands (m + p, x + x).
+                other._accumulate(g.copy() if g is self.grad else g)
         out._backward = _backward
         return out
 

@@ -83,14 +83,16 @@ def _load_split(data_dir) -> SplitData:
 
 
 def cmd_gen_data(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     specs = [("train.txt", args.train_queries, "train"),
              ("test.txt", args.test_queries, "test")]
     teacher = derive_seed(args.seed, "data", "teacher")
-    for filename, n_queries, split in specs:
-        ds = generate_synthetic(n_queries, args.docs, args.features,
-                                derive_seed(args.seed, "data", split), teacher_seed=teacher)
+    # Both splits first: a size generate_synthetic refuses leaves no files behind.
+    splits = [generate_synthetic(n_queries, args.docs, args.features,
+                                 derive_seed(args.seed, "data", split), teacher_seed=teacher)
+              for _, n_queries, split in specs]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for (filename, n_queries, _), ds in zip(specs, splits):
         (out / filename).write_text(serialize_svmlight(ds))
         print(f"wrote {out / filename} ({n_queries} queries x {args.docs} docs)")
     return 0

@@ -51,7 +51,8 @@ def check_gradients(build_loss, arrays, tol=FD_TOL, h=FD_H):
     """Backprop through ``build_loss(list of Tensors)`` vs central differences.
 
     The error metric is |analytic - numeric| / max(1, |analytic|), so tiny
-    coordinates are judged absolutely and large ones relatively.
+    coordinates are judged absolutely and large ones relatively. Returns the
+    leaf Tensors, holding the gradients of the backward pass that was checked.
     """
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     loss = build_loss(tensors)
@@ -65,6 +66,7 @@ def check_gradients(build_loss, arrays, tol=FD_TOL, h=FD_H):
     for got, want in zip(analytic, numeric):
         err = np.abs(got - want) / np.maximum(1.0, np.abs(got))
         assert err.max() <= tol, f"gradient mismatch: max err {err.max():.3e}"
+    return tensors
 
 
 def check_parameter_gradients(params, loss_fn, tol=FD_TOL, h=FD_H):

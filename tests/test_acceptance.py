@@ -14,6 +14,9 @@ every competent learner saturates this synthetic collection near 0.999, so
 those comparisons ride on a spread of a few 1e-4 of seed noise. The effects
 the clauses are after are real and visible one column over, in the
 normalized propensity estimates, which the failure messages print.
+
+Every test here carries the ``acceptance`` marker, so the fast suite is
+``pytest -m "not acceptance"``.
 """
 
 import time
@@ -53,6 +56,8 @@ from ultrlab.training import (
     make_split_data,
     run_experiment,
 )
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (0, 1, 2, 3, 4)
 

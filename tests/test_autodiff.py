@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GRADIENT_PRIMITIVES, check_gradients, gradient_case
+from helpers import (
+    GRADIENT_PRIMITIVES,
+    check_gradients,
+    check_parameter_gradients,
+    gradient_case,
+)
 from ultrlab.autodiff import (
     MLP,
     AdaGrad,
@@ -28,6 +33,59 @@ def test_primitive_gradients_match_finite_differences(name):
         rng = np.random.default_rng(1000 + trial)
         arrays, build = gradient_case(name, rng)
         check_gradients(build, arrays)
+
+
+# Leaves reused on several paths; W mixes the result so every coordinate counts.
+FAN_OUT_CASES = {
+    "x_plus_x": (1, lambda t, W: ((t[0] + t[0]) * W).sum()),
+    "a_plus_b": (2, lambda t, W: ((t[0] + t[1]) * W).sum()),
+    "a_plus_b_times_a": (2, lambda t, W: ((t[0] + t[1]) * t[0] * W).sum()),
+    "reshape_twice": (1, lambda t, W: (
+        (t[0].reshape(12) + t[0].reshape(12).elu()).reshape(3, 4) * W).sum()),
+    "w_times_w": (1, lambda t, W: ((t[0] * t[0] + t[0]) * W).sum()),
+}
+
+
+def _assert_own_writeable_grads(grads):
+    for i, g in enumerate(grads):
+        assert isinstance(g, np.ndarray) and g.flags.writeable
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h)
+
+
+@pytest.mark.parametrize("name", FAN_OUT_CASES)
+def test_fan_out_gradients_match_and_own_their_buffers(name):
+    """Gradient buffers are handed on, not copied: a leaf reached twice must
+    still get the right sum, in an array no other leaf holds."""
+    n_leaves, build = FAN_OUT_CASES[name]
+    for trial in range(3):
+        rng = np.random.default_rng(2000 + trial)
+        W = Tensor(rng.normal(size=(3, 4)))
+        arrays = [rng.normal(size=(3, 4)) for _ in range(n_leaves)]
+        leaves = check_gradients(lambda t: build(t, W), arrays)
+        _assert_own_writeable_grads([t.grad for t in leaves])
+
+
+def test_parameter_feeding_two_branches_of_an_equal_shape_add():
+    """``m + p`` shape: both add operands have the output's shape, so the
+    second one must not share the first one's buffer. Here the first
+    branch is the product, whose backward reads that buffer after the
+    reshape branch has handed it on to ``p``."""
+    rng = np.random.default_rng(21)
+    p = Parameter(rng.normal(size=(3, 4)), "p")
+    q = Parameter(rng.normal(size=(3, 4)), "q")
+    W = Tensor(rng.normal(size=(3, 4)))
+    check_parameter_gradients(
+        [p, q], lambda: ((p * q + p.reshape(12).reshape(3, 4)) * W).sum())
+    _assert_own_writeable_grads([p.grad, q.grad])
+
+
+def test_zero_dim_leaf_gets_an_ndarray_gradient():
+    s = Tensor(np.array(2.0), requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    (s * x).sum().backward()
+    assert s.grad == 15.0
+    _assert_own_writeable_grads([s.grad, x.grad])
 
 
 def test_elu_scalar_values():

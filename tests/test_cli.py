@@ -279,6 +279,14 @@ def test_unusable_output_paths_fail_cleanly(tmp_path, command):
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("bad", [["--test-queries", "0"], ["--docs", "0"]],
+                         ids=["test-queries=0", "docs=0"])
+def test_gen_data_bad_sizes_write_nothing(tmp_path, bad):
+    out = tmp_path / "d"
+    _fails_cleanly("gen-data", "--out", str(out), "--train-queries", "4", *bad)
+    assert not out.exists()
+
+
 def test_unknown_simulation_key_in_config_file_fails_cleanly(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"simulation": {"etaa": 2}}))

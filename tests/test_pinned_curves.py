@@ -1,9 +1,12 @@
-"""Byte-identity gate: two short fixed-seed runs against stored curve CSVs.
+"""Byte-identity gate: short fixed-seed runs against stored curve CSVs.
 
-The stored files under ``tests/data`` were written by the same configs before
-the dataset layer moved to flat arrays. A change that is meant to alter the
-curves must regenerate them (``RunResult.curves_csv()`` of these configs) and
-say why; any other change must leave these bytes alone.
+The first two stored files under ``tests/data`` were written by the same
+configs before the dataset layer moved to flat arrays; the UPE ``Off`` and
+no-freeze files were written before gradient buffers were handed over instead
+of copied. The no-freeze run is the one where the gradient through the
+document pathway of the LPP joint step moves parameters. A change that is
+meant to alter the curves must regenerate them (``RunResult.curves_csv()`` of
+these configs) and say why; any other change must leave these bytes alone.
 """
 
 from pathlib import Path
@@ -20,10 +23,16 @@ def split():
     return make_split_data(n_train=40, n_test=20, seed=7)
 
 
-@pytest.mark.parametrize("algorithm, paradigm", [("upe", "OnD"), ("dla", "Off")])
-def test_short_run_curves_match_stored_bytes(split, algorithm, paradigm):
+@pytest.mark.parametrize("algorithm, paradigm, overrides, stored", [
+    pytest.param("upe", "OnD", {}, "curves_upe_OnD.csv", id="upe-OnD"),
+    pytest.param("dla", "Off", {}, "curves_dla_Off.csv", id="dla-Off"),
+    pytest.param("upe", "OnD", {"upe_freeze": False}, "curves_upe_OnD_nofreeze.csv",
+                 id="upe-OnD-nofreeze"),
+    pytest.param("upe", "Off", {}, "curves_upe_Off.csv", id="upe-Off"),
+])
+def test_short_run_curves_match_stored_bytes(split, algorithm, paradigm, overrides, stored):
     cfg = ExperimentConfig(paradigm=paradigm, algorithm=algorithm, total_steps=40,
                            refresh_interval=20, eval_every=20, batch_queries=8,
-                           weak_fraction=0.1)
+                           weak_fraction=0.1, **overrides)
     got = run_experiment(cfg, split).curves_csv().encode()
-    assert got == (DATA / f"curves_{algorithm}_{paradigm}.csv").read_bytes()
+    assert got == (DATA / stored).read_bytes()

@@ -143,22 +143,19 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def dropout(self, p: float, rng: Optional[np.random.Generator] = None,
-                mask: Optional[np.ndarray] = None) -> "Tensor":
+    def dropout(self, p: float, rng: Optional[np.random.Generator] = None) -> "Tensor":
         """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-        Pass ``mask`` (the full multiplier array) to pin the draw, e.g. for
-        finite-difference checks; otherwise one is sampled from ``rng``.
+        The multiplier is drawn from ``rng``; a freshly seeded generator
+        repeats the draw, which is how finite-difference checks pin it.
         """
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
-        if p == 0.0 and mask is None:
+        if p == 0.0:
             return self
-        if mask is None:
-            if rng is None:
-                raise ValueError("dropout needs an rng when no mask is given")
-            mask = (rng.random(self.data.shape) >= p) / (1.0 - p)
-        mask = np.asarray(mask, dtype=np.float64)
+        if rng is None:
+            raise ValueError("dropout needs an rng")
+        mask = (rng.random(self.data.shape) >= p) / (1.0 - p)
         out = Tensor(self.data * mask, self.requires_grad, (self,), "dropout")
 
         def _backward():
@@ -322,16 +319,14 @@ class MLP:
         self.dropout = dropout
 
     def __call__(self, x: Tensor, train: bool = False,
-                 rng: Optional[np.random.Generator] = None,
-                 dropout_masks: Optional[Sequence[np.ndarray]] = None) -> Tensor:
+                 rng: Optional[np.random.Generator] = None) -> Tensor:
         h = x
         for i, layer in enumerate(self.layers):
             h = layer(h)
             if i < len(self.layers) - 1:
                 h = h.elu()
                 if train and self.dropout > 0.0:
-                    mask = dropout_masks[i] if dropout_masks is not None else None
-                    h = h.dropout(self.dropout, rng=rng, mask=mask)
+                    h = h.dropout(self.dropout, rng=rng)
         return h
 
     def infer(self, x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ Configuration is one JSON object mirroring ExperimentConfig (with a nested
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -35,39 +36,31 @@ from .training import (
 )
 
 
-def _load_config(path, overrides):
-    cfg_dict = ExperimentConfig().as_dict()
+def _load_config(path, overrides, **flags) -> ExperimentConfig:
+    """The config file's JSON object, with each `--set` value and each given
+    flag written into it; ExperimentConfig.from_dict judges the result."""
+    raw = {}
     if path is not None:
         with open(path) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
-        for key, value in loaded.items():
-            if key == "simulation":
-                if not isinstance(value, dict):
-                    raise ValueError(f"simulation must be a JSON object, got {value!r}")
-                cfg_dict["simulation"].update(value)
-            elif key in cfg_dict:
-                cfg_dict[key] = value
-            else:
-                raise ValueError(f"unknown config key {key!r}")
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--set needs key=value, got {item!r}")
-        target = cfg_dict
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in target or not isinstance(target[part], dict):
-                raise ValueError(f"unknown config section {part!r}")
-            target = target[part]
-        if parts[-1] not in target:
-            raise ValueError(f"unknown config key {key!r}")
+        *sections, name = key.split(".")
+        target = raw
+        for part in sections:
+            target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ValueError(f"{part} must be a JSON object, got {target!r}")
         try:
-            target[parts[-1]] = json.loads(value)
+            target[name] = json.loads(value)
         except json.JSONDecodeError:
-            target[parts[-1]] = value
-    return cfg_dict
+            target[name] = value
+    raw.update({key: value for key, value in flags.items() if value is not None})
+    return ExperimentConfig.from_dict(raw)
 
 
 def _load_split(data_dir) -> SplitData:
@@ -98,8 +91,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_one_seed(cfg_dict: dict, data_dir, out_dir: str, curve_path):
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _train_one_seed(cfg: ExperimentConfig, data_dir, out_dir: str, curve_path):
     data = _load_split(data_dir) if data_dir else make_split_data()
     curve = PositionBiasCurve.from_file(curve_path) if curve_path else None
     result = run_experiment(cfg, data, curve=curve)
@@ -120,40 +112,31 @@ def _train_one_seed(cfg_dict: dict, data_dir, out_dir: str, curve_path):
     }
 
 
-def _parse_seeds(args):
-    if args.seeds is None:
-        return [args.seed]
-    lo, sep, hi = args.seeds.partition("..")
+def _parse_seeds(seeds: str):
+    lo, sep, hi = seeds.partition("..")
     if not sep:
-        raise ValueError(f"--seeds wants a range like 0..4, got {args.seeds!r}")
+        raise ValueError(f"--seeds wants a range like 0..4, got {seeds!r}")
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise ValueError(f"--seeds bounds must be integers, got {args.seeds!r}") from None
+        raise ValueError(f"--seeds bounds must be integers, got {seeds!r}") from None
     if hi < lo:
-        raise ValueError(f"--seeds range {args.seeds!r} is empty; write it low..high")
+        raise ValueError(f"--seeds range {seeds!r} is empty; write it low..high")
     return list(range(lo, hi + 1))
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    cfg_dict = _load_config(args.config, args.set)
-    if args.algorithm:
-        cfg_dict["algorithm"] = args.algorithm
-    if args.paradigm:
-        cfg_dict["paradigm"] = args.paradigm
-    seeds = _parse_seeds(args)
+    cfg = _load_config(args.config, args.set, algorithm=args.algorithm,
+                       paradigm=args.paradigm, seed=args.seed)
+    seeds = [cfg.seed] if args.seeds is None else _parse_seeds(args.seeds)
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    ExperimentConfig.from_dict(cfg_dict)  # fail on a bad config before any seed starts
+    configs = [dataclasses.replace(cfg, seed=seed) for seed in seeds]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    for seed in seeds:
-        per_seed = dict(cfg_dict)
-        per_seed["seed"] = seed
-        jobs.append((per_seed, args.data, str(out), args.curve))
+    jobs = [(c, args.data, str(out), args.curve) for c in configs]
 
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -163,7 +146,7 @@ def cmd_train(args) -> int:
 
     manifest = {
         "artifact_version": __version__,
-        "config": cfg_dict,
+        "config": configs[0].as_dict(),
         "master_seed": seeds[0],
         "seeds": seeds,
         "data": os.path.relpath(args.data, out) if args.data else "synthetic-default",
@@ -180,14 +163,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_config(args.config, args.set))
+    cfg = _load_config(args.config, args.set)
     data = _load_split(args.data) if args.data else make_split_data()
     dataset = data.test if args.split == "test" else data.train
     view = DatasetView(dataset)
     ranker = RankerMLP(dataset.feature_dim, np.random.default_rng(0),
                        hidden=cfg.ranker_hidden, dropout=cfg.dropout)
     load_params(args.model, ranker.parameters())
-    metrics = evaluate_ranker(ranker, view, y_max=cfg.simulation.y_max)
+    metrics = evaluate_ranker(ranker, view)
     print(json.dumps(metrics, indent=2))
     return 0
 
@@ -284,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="file with one examination probability per line")
     p.add_argument("--algorithm", choices=["upe", "dla", "naive", "ipw_oracle"])
     p.add_argument("--paradigm", choices=["OnD", "Off"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", help="inclusive range like 0..4")
+    p.add_argument("--seed", type=int, help="run seed; overrides the config's seed")
+    p.add_argument("--seeds", help="inclusive range like 0..4; overrides --seed")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_train)
 

@@ -2,15 +2,17 @@
 
 A user examines rank ``k`` with probability ``rho_k ** eta`` and, having
 examined, clicks with the graded perceived-relevance probability
-``epsilon + (1 - epsilon) * (2**y - 1) / (2**y_max - 1)``. A click requires
-both: ``c = e and r``. Examinations and relevance draws are latent; only
-clicks are logged.
+``epsilon + (1 - epsilon) * (2**y - 1) / (2**Y_MAX - 1)``, where ``Y_MAX``
+is the top grade ``data.Y_MAX``. A click requires both: ``c = e and r``.
+Examinations and relevance draws are latent; only clicks are logged.
 """
 
 import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .data import Y_MAX
 
 
 def check_field_types(config) -> None:
@@ -42,7 +44,6 @@ class SimulationConfig:
 
     eta: float = 1.0
     epsilon: float = 0.1
-    y_max: int = 4
     top_n: int = 10
 
     def __post_init__(self):
@@ -51,8 +52,6 @@ class SimulationConfig:
             raise ValueError(f"eta must be finite and non-negative, got {self.eta!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.y_max < 1:
-            raise ValueError("y_max must be >= 1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
 
@@ -101,9 +100,9 @@ class PositionBiasCurve:
 def perceived_relevance_probability(labels, config: SimulationConfig) -> np.ndarray:
     """P(r=1 | y) for graded labels, the epsilon-floored exponential gain map."""
     y = np.asarray(labels, dtype=np.float64)
-    if np.any(y < 0) or np.any(y > config.y_max):
-        raise ValueError(f"labels must lie in [0, {config.y_max}]")
-    gain = (np.power(2.0, y) - 1.0) / (2.0 ** config.y_max - 1.0)
+    if np.any(y < 0) or np.any(y > Y_MAX):
+        raise ValueError(f"labels must lie in [0, {Y_MAX}]")
+    gain = (np.power(2.0, y) - 1.0) / (2.0 ** Y_MAX - 1.0)
     return config.epsilon + (1.0 - config.epsilon) * gain
 
 

@@ -1,8 +1,10 @@
 """Query-grouped learning-to-rank datasets: SVMlight parsing, synthetic generation, serialization.
 
 Documents carry dense float64 feature vectors and integer relevance grades in
-``[0, y_max]`` (``y_max = 4``, the five-grade convention of the large LETOR
-benchmarks). Sparse SVMlight feature ids are densified on parse.
+``[0, Y_MAX]`` (``Y_MAX = 4``, the five-grade convention of the large LETOR
+benchmarks). ``Y_MAX`` is the one top grade of the package: the click model's
+gain map and the ranking metrics read it too. Sparse SVMlight feature ids are
+densified on parse.
 """
 
 from collections import namedtuple
@@ -28,7 +30,7 @@ class ParseError(ValueError):
 
 
 class LabelRangeError(ParseError):
-    """A relevance label outside [0, y_max]."""
+    """A relevance label outside [0, Y_MAX]."""
 
 
 @dataclass

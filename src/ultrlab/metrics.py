@@ -10,18 +10,18 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from .data import Y_MAX
+
 DEFAULT_CUTOFFS = (1, 3, 5, 10)
 
 
-def ranking_metrics(
-    ranked, cutoffs: Sequence[int] = DEFAULT_CUTOFFS, y_max: int = 4
-) -> Dict[str, np.ndarray]:
+def ranking_metrics(ranked, cutoffs: Sequence[int] = DEFAULT_CUTOFFS) -> Dict[str, np.ndarray]:
     """Per-query nDCG and ERR at every cutoff, keyed 'ndcg@k' then 'err@k'.
 
     nDCG divides the row's sum of (2^y - 1) / log2(rank + 1) up to k by the
     same sum over its label-sorted ideal; a row with no gain has no ideal to
     fall short of, so it scores 1.0. ERR is the cascade stop model: rank i
-    satisfies with probability R_i = (2^y_i - 1) / 2^y_max, and the metric is
+    satisfies with probability R_i = (2^y_i - 1) / 2^Y_MAX, and the metric is
     the running sum over ranks of (1/i) R_i prod_{j<i} (1 - R_j).
     """
     y = np.asarray(ranked, dtype=np.float64)
@@ -29,15 +29,15 @@ def ranking_metrics(
         raise ValueError("ranked labels must be a (queries, ranks) matrix")
     if any(k < 1 for k in cutoffs):
         raise ValueError("cutoff must be >= 1")
-    if not np.all((y >= 0) & (y <= y_max)):
-        raise ValueError(f"labels must lie in [0, {y_max}]")
+    if not np.all((y >= 0) & (y <= Y_MAX)):
+        raise ValueError(f"labels must lie in [0, {Y_MAX}]")
     n = y.shape[1]
     ranks = np.arange(1, n + 1, dtype=np.float64)
     gain = np.power(2.0, y) - 1.0
     discount = np.log2(ranks + 1.0)
     dcg = gain / discount
     ideal = -np.sort(-gain, axis=1) / discount
-    R = gain / 2.0 ** y_max
+    R = gain / 2.0 ** Y_MAX
     # The product over stay is the chance of reaching each rank unsatisfied.
     # cumsum adds in rank order, so err@k carries the bits of a running sum,
     # where a row .sum() would add pairwise; column 0 is the empty prefix.

@@ -276,11 +276,9 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
         raise ValueError("features must be (batch, positions, feature_dim)")
     B, N, d = X.shape
     y = np.asarray(position_targets, dtype=np.float64)
-    if y.ndim == 1:
-        y = np.tile(y, (B, 1))
-    if y.shape != (B, N):
-        raise ValueError("position_targets must be (n_positions,) or (batch, n_positions)")
-    weights = _softmax(y)
+    if y.shape != (N,):
+        raise ValueError("position_targets must be (n_positions,)")
+    weights = _softmax(np.tile(y, (B, 1)))
 
     snapshot = [p.data.copy() for p in model.g_pt] if enforce_freeze else None
     positions = np.tile(np.arange(N, dtype=np.int64), B)
@@ -295,8 +293,7 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
     return loss
 
 
-def backdoor_estimate(model: LPPModel, features: np.ndarray,
-                      n_positions: Optional[int] = None) -> PropensityEstimate:
+def backdoor_estimate(model: LPPModel, features: np.ndarray) -> PropensityEstimate:
     """Backdoor-adjusted rates for every rank, normalized to rank 1.
 
     Every document is scored as if displayed at each forced rank in turn;
@@ -312,14 +309,11 @@ def backdoor_estimate(model: LPPModel, features: np.ndarray,
     readout needs no gradient, so it runs on plain arrays through
     ``MLP.infer`` and builds no tape.
     """
-    n = model.n_positions if n_positions is None else n_positions
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("features must be a non-empty (docs, feature_dim) matrix")
-    if not 1 <= n <= model.n_positions:
-        raise ValueError(f"n_positions must lie in [1, {model.n_positions}]")
     m = model.encoder_d.infer(X)
-    docs = m.shape[0]
-    tiled = (model.position_table.data[:n, None, :] + m[None, :, :]).reshape(n * docs, -1)
+    n, docs = model.n_positions, m.shape[0]
+    tiled = (model.position_table.data[:, None, :] + m[None, :, :]).reshape(n * docs, -1)
     raw = np.exp(model.ffn.infer(tiled).reshape(n, docs).mean(axis=1))
     return PropensityEstimate.from_raw(raw)

@@ -29,11 +29,9 @@ class RankerMLP:
         return X
 
     def forward(self, features: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None,
-                dropout_masks: Optional[Sequence[np.ndarray]] = None) -> Tensor:
+                rng: Optional[np.random.Generator] = None) -> Tensor:
         """Score a stack of feature rows; returns a column of scores, one per row."""
-        return self.net(Tensor(self._rows(features)), train=train, rng=rng,
-                        dropout_masks=dropout_masks)
+        return self.net(Tensor(self._rows(features)), train=train, rng=rng)
 
     def score(self, features: np.ndarray) -> np.ndarray:
         """Eval-mode score column as a plain array, built with no tape."""

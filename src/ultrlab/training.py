@@ -29,6 +29,7 @@ from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, samp
 from .data import Dataset, generate_synthetic
 from .metrics import DEFAULT_CUTOFFS, normalized_propensity, propensity_error, ranking_metrics
 from .propensity import (
+    TARGET_VARIANTS,
     LPPModel,
     PositionPropensityModel,
     PropensityEstimate,
@@ -220,8 +221,10 @@ class ExperimentConfig:
             raise ValueError(f"paradigm must be one of {PARADIGMS}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.target_variant not in TARGET_VARIANTS:
+            raise ValueError(f"target_variant must be one of {TARGET_VARIANTS}")
         for name in ("total_steps", "batch_queries", "refresh_interval",
-                     "eval_every", "probe_docs"):
+                     "eval_every", "probe_docs", "lpp_embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.total_steps % self.refresh_interval != 0:
@@ -248,10 +251,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config a JSON object describes; a key no field owns is a ValueError."""
         raw = dict(raw)
         sim = raw.pop("simulation", {})
-        if not isinstance(sim, dict) or not set(sim) <= {f.name for f in fields(SimulationConfig)}:
-            raise ValueError(f"simulation must be a section of SimulationConfig keys, got {sim!r}")
+        if not isinstance(sim, dict):
+            raise ValueError(f"simulation must be a JSON object, got {sim!r}")
+        for prefix, section, owner in (("", raw, cls), ("simulation.", sim, SimulationConfig)):
+            known = {f.name for f in fields(owner)}
+            for key in section:
+                if key not in known:
+                    raise ValueError(f"unknown config key '{prefix}{key}'")
         return cls(simulation=SimulationConfig(**sim), **raw)
 
 
@@ -289,12 +298,11 @@ class RunResult:
 
 
 def evaluate_ranker(ranker: RankerMLP, view: DatasetView,
-                    cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
-                    y_max: int = 4) -> Dict[str, float]:
+                    cutoffs: Sequence[int] = DEFAULT_CUTOFFS) -> Dict[str, float]:
     """Mean test metrics: rank every query by eval-mode score, true labels."""
     scores = ranker.score(view.flat_features()).reshape(view.n_queries, view.n_docs)
     ranked = np.take_along_axis(view.labels, rank_view_scores(scores), axis=1)
-    return {key: float(v.mean()) for key, v in ranking_metrics(ranked, cutoffs, y_max).items()}
+    return {key: float(v.mean()) for key, v in ranking_metrics(ranked, cutoffs).items()}
 
 
 class IPWLearner:
@@ -394,13 +402,12 @@ class UPELearner(DLALearner):
         joint_propensity_step(self.lpp, self.opt_lpp, batch.features, targets,
                               enforce_freeze=cfg.upe_freeze)
 
-        self.last_estimate = backdoor_estimate(
-            self.lpp, batch.features.reshape(B * N, d), N)
+        self.last_estimate = backdoor_estimate(self.lpp, batch.features.reshape(B * N, d))
         return self._ranker_update(scores, batch, self.last_estimate)
 
     def estimate(self) -> PropensityEstimate:
         """Eval-time estimate over the fixed probe documents."""
-        return backdoor_estimate(self.lpp, self.probe_features, self.n_positions)
+        return backdoor_estimate(self.lpp, self.probe_features)
 
 
 def _build_learner(cfg: ExperimentConfig, view: DatasetView, n_positions: int,
@@ -460,8 +467,7 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
     def record(step: int):
         est = learner.estimate()
         row = {"step": step, "algorithm": cfg.algorithm, "seed": cfg.seed}
-        row.update(evaluate_ranker(learner.ranker, test_view,
-                                   y_max=cfg.simulation.y_max))
+        row.update(evaluate_ranker(learner.ranker, test_view))
         row["norm_prop@1"] = float(
             normalized_propensity(est, ref_position=truth_ref)[0])
         row["prop_error"] = propensity_error(est, curve, cfg.simulation.eta)

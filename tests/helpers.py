@@ -73,7 +73,8 @@ def check_parameter_gradients(params, loss_fn, tol=FD_TOL, h=FD_H):
     """Same check for named Parameters of a model, perturbing them in place.
 
     ``loss_fn()`` must rebuild the forward pass from the parameters' current
-    values every call (deterministically: eval mode or pinned dropout masks).
+    values every call (deterministically: eval mode, or a dropout rng seeded
+    afresh on every call so that each evaluation draws the same masks).
     """
     for p in params:
         p.grad = None
@@ -158,9 +159,10 @@ def gradient_case(name, rng):
     if name == "elu":
         return [rng.normal(size=(3, 4))], lambda ts: (ts[0].elu() * Tensor(W34)).sum()
     if name == "dropout":
-        mask = (rng.random((3, 4)) >= 0.4) / 0.6
+        seed = int(rng.integers(2**32))
         return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].dropout(0.4, mask=mask) * Tensor(W34)).sum())
+            lambda ts: (ts[0].dropout(0.4, rng=np.random.default_rng(seed))
+                        * Tensor(W34)).sum())
     if name == "log_softmax":
         return [rng.normal(size=(3, 4))], (
             lambda ts: (ts[0].log_softmax() * Tensor(W34)).sum())
@@ -191,16 +193,16 @@ def gradient_case(name, rng):
 
 
 def ranker_gradient_case(rng):
-    """A small full ranker with active dropout, pinned masks, and a click loss."""
+    """A small full ranker with active dropout, pinned draws, and a click loss."""
     model = RankerMLP(5, rng, hidden=(8, 6), dropout=0.3)
     X = rng.uniform(size=(6, 5))
     clicks = rng.integers(0, 2, size=(2, 3)).astype(np.float64)
     clicks[0, 0] = 1.0
     estimate = PropensityEstimate(weights=np.array([1.0, 0.6, 0.3]))
-    masks = [(rng.random((6, 8)) >= 0.3) / 0.7, (rng.random((6, 6)) >= 0.3) / 0.7]
+    seed = int(rng.integers(2**32))
 
     def loss_fn():
-        out = model.forward(X, train=True, dropout_masks=masks)
+        out = model.forward(X, train=True, rng=np.random.default_rng(seed))
         return ipw_ranking_loss(out.reshape(2, 3), clicks, estimate)
 
     return model.parameters(), loss_fn

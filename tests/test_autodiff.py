@@ -289,7 +289,7 @@ def test_dropout_zero_rate_train_equals_eval():
     assert np.array_equal(train_out.data, eval_out.data)
 
 
-def test_dropout_requires_rng_or_mask():
+def test_dropout_requires_rng_and_a_rate_below_one():
     with pytest.raises(ValueError):
         Tensor(np.ones((2, 2))).dropout(0.5)
     with pytest.raises(ValueError):
@@ -297,10 +297,13 @@ def test_dropout_requires_rng_or_mask():
 
 
 def test_dropout_mask_scales_survivors():
-    x = Tensor(np.ones((1, 4)))
-    mask = np.array([[0.0, 2.0, 2.0, 0.0]])
-    out = x.dropout(0.5, mask=mask)
-    assert np.array_equal(out.data, mask)
+    """Each entry is zeroed or scaled by 1/(1-p), and a generator seeded
+    afresh draws the same mask again."""
+    x = Tensor(np.ones((4, 5)))
+    out = x.dropout(0.5, rng=np.random.default_rng(3))
+    assert set(np.unique(out.data)) == {0.0, 2.0}
+    again = x.dropout(0.5, rng=np.random.default_rng(3))
+    assert np.array_equal(again.data, out.data)
 
 
 def test_linear_bias_starts_at_zero():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from ultrlab.causal import ToyCausalModel, overestimation_report
 from ultrlab.cli import main
+from ultrlab.clicks import SimulationConfig
 from ultrlab.data import parse_svmlight
-from ultrlab.training import CURVE_COLUMNS
+from ultrlab.training import CURVE_COLUMNS, ExperimentConfig
 
 TINY = ["--set", "total_steps=10", "--set", "eval_every=5",
         "--set", "refresh_interval=10", "--set", "batch_queries=4",
@@ -247,7 +249,9 @@ def _train_fails_cleanly(out, *args):
                                      "ranker_hidden=[8,-1]", "simulation=5",
                                      "simulation.eta=NaN", "simulation.eta=Infinity",
                                      "learning_rate=NaN", "learning_rate=Infinity",
-                                     "tau=0", "tau=1.5", "dropout=1.0", "dropout=-0.1"])
+                                     "tau=0", "tau=1.5", "dropout=1.0", "dropout=-0.1",
+                                     "target_variant=bogus", "lpp_embed_dim=0",
+                                     "lpp_embed_dim=-1", "simulation.y_max=4"])
 def test_bad_config_types_fail_cleanly(tmp_path, setting):
     line = _train_fails_cleanly(tmp_path / "o", "--set", setting)
     assert setting.split("=")[0].split(".")[-1] in line
@@ -299,6 +303,46 @@ def test_reversed_empty_and_non_integer_seed_ranges_fail_cleanly(tmp_path, seeds
     assert "--seeds" in line
 
 
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_config_seed_picks_the_run(data_dir, tmp_path, source):
+    """Without --seed or --seeds the config's seed is the run's seed."""
+    out = tmp_path / "run"
+    args = ["train", "--out", str(out), "--data", str(data_dir),
+            "--algorithm", "naive", "--paradigm", "Off"] + TINY
+    if source == "set":
+        args += ["--set", "seed=5"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 5}')
+        args += ["--config", str(cfg)]
+    assert main(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 5 and manifest["seeds"] == [5]
+    assert (out / "curves_seed5.csv").exists()
+    assert not (out / "curves_seed0.csv").exists()
+
+
+def test_seed_flag_overrides_config_seed(data_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), "--data", str(data_dir),
+                 "--algorithm", "naive", "--paradigm", "Off",
+                 "--seed", "2", "--set", "seed=5"] + TINY) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 2 and manifest["seeds"] == [2]
+    assert sorted(p.name for p in out.glob("curves_seed*.csv")) == ["curves_seed2.csv"]
+
+
+def test_worker_pool_writes_the_serial_bytes(run_dir, data_dir, tmp_path):
+    """Seeds trained in two worker processes write the curves of one process."""
+    pooled = tmp_path / "pooled"
+    assert main(["train", "--out", str(pooled), "--data", str(data_dir),
+                 "--algorithm", "naive", "--paradigm", "Off",
+                 "--seeds", "0..1", "--workers", "2"] + TINY) == 0
+    for seed in (0, 1):
+        name = f"curves_seed{seed}.csv"
+        assert (pooled / name).read_bytes() == (run_dir / name).read_bytes()
+
+
 def test_single_seed_range(data_dir, tmp_path):
     out = tmp_path / "one"
     assert main(["train", "--out", str(out), "--data", str(data_dir),
@@ -345,3 +389,32 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# Every settable config value, as `--set` spells it.
+_CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "simulation"] + \
+    [f"simulation.{f.name}" for f in fields(SimulationConfig)]
+_JSON_LITERALS = ["0", "1", "2", "-1", "-7", "0.5", "2.5", "-0.3", "1e9", "NaN", "Infinity",
+                  "-Infinity", "true", "false", "null", '"abc"', "abc", '""', "Off", "dcg",
+                  "[]", "[0]", "[3]", "[2,2]", "{}"]
+
+
+def test_config_keys_cover_every_setting():
+    assert len(_CONFIG_KEYS) == 21
+
+
+@settings(max_examples=500, deadline=None)
+@given(key=st.sampled_from(_CONFIG_KEYS), value=st.sampled_from(_JSON_LITERALS))
+def test_fuzzed_config_values_exit_cleanly(tmp_path_factory, data_dir, key, value):
+    """Any value for any key either trains or is refused with one `error:` line."""
+    out = tmp_path_factory.mktemp("fuzz")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["train", "--out", str(out / "run"), "--data", str(data_dir),
+                   "--algorithm", "upe", *TINY, "--set", f"{key}={value}"])
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -70,8 +70,6 @@ def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(epsilon=1.5)
     with pytest.raises(ValueError):
-        SimulationConfig(y_max=0)
-    with pytest.raises(ValueError):
         SimulationConfig(top_n=0)
 
 

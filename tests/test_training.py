@@ -215,11 +215,18 @@ def test_config_field_types():
                 dict(simulation={"eta": 1.0})):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    for bad in (dict(eta=True), dict(eta="2"), dict(top_n=10.0), dict(y_max=True)):
+    for bad in (dict(eta=True), dict(eta="2"), dict(top_n=10.0)):
         with pytest.raises(ValueError):
             SimulationConfig(**bad)
     assert SimulationConfig(eta=2).eta == 2
     assert ExperimentConfig(learning_rate=1, ranker_hidden=[8, 4]).ranker_hidden == (8, 4)
+
+
+@pytest.mark.parametrize("raw, key", [({"bogus": 1}, "'bogus'"),
+                                      ({"simulation": {"y_max": 4}}, "'simulation.y_max'")])
+def test_from_dict_names_unknown_keys(raw, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_config_round_trips_through_dict():

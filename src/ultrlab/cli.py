@@ -91,9 +91,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_one_seed(cfg: ExperimentConfig, data_dir, out_dir: str, curve_path):
-    data = _load_split(data_dir) if data_dir else make_split_data()
-    curve = PositionBiasCurve.from_file(curve_path) if curve_path else None
+def _train_one_seed(cfg: ExperimentConfig, data: SplitData, curve, out_dir: str):
     result = run_experiment(cfg, data, curve=curve)
     out = Path(out_dir)
     curves_path = out / f"curves_seed{cfg.seed}.csv"
@@ -133,10 +131,12 @@ def cmd_train(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     configs = [dataclasses.replace(cfg, seed=seed) for seed in seeds]
+    data = _load_split(args.data) if args.data else make_split_data()
+    curve = PositionBiasCurve.from_file(args.curve) if args.curve else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(c, args.data, str(out), args.curve) for c in configs]
+    jobs = [(c, data, curve, str(out)) for c in configs]
 
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -146,7 +146,7 @@ def cmd_train(args) -> int:
 
     manifest = {
         "artifact_version": __version__,
-        "config": configs[0].as_dict(),
+        "config": dataclasses.asdict(configs[0]),
         "master_seed": seeds[0],
         "seeds": seeds,
         "data": os.path.relpath(args.data, out) if args.data else "synthetic-default",
@@ -163,14 +163,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.set)
     data = _load_split(args.data) if args.data else make_split_data()
     dataset = data.test if args.split == "test" else data.train
-    view = DatasetView(dataset)
-    ranker = RankerMLP(dataset.feature_dim, np.random.default_rng(0),
-                       hidden=cfg.ranker_hidden, dropout=cfg.dropout)
+    # Layer i's weight matrix is (in, out), so each hidden width is the out
+    # side of every layer but the last; load_params checks the input width.
+    hidden = []
+    with np.load(args.model) as archive:
+        while f"ranker.l{len(hidden) + 1}.W" in archive.files:
+            hidden.append(archive[f"ranker.l{len(hidden)}.W"].shape[-1])
+    ranker = RankerMLP(dataset.feature_dim, np.random.default_rng(0), hidden=hidden)
     load_params(args.model, ranker.parameters())
-    metrics = evaluate_ranker(ranker, view)
+    metrics = evaluate_ranker(ranker, DatasetView(dataset))
     print(json.dumps(metrics, indent=2))
     return 0
 
@@ -273,11 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved ranker snapshot on a split")
-    p.add_argument("--model", required=True, help="model npz from train")
+    p.add_argument("--model", required=True,
+                   help="model npz from train; the layer widths are read from it")
     p.add_argument("--data", help="directory from gen-data; default regenerates")
     p.add_argument("--split", choices=["train", "test"], default="test")
-    p.add_argument("--config", help="JSON config file (for model shape)")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle-demo", help="print the exact overestimation report")

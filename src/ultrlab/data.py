@@ -137,6 +137,8 @@ def parse_svmlight(text: str) -> Dataset:
                 raise ParseError(line_no, f"bad feature token {tok!r}") from None
             if fid < 1:
                 raise ParseError(line_no, f"feature ids are 1-based, got {fid}")
+            if fid in feats:
+                raise ParseError(line_no, f"feature id {fid} given twice")
             feats[fid] = val
             max_fid = max(max_fid, fid)
         cells_row.extend([len(qids)] * len(feats))

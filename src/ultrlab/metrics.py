@@ -81,7 +81,7 @@ def propensity_error(estimate, truth_curve, eta: float) -> float:
     rank before comparing, so a uniformly scaled estimate scores 0.
     """
     w = _weight_vector(estimate)
-    true = np.asarray(truth_curve.values, dtype=np.float64)[: w.size] ** eta
+    true = truth_curve.examination(eta)[: w.size]
     if true.size != w.size:
         raise ValueError("truth curve shorter than the estimate")
     w_n = w / w[-1]

@@ -20,7 +20,7 @@ estimate, then the ranker update.
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -48,8 +48,7 @@ ALGORITHMS = ("upe", "dla", "naive", "ipw_oracle")
 PARADIGMS = ("OnD", "Off")
 
 CURVE_COLUMNS = ("step", "algorithm", "seed",
-                 "ndcg@1", "ndcg@3", "ndcg@5", "ndcg@10",
-                 "err@1", "err@3", "err@5", "err@10",
+                 *(f"{metric}@{k}" for metric in ("ndcg", "err") for k in DEFAULT_CUTOFFS),
                  "norm_prop@1", "prop_error")
 
 
@@ -120,14 +119,13 @@ class LoggingPolicy:
 
     view: DatasetView
     scores: np.ndarray
-    order: np.ndarray = field(default=None)
+    order: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (self.view.n_queries, self.view.n_docs):
             raise ValueError("scores must be (n_queries, n_docs) for the view")
-        if self.order is None:
-            self.order = rank_view_scores(self.scores)
+        self.order = rank_view_scores(self.scores)
         self.scores.setflags(write=False)
         self.order.setflags(write=False)
 
@@ -242,13 +240,6 @@ class ExperimentConfig:
         self.lpp_encoder_hidden = tuple(self.lpp_encoder_hidden)
         self.lpp_ffn_hidden = tuple(self.lpp_ffn_hidden)
 
-    def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["simulation"] = dict(self.simulation.__dict__)
-        for key in ("ranker_hidden", "lpp_encoder_hidden", "lpp_ffn_hidden"):
-            d[key] = list(d[key])
-        return d
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """The config a JSON object describes; a key no field owns is a ValueError."""
@@ -277,9 +268,6 @@ class StepBatch:
 class RunResult:
     """Curves, final test metrics, and the final propensity estimate of a run."""
 
-    config: dict
-    algorithm: str
-    seed: int
     curve: List[dict]
     final_metrics: Dict[str, float]
     final_estimate: PropensityEstimate
@@ -297,12 +285,11 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_ranker(ranker: RankerMLP, view: DatasetView,
-                    cutoffs: Sequence[int] = DEFAULT_CUTOFFS) -> Dict[str, float]:
+def evaluate_ranker(ranker: RankerMLP, view: DatasetView) -> Dict[str, float]:
     """Mean test metrics: rank every query by eval-mode score, true labels."""
     scores = ranker.score(view.flat_features()).reshape(view.n_queries, view.n_docs)
     ranked = np.take_along_axis(view.labels, rank_view_scores(scores), axis=1)
-    return {key: float(v.mean()) for key, v in ranking_metrics(ranked, cutoffs).items()}
+    return {key: float(v.mean()) for key, v in ranking_metrics(ranked).items()}
 
 
 class IPWLearner:
@@ -432,22 +419,16 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
     """Train one learner on simulated clicks from a logging policy.
 
     Without a policy, 'Off' logs with the weak linear scorer built for this
-    seed and 'OnD' with a snapshot of the freshly initialized ranker. The
-    policy is replaced by a snapshot of the current ranker every refresh
-    interval exactly when the paradigm is 'OnD'. The curve defaults to
-    inverse rank over the displayed positions and never changes.
+    seed and 'OnD' with a snapshot of the learner's freshly initialized
+    ranker. The policy is replaced by a snapshot of the current ranker every
+    refresh interval exactly when the paradigm is 'OnD'. The curve defaults
+    to inverse rank over the displayed positions and never changes.
     """
     started = time.monotonic()
-    if policy is None:
-        if cfg.paradigm == "Off":
-            policy = train_weak_policy(data.train, cfg.weak_fraction,
-                                       derive_seed(cfg.seed, "weak-policy"))
-        else:
-            bootstrap = RankerMLP(data.train.feature_dim,
-                                  rng_for(cfg.seed, cfg.algorithm, "init"),
-                                  hidden=cfg.ranker_hidden, dropout=cfg.dropout)
-            policy = LoggingPolicy.from_ranker(bootstrap, DatasetView(data.train))
-    train_view = policy.view
+    if policy is None and cfg.paradigm == "Off":
+        policy = train_weak_policy(data.train, cfg.weak_fraction,
+                                   derive_seed(cfg.seed, "weak-policy"))
+    train_view = DatasetView(data.train) if policy is None else policy.view
     if train_view.dataset is not data.train:
         raise ValueError("policy was built on a different dataset")
     n_positions = min(cfg.simulation.top_n, train_view.n_docs)
@@ -455,16 +436,23 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
         curve = PositionBiasCurve.inverse_rank(n_positions)
     if len(curve) < n_positions:
         raise ValueError("bias curve shorter than the displayed list")
+    # Every inverse weight and propensity_error divide by these probabilities.
+    underflow = curve.examination(cfg.simulation.eta)[:n_positions] < np.finfo(np.float64).tiny
+    if underflow.any():
+        raise ValueError(f"simulation.eta={cfg.simulation.eta!r} underflows the examination "
+                         f"probability at rank {np.argmax(underflow) + 1}")
     test_view = DatasetView(data.test)
 
     learner = _build_learner(cfg, train_view, n_positions, curve)
+    if policy is None:
+        policy = LoggingPolicy.from_ranker(learner.ranker, train_view)
     batch_rng = rng_for(cfg.seed, "batch")
     click_rng = rng_for(cfg.seed, "clicks")
 
     truth_ref = min(10, n_positions)
     curve_rows: List[dict] = []
 
-    def record(step: int):
+    def record(step: int) -> PropensityEstimate:
         est = learner.estimate()
         row = {"step": step, "algorithm": cfg.algorithm, "seed": cfg.seed}
         row.update(evaluate_ranker(learner.ranker, test_view))
@@ -472,8 +460,9 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
             normalized_propensity(est, ref_position=truth_ref)[0])
         row["prop_error"] = propensity_error(est, curve, cfg.simulation.eta)
         curve_rows.append(row)
+        return est
 
-    record(0)
+    estimate = record(0)
     refresh = cfg.paradigm == "OnD"
     for step in range(1, cfg.total_steps + 1):
         if refresh and step > 1 and (step - 1) % cfg.refresh_interval == 0:
@@ -485,18 +474,15 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
         clicks = sample_click_matrix(labels, curve, cfg.simulation, click_rng)
         learner.step(StepBatch(features=feats, clicks=clicks, logging_scores=log_scores))
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
-            record(step)
+            estimate = record(step)
 
     final = dict(curve_rows[-1])
     for drop in ("step", "algorithm", "seed"):
         final.pop(drop)
     return RunResult(
-        config=cfg.as_dict(),
-        algorithm=cfg.algorithm,
-        seed=cfg.seed,
         curve=curve_rows,
         final_metrics=final,
-        final_estimate=learner.estimate(),
+        final_estimate=estimate,
         duration_s=time.monotonic() - started,
         ranker=learner.ranker,
     )

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultrlab.autodiff import load_params
 from ultrlab.causal import ToyCausalModel, overestimation_report
 from ultrlab.cli import main
 from ultrlab.clicks import SimulationConfig
 from ultrlab.data import parse_svmlight
-from ultrlab.training import CURVE_COLUMNS, ExperimentConfig
+from ultrlab.ranker import RankerMLP
+from ultrlab.training import CURVE_COLUMNS, DatasetView, ExperimentConfig, evaluate_ranker
 
 TINY = ["--set", "total_steps=10", "--set", "eval_every=5",
         "--set", "refresh_interval=10", "--set", "batch_queries=4",
@@ -111,20 +114,32 @@ def test_train_covers_the_full_loop(data_dir, tmp_path):
 
 
 def test_eval_prints_json_metrics(run_dir, data_dir, capsys):
+    """The snapshot alone gives the ranker's shape: TINY trained hidden=[8,6]."""
     rc = main(["eval", "--model", str(run_dir / "model_seed0.npz"),
-               "--data", str(data_dir), "--split", "test",
-               "--set", "ranker_hidden=[8,6]"])
+               "--data", str(data_dir), "--split", "test"])
     assert rc == 0
     metrics = json.loads(capsys.readouterr().out)
-    assert 0.0 <= metrics["ndcg@10"] <= 1.0
-    assert set(metrics) >= {"ndcg@1", "ndcg@10", "err@10"}
+    ranker = RankerMLP(5, np.random.default_rng(1), hidden=(8, 6))
+    load_params(run_dir / "model_seed0.npz", ranker.parameters())
+    test = DatasetView(parse_svmlight((data_dir / "test.txt").read_text()))
+    assert metrics == evaluate_ranker(ranker, test)
 
 
-def test_eval_rejects_mismatched_shapes(run_dir, data_dir, capsys):
-    rc = main(["eval", "--model", str(run_dir / "model_seed0.npz"),
-               "--data", str(data_dir)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+def test_eval_rejects_mismatched_shapes(run_dir, tmp_path):
+    """A snapshot trained on 5 features cannot score 6-feature documents."""
+    wide = tmp_path / "wide"
+    assert main(["gen-data", "--out", str(wide), "--train-queries", "2",
+                 "--test-queries", "2", "--docs", "5", "--features", "6"]) == 0
+    line = _fails_cleanly("eval", "--model", str(run_dir / "model_seed0.npz"),
+                          "--data", str(wide))
+    assert "ranker.l0.W" in line
+
+
+@pytest.mark.parametrize("flag", ["--config", "--set"])
+def test_eval_takes_no_config(run_dir, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", str(run_dir / "model_seed0.npz"), flag, "x"])
+    assert exc.value.code == 2
 
 
 def test_oracle_demo_prints_reference_numbers(capsys, tmp_path):
@@ -295,6 +310,40 @@ def test_unknown_simulation_key_in_config_file_fails_cleanly(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"simulation": {"etaa": 2}}))
     assert "etaa" in _train_fails_cleanly(tmp_path / "o", "--config", str(cfg))
+
+
+@pytest.mark.parametrize("flag", ["--data", "--curve"])
+def test_missing_inputs_write_nothing(tmp_path, flag):
+    _train_fails_cleanly(tmp_path / "o", flag, str(tmp_path / "missing"))
+
+
+@pytest.fixture(scope="module")
+def ten_doc_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ten")
+    assert main(["gen-data", "--out", str(out), "--train-queries", "4",
+                 "--test-queries", "2", "--docs", "10", "--features", "5"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("algorithm", ["upe", "ipw_oracle"])
+@pytest.mark.parametrize("eta, rank", [("310", 10), ("1e9", 2)])
+def test_eta_that_underflows_the_curve_fails_cleanly(ten_doc_dir, tmp_path, algorithm, eta,
+                                                     rank):
+    """(1/10)**310 is subnormal and (1/2)**1e9 is 0: the line names the first bad rank."""
+    line = _fails_cleanly("train", "--out", str(tmp_path / "o"), "--data", str(ten_doc_dir),
+                          "--algorithm", algorithm, *TINY, "--set", f"simulation.eta={eta}")
+    assert "simulation.eta" in line and line.endswith(f"rank {rank}")
+
+
+def test_steep_eta_still_trains(ten_doc_dir, tmp_path):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--out", str(out), "--data", str(ten_doc_dir),
+                     "--algorithm", "upe", *TINY, "--set", "simulation.eta=300"]) == 0
+    rows = (out / "curves_seed0.csv").read_text().splitlines()[1:]
+    values = [float(cell) for row in rows for cell in row.split(",")[3:]]
+    assert values and np.all(np.isfinite(values))
 
 
 @pytest.mark.parametrize("seeds", ["4..0", "", "..", "0..", "a..2", "0..1.5"])

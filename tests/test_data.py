@@ -69,6 +69,8 @@ def test_parse_errors_carry_line_numbers():
         parse_svmlight("1 qid:1 1=0.5")
     with pytest.raises(ParseError):
         parse_svmlight("# floating comment")
+    with pytest.raises(ParseError, match="line 2: feature id 1 given twice"):
+        parse_svmlight("0 qid:1 1:0.1\n1 qid:1 1:0.5 1:0.7")
 
 
 def test_label_out_of_range_is_its_own_error():

@@ -1,5 +1,6 @@
 """Training loop: policies, learner wiring, paradigm equivalence, determinism."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -231,7 +232,7 @@ def test_from_dict_names_unknown_keys(raw, key):
 
 def test_config_round_trips_through_dict():
     cfg = _small_cfg(algorithm="upe", learning_rate=0.03)
-    back = ExperimentConfig.from_dict(cfg.as_dict())
+    back = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
     assert back == cfg
     assert isinstance(back.ranker_hidden, tuple)
     assert back.simulation == cfg.simulation

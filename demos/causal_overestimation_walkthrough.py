@@ -2,7 +2,7 @@
 
 Builds the small discrete causal model where document type confounds
 position and relevance, enumerates the exact joint distribution, and prints
-the position-only estimand next to the true interventional quantity. With
+the position-only estimand next to the true examination under do(K). With
 the reference policy the estimand inflates the position-1 weight by about
 1.509x and the rank-1-to-rank-2 ratio to ~6.15 where the causal ratio is 2.
 Flattening the policy (so position no longer depends on the document)

@@ -9,13 +9,10 @@ causal oracle for quantifying propensity overestimation.
 __version__ = "0.1.0"
 
 from .causal import (
-    JointTable,
     OverestimationReport,
     ToyCausalModel,
-    conditional,
     enumerate_joint,
-    intervene,
-    interventional,
+    interventional_joint,
     overestimation_report,
 )
 from .clicks import (

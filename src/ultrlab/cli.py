@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -94,6 +95,7 @@ def cmd_gen_data(args) -> int:
 def _train_one_seed(cfg: ExperimentConfig, data: SplitData, curve, out_dir: str):
     result = run_experiment(cfg, data, curve=curve)
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     curves_path = out / f"curves_seed{cfg.seed}.csv"
     curves_path.write_text(result.curves_csv())
     model_path = out / f"model_seed{cfg.seed}.npz"
@@ -133,8 +135,11 @@ def cmd_train(args) -> int:
     configs = [dataclasses.replace(cfg, seed=seed) for seed in seeds]
     data = _load_split(args.data) if args.data else make_split_data()
     curve = PositionBiasCurve.from_file(args.curve) if args.curve else None
+    # Each seed makes --out once its run succeeds; refuse now a path it could not make.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
 
     jobs = [(c, data, curve, str(out)) for c in configs]
 
@@ -168,7 +173,13 @@ def cmd_eval(args) -> int:
     # Layer i's weight matrix is (in, out), so each hidden width is the out
     # side of every layer but the last; load_params checks the input width.
     hidden = []
-    with np.load(args.model) as archive:
+    try:
+        archive = np.load(args.model)
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"--model {args.model} is not an npz archive from train")
+    with archive:
         while f"ranker.l{len(hidden) + 1}.W" in archive.files:
             hidden.append(archive[f"ranker.l{len(hidden)}.W"].shape[-1])
     ranker = RankerMLP(dataset.feature_dim, np.random.default_rng(0), hidden=hidden)

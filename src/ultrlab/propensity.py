@@ -62,6 +62,8 @@ class PropensityEstimate:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise ValueError("weights must be a non-empty vector")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError(f"weights must be finite, got {self.weights.tolist()}")
         if self.weights[0] != 1.0:
             raise ValueError("weights must be normalized to 1 at position 1")
         if np.any(self.weights <= 0.0) or np.any(self.weights > 1.0):
@@ -74,6 +76,8 @@ class PropensityEstimate:
     def from_raw(cls, raw) -> "PropensityEstimate":
         """Normalize positives by the first entry; anything above 1 saturates."""
         raw = np.asarray(raw, dtype=np.float64)
+        if not np.all(np.isfinite(raw)):
+            raise ValueError(f"raw weights must be finite, got {raw.tolist()}")
         if raw.size == 0 or np.any(raw <= 0.0):
             raise ValueError("raw weights must be positive")
         return cls(weights=np.minimum(raw / raw[0], 1.0))
@@ -88,12 +92,13 @@ class PropensityEstimate:
         """The simulator's true relative propensities rho_k**eta / rho_1**eta."""
         return cls.from_raw(curve.examination(eta))
 
-    def as_csv(self, ref_position: int = 10) -> str:
-        """Rows `position,weight,normalized_weight_ref10`."""
-        ref = min(ref_position, len(self)) - 1
+    def as_csv(self) -> str:
+        """Rows `position,weight,normalized_weight_ref10`; a list shorter than
+        10 ranks normalizes by its last rank."""
+        ref = self.weights[min(10, len(self)) - 1]
         lines = ["position,weight,normalized_weight_ref10"]
         for i, w in enumerate(self.weights, start=1):
-            lines.append(f"{i},{float(w)!r},{float(w / self.weights[ref])!r}")
+            lines.append(f"{i},{float(w)!r},{float(w / ref)!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -11,12 +11,11 @@ behind ``backdoor_estimate``.
 """
 
 import math
-from typing import Mapping
 
 import numpy as np
 
 from ultrlab.autodiff import Tensor, weighted_listwise_ce
-from ultrlab.causal import ToyCausalModel, conditional, enumerate_joint, intervene
+from ultrlab.causal import ToyCausalModel, enumerate_joint, interventional_joint
 from ultrlab.clicks import PositionBiasCurve, SimulationConfig, perceived_relevance_probability
 from ultrlab.propensity import LPPModel, PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
@@ -305,20 +304,17 @@ def backdoor_adjust(model: LPPModel, features: np.ndarray, k: int) -> float:
     return float(np.exp(out.data.mean()))
 
 
-def backdoor_adjustment_terms(
-    model: ToyCausalModel, do_k: int, given: Mapping[str, int]
-) -> np.ndarray:
-    """Per-type products P(x | given, cut graph) * P(E=1 | x, K=do_k, seen graph).
+def backdoor_adjustment_terms(model: ToyCausalModel, k: int, c: slice) -> np.ndarray:
+    """Per-type products P(x | c, cut graph) * P(E=1 | x, K=k+1, c, seen graph).
 
-    Summing the terms reconstructs the interventional examination probability
-    from observational conditionals plus the adjustment prior. Each factor is
-    computed from its own joint table, so the sum really is a second route.
+    ``k`` is a 0-based rank index and ``c`` a slice of the click axis:
+    ``slice(None)`` conditions on nothing, ``slice(1, 2)`` on a click.
+    Summing the terms reconstructs P(E=1 | do(K=k+1), c) from observational
+    ratios plus the adjustment prior. Each factor is computed from its own
+    joint array, so the sum really is a second route.
     """
-    observational = enumerate_joint(model)
-    mutilated = enumerate_joint(intervene(model, do_k))
-    terms = np.empty(model.n_types)
-    for x in range(model.n_types):
-        prior = conditional(mutilated, {"x": x}, given)
-        exam = conditional(observational, {"e": 1}, {**given, "x": x, "k": do_k})
-        terms[x] = prior * exam
-    return terms
+    seen = enumerate_joint(model)[:, :, k, :, c]  # axes (x, r, e, c)
+    cut = interventional_joint(model)[:, :, k, :, c]
+    prior = cut.sum(axis=(1, 2, 3)) / cut.sum()
+    exam = seen[:, :, 1].sum(axis=(1, 2)) / seen.sum(axis=(1, 2, 3))
+    return prior * exam

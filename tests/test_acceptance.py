@@ -39,9 +39,8 @@ from helpers import (
 )
 from ultrlab.causal import (
     ToyCausalModel,
-    conditional,
     enumerate_joint,
-    interventional,
+    interventional_joint,
     overestimation_report,
 )
 from ultrlab.cli import main as cli_main
@@ -133,15 +132,16 @@ def test_criterion_1_causal_oracle_exactness():
     for seed in range(100):
         rng = np.random.default_rng(7000 + seed)
         model = random_causal_model(rng)
-        table = enumerate_joint(model)
-        k = int(rng.integers(1, model.n_positions + 1))
-        direct = conditional(table, {"e": 1}, {"k": k, "c": 1})
-        total = sum(conditional(table, {"e": 1}, {"x": x, "k": k, "c": 1})
-                    * conditional(table, {"x": x}, {"k": k, "c": 1})
+        k = int(rng.integers(1, model.n_positions + 1)) - 1
+        clicked = enumerate_joint(model)[:, :, k, :, 1]  # axes (x, r, e)
+        direct = clicked[:, :, 1].sum() / clicked.sum()
+        total = sum(clicked[x, :, 1].sum() / clicked[x].sum()
+                    * (clicked[x].sum() / clicked.sum())
                     for x in range(model.n_types))
         worst_decomp = max(worst_decomp, abs(direct - total))
-        cut = interventional(model, k, {"e": 1}, {"c": 1})
-        summed = float(backdoor_adjustment_terms(model, k, {"c": 1}).sum())
+        done = interventional_joint(model)[:, :, k, :, 1]
+        cut = done[:, :, 1].sum() / done.sum()
+        summed = float(backdoor_adjustment_terms(model, k, slice(1, 2)).sum())
         worst_adjust = max(worst_adjust, abs(cut - summed))
     elapsed = time.monotonic() - started
 

@@ -1,16 +1,17 @@
-"""Exact causal enumeration: frozen reference values and algebraic identities."""
+"""Exact causal enumeration: frozen reference values and algebraic identities.
+
+Events are index slices of the joint arrays on axes (x, r, k, e, c), with k
+0-based; P(A | B) is the sum over A and B divided by the sum over B.
+"""
 
 import numpy as np
 import pytest
 
 from helpers import backdoor_adjustment_terms, random_causal_model
 from ultrlab.causal import (
-    JointTable,
     ToyCausalModel,
-    conditional,
     enumerate_joint,
-    intervene,
-    interventional,
+    interventional_joint,
     overestimation_report,
 )
 
@@ -19,7 +20,7 @@ def test_joint_table_sums_to_one():
     for seed in range(10):
         model = random_causal_model(np.random.default_rng(seed))
         table = enumerate_joint(model)
-        assert abs(table.table.sum() - 1.0) <= 1e-12
+        assert abs(table.sum() - 1.0) <= 1e-12
 
 
 def test_deterministic_model_concentrates_all_mass():
@@ -29,7 +30,7 @@ def test_deterministic_model_concentrates_all_mass():
         pk_given_x=np.array([[1.0, 0.0], [0.0, 1.0]]),
         pe_given_k=np.array([1.0, 0.0]),
     )
-    table = enumerate_joint(model).table
+    table = enumerate_joint(model)
     assert table.max() == 1.0
     assert np.count_nonzero(table) == 1
     assert table[0, 1, 0, 1, 1] == 1.0
@@ -39,18 +40,9 @@ def test_position_marginal_matches_hand_sum():
     rng = np.random.default_rng(31)
     model = random_causal_model(rng)
     table = enumerate_joint(model)
-    for k in range(1, model.n_positions + 1):
-        want = float(np.sum(model.px * model.pk_given_x[:, k - 1]))
-        assert abs(table.mass({"k": k}) - want) <= 1e-12
-
-
-def test_joint_table_validates():
-    with pytest.raises(ValueError):
-        JointTable(table=np.zeros((2, 2, 2, 2)))
-    bad = np.zeros((1, 2, 1, 2, 2))
-    bad[0, 0, 0, 0, 0] = 0.5
-    with pytest.raises(ValueError):
-        JointTable(table=bad)
+    for k in range(model.n_positions):
+        want = float(np.sum(model.px * model.pk_given_x[:, k]))
+        assert abs(table[:, :, k].sum() - want) <= 1e-12
 
 
 def test_model_validates_cpts():
@@ -68,52 +60,59 @@ def test_model_validates_cpts():
             pk_given_x=np.array([[0.5, 0.5], [0.5, 0.5]]),
             pe_given_k=np.array([1.0, 0.5]),
         )
+    # A 2-D examination table would broadcast into a joint that sums to 1
+    # but pairs each position with the wrong examination probability.
+    with pytest.raises(ValueError):
+        ToyCausalModel(
+            px=np.array([0.5, 0.5]),
+            pr_given_x=np.array([0.9, 0.2]),
+            pk_given_x=np.full((2, 4), 0.25),
+            pe_given_k=np.array([[1.0, 0.5], [0.2, 0.1]]),
+        )
 
 
 def test_click_forces_examination_under_noiseless_rule():
-    model = ToyCausalModel.reference()
-    table = enumerate_joint(model)
-    assert conditional(table, {"e": 1}, {"c": 1}) == pytest.approx(1.0, abs=1e-12)
+    table = enumerate_joint(ToyCausalModel.reference())
+    clicked = table[..., 1]
+    assert clicked[..., 1].sum() / clicked.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_on_full_assignment_is_zero_or_one():
     model = random_causal_model(np.random.default_rng(37), n_types=2, n_positions=2)
     table = enumerate_joint(model)
-    full = {"x": 0, "r": 1, "k": 1, "e": 1, "c": 1}
-    assert conditional(table, {"c": 1}, full) == 1.0
-    assert conditional(table, {"c": 0}, full) == 0.0
-
-
-def test_conditional_contradicting_given_is_zero():
-    table = enumerate_joint(ToyCausalModel.reference())
-    assert conditional(table, {"e": 0}, {"e": 1}) == 0.0
-
-
-def test_conditional_rejects_zero_mass_condition():
-    model = ToyCausalModel.reference()
-    table = enumerate_joint(model)
-    with pytest.raises(ValueError):
-        conditional(table, {"r": 1}, {"e": 0, "c": 1})
+    given = np.zeros(table.shape, dtype=bool)
+    given[0, 1, 0, 1, 1] = True  # x=0, r=1, k=1, e=1, c=1
+    clicked = np.zeros(table.shape, dtype=bool)
+    clicked[..., 1] = True
+    assert table[given & clicked].sum() / table[given].sum() == 1.0
+    assert table[given & ~clicked].sum() / table[given].sum() == 0.0
 
 
 def test_reference_relevance_given_top_position():
-    table = enumerate_joint(ToyCausalModel.reference())
-    assert conditional(table, {"r": 1}, {"k": 1}) == pytest.approx(0.83, abs=1e-12)
+    top = enumerate_joint(ToyCausalModel.reference())[:, :, 0]
+    assert top[:, 1].sum() / top.sum() == pytest.approx(0.83, abs=1e-12)
 
 
 def test_intervention_forces_the_position():
-    model = ToyCausalModel.reference()
-    cut = intervene(model, 2)
-    table = enumerate_joint(cut)
-    assert table.mass({"k": 2}) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        intervene(model, 3)
+    """Slice k of the cut product is the joint of the model whose policy is a
+    point mass at k: the mutilated-model route, bit for bit."""
+    for seed in range(20):
+        model = random_causal_model(np.random.default_rng(400 + seed))
+        cut = interventional_joint(model)
+        for k in range(model.n_positions):
+            forced = np.zeros_like(model.pk_given_x)
+            forced[:, k] = 1.0
+            mutilated = enumerate_joint(ToyCausalModel(
+                px=model.px, pr_given_x=model.pr_given_x, pk_given_x=forced,
+                pe_given_k=model.pe_given_k, pc_given_er=model.pc_given_er))
+            assert mutilated[:, :, k].sum() == pytest.approx(1.0, abs=1e-12)
+            assert mutilated[:, :, k].tobytes() == cut[:, :, k].tobytes()
 
 
 def test_reference_interventional_examination():
-    model = ToyCausalModel.reference()
-    assert interventional(model, 1, {"e": 1}, {}) == pytest.approx(1.0, abs=1e-12)
-    assert interventional(model, 2, {"e": 1}, {}) == pytest.approx(0.5, abs=1e-12)
+    cut = interventional_joint(ToyCausalModel.reference())
+    assert cut[:, :, 0, 1].sum() == pytest.approx(1.0, abs=1e-12)
+    assert cut[:, :, 1, 1].sum() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_no_confounding_makes_intervention_observational():
@@ -127,10 +126,12 @@ def test_no_confounding_makes_intervention_observational():
                                pk_given_x=flat, pe_given_k=model.pe_given_k,
                                pc_given_er=model.pc_given_er)
         table = enumerate_joint(model)
-        for k in range(1, model.n_positions + 1):
-            seen = conditional(table, {"e": 1}, {"k": k, "c": 1})
-            done = interventional(model, k, {"e": 1}, {"c": 1})
-            assert abs(seen - done) <= 1e-12
+        cut = interventional_joint(model)
+        for k in range(model.n_positions):
+            seen = table[:, :, k, :, 1]
+            done = cut[:, :, k, :, 1]
+            assert abs(seen[:, :, 1].sum() / seen.sum()
+                       - done[:, :, 1].sum() / done.sum()) <= 1e-12
 
 
 def test_decomposition_identity_over_random_models():
@@ -138,13 +139,13 @@ def test_decomposition_identity_over_random_models():
     for seed in range(100):
         rng = np.random.default_rng(200 + seed)
         model = random_causal_model(rng)
-        table = enumerate_joint(model)
-        k = int(rng.integers(1, model.n_positions + 1))
-        direct = conditional(table, {"e": 1}, {"k": k, "c": 1})
+        k = int(rng.integers(1, model.n_positions + 1)) - 1
+        clicked = enumerate_joint(model)[:, :, k, :, 1]  # axes (x, r, e)
+        direct = clicked[:, :, 1].sum() / clicked.sum()
         total = 0.0
         for x in range(model.n_types):
-            total += (conditional(table, {"e": 1}, {"x": x, "k": k, "c": 1})
-                      * conditional(table, {"x": x}, {"k": k, "c": 1}))
+            total += (clicked[x, :, 1].sum() / clicked[x].sum()
+                      * (clicked[x].sum() / clicked.sum()))
         assert abs(direct - total) <= 1e-12
 
 
@@ -153,10 +154,11 @@ def test_adjustment_identity_over_random_models():
     for seed in range(100):
         rng = np.random.default_rng(300 + seed)
         model = random_causal_model(rng)
-        k = int(rng.integers(1, model.n_positions + 1))
-        for given in ({}, {"c": 1}):
-            direct = interventional(model, k, {"e": 1}, given)
-            summed = float(backdoor_adjustment_terms(model, k, given).sum())
+        k = int(rng.integers(1, model.n_positions + 1)) - 1
+        for c in (slice(None), slice(1, 2)):
+            done = interventional_joint(model)[:, :, k, :, c]
+            direct = done[:, :, 1].sum() / done.sum()
+            summed = float(backdoor_adjustment_terms(model, k, c).sum())
             assert abs(direct - summed) <= 1e-12
 
 

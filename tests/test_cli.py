@@ -135,6 +135,20 @@ def test_eval_rejects_mismatched_shapes(run_dir, tmp_path):
     assert "ranker.l0.W" in line
 
 
+@pytest.mark.parametrize("content", ["npy", "empty", "text", "truncated"])
+def test_eval_refuses_files_that_are_not_npz(run_dir, tmp_path, content):
+    model = tmp_path / "model"
+    if content == "npy":
+        with open(model, "wb") as fh:
+            np.save(fh, np.ones((5, 8)))
+    elif content == "truncated":
+        snapshot = (run_dir / "model_seed0.npz").read_bytes()
+        model.write_bytes(snapshot[: len(snapshot) // 2])
+    else:
+        model.write_text("" if content == "empty" else "1.0 2.0\n")
+    assert "not an npz archive" in _fails_cleanly("eval", "--model", str(model))
+
+
 @pytest.mark.parametrize("flag", ["--config", "--set"])
 def test_eval_takes_no_config(run_dir, flag):
     with pytest.raises(SystemExit) as exc:
@@ -148,8 +162,21 @@ def test_oracle_demo_prints_reference_numbers(capsys, tmp_path):
     assert rc == 0
     out = capsys.readouterr().out
     assert "1.509" in out
-    expected = overestimation_report(ToyCausalModel.reference())
-    assert csv_path.read_text() == expected.as_csv()
+    assert csv_path.read_text() in out
+
+
+@pytest.mark.parametrize("preset, args", [
+    ("strong", ["--preset", "strong"]),
+    ("weak", ["--preset", "weak"]),
+    ("strong_eps0.1", ["--preset", "strong", "--epsilon", "0.1"]),
+])
+def test_oracle_demo_csv_matches_stored_bytes(tmp_path, preset, args):
+    """tests/data holds the CSVs of the oracle's earlier implementation, which
+    read dict events off a validated joint table; the bytes pin its numbers."""
+    csv_path = tmp_path / "report.csv"
+    assert main(["oracle-demo", *args, "--csv", str(csv_path)]) == 0
+    expected = (Path(__file__).parent / "data" / f"oracle_{preset}.csv").read_bytes()
+    assert csv_path.read_bytes() == expected
 
 
 def test_oracle_demo_weak_preset_collapses(capsys):
@@ -252,7 +279,7 @@ def _fails_cleanly(*argv):
 
 
 def _train_fails_cleanly(out, *args):
-    """Run `train` with arguments that must be refused before any seed starts."""
+    """Run `train` with arguments it must refuse before any seed writes output."""
     line = _fails_cleanly("train", "--out", str(out), *args)
     assert not out.exists()
     return line
@@ -330,9 +357,15 @@ def ten_doc_dir(tmp_path_factory):
 def test_eta_that_underflows_the_curve_fails_cleanly(ten_doc_dir, tmp_path, algorithm, eta,
                                                      rank):
     """(1/10)**310 is subnormal and (1/2)**1e9 is 0: the line names the first bad rank."""
-    line = _fails_cleanly("train", "--out", str(tmp_path / "o"), "--data", str(ten_doc_dir),
-                          "--algorithm", algorithm, *TINY, "--set", f"simulation.eta={eta}")
+    line = _train_fails_cleanly(tmp_path / "o", "--data", str(ten_doc_dir),
+                                "--algorithm", algorithm, *TINY,
+                                "--set", f"simulation.eta={eta}")
     assert "simulation.eta" in line and line.endswith(f"rank {rank}")
+
+
+def test_weak_fraction_that_samples_no_query_fails_cleanly(data_dir, tmp_path):
+    _train_fails_cleanly(tmp_path / "o", "--data", str(data_dir), "--paradigm", "Off",
+                         *TINY, "--set", "weak_fraction=0.001")
 
 
 def test_steep_eta_still_trains(ten_doc_dir, tmp_path):

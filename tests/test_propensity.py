@@ -1,6 +1,7 @@
 """Propensity estimation: both estimators, the two-step contract, adjustment."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ def test_estimate_validation():
         PropensityEstimate(weights=np.array([[1.0, 0.5]]))
     with pytest.raises(ValueError):
         PropensityEstimate(weights=np.array([]))
+    with pytest.raises(ValueError, match="finite"):
+        PropensityEstimate(weights=np.array([1.0, np.nan]))
     est = PropensityEstimate(weights=np.array([1.0, 0.25]))
     assert len(est) == 2
 
@@ -64,6 +67,11 @@ def test_from_raw_normalizes_and_saturates():
         PropensityEstimate.from_raw(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         PropensityEstimate.from_raw(np.array([]))
+    for raw in ([1.0, np.nan], [1.0, np.inf], [np.inf, 1.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                PropensityEstimate.from_raw(np.array(raw))
 
 
 def test_uniform_and_from_curve():

@@ -1,11 +1,19 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
-``backward()`` on a scalar result walks the tape in reverse topological order
-and accumulates gradients into every reachable tensor that asked for them.
-Just enough ops for feedforward scorers with listwise losses: broadcasting
-add/mul, matmul, ELU, inverted dropout, row-wise log-softmax, sum, reshape,
-and row lookup for embeddings.
+``backward(leaves)`` on a scalar result accumulates gradients into the named
+leaves, every leaf that requires grad by default. Just enough ops for
+feedforward scorers with listwise losses: broadcasting add/mul, matmul, ELU,
+inverted dropout, row-wise log-softmax, sum, reshape, and embedding lookup.
+
+An op's inputs exist before its output, so creation order is a topological
+order: backward walks the reachable nodes once, sorts them by creation number
+and so can meet no cycle. A node is live if it is a named leaf or has a live
+input. Only live nodes run their closures, in reverse creation order, and each
+feeds only its live operands (a one-input op's operand is live when it is), so
+a step that moves the position embeddings alone computes no gradient for the
+frozen pathway. Every closure, dead ones too, is then swapped for one that
+refuses a second pass, which frees the graph by reference counting.
 
 Gradient buffers are handed over, not copied: the first gradient a tensor
 receives becomes its ``.grad``, and later ones are added into it in place.
@@ -23,9 +31,12 @@ in-place ELU kernel ``_elu`` with ``Tensor.elu``, so its output has the same
 bits as the eval-mode ``Tensor`` forward.
 """
 
+import itertools
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
+
+_CREATED = itertools.count()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -42,15 +53,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
-    """ELU in place, returning x; expm1 sees only min(x, 0), so it cannot overflow."""
+    """ELU in place, returning x, as max(x, expm1(min(x, 0))): expm1 cannot overflow,
+    and it needs no add because expm1(t) >= t holds after rounding too."""
     neg = np.minimum(x, 0.0)
     np.expm1(neg, out=neg)
-    np.maximum(x, 0.0, out=x)
-    x += neg
-    return x
+    return np.maximum(x, neg, out=x)
 
 
-def _consumed():
+def _consumed(live):
     raise RuntimeError("backward() already ran through this graph")
 
 
@@ -61,7 +71,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self._prev = tuple(_prev)
         self._op = _op
-        self._backward: Callable[[], None] = lambda: None
+        self._seq = next(_CREATED)
+        self._backward: Callable[[set], None] = lambda live: None
 
     @property
     def shape(self):
@@ -83,10 +94,10 @@ class Tensor:
         out = Tensor(self.data + other.data,
                      self.requires_grad or other.requires_grad, (self, other), "+")
 
-        def _backward():
-            if self.requires_grad:
+        def _backward(live):
+            if self in live:
                 self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            if other.requires_grad:
+            if other in live:
                 g = _unbroadcast(out.grad, other.data.shape)
                 # Never hand one buffer to both operands (m + p, x + x).
                 other._accumulate(g.copy() if g is self.grad else g)
@@ -98,10 +109,10 @@ class Tensor:
         out = Tensor(self.data * other.data,
                      self.requires_grad or other.requires_grad, (self, other), "*")
 
-        def _backward():
-            if self.requires_grad:
+        def _backward(live):
+            if self in live:
                 self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            if other.requires_grad:
+            if other in live:
                 other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
         out._backward = _backward
         return out
@@ -121,10 +132,10 @@ class Tensor:
         out = Tensor(self.data @ other.data,
                      self.requires_grad or other.requires_grad, (self, other), "@")
 
-        def _backward():
-            if self.requires_grad:
+        def _backward(live):
+            if self in live:
                 self._accumulate(out.grad @ other.data.T)
-            if other.requires_grad:
+            if other in live:
                 other._accumulate(self.data.T @ out.grad)
         out._backward = _backward
         return out
@@ -133,13 +144,12 @@ class Tensor:
         y = _elu(self.data.copy())
         out = Tensor(y, self.requires_grad, (self,), "elu")
 
-        def _backward():
-            if self.requires_grad:
-                # d/dx is 1 where y > 0 and y + 1 elsewhere: min(y, 0) + 1.
-                g = np.minimum(y, 0.0)
-                g += 1.0
-                g *= out.grad
-                self._accumulate(g)
+        def _backward(live):
+            # d/dx is 1 where y > 0 and y + 1 elsewhere: min(y, 0) + 1.
+            g = np.minimum(y, 0.0)
+            g += 1.0
+            g *= out.grad
+            self._accumulate(g)
         out._backward = _backward
         return out
 
@@ -158,9 +168,8 @@ class Tensor:
         mask = (rng.random(self.data.shape) >= p) / (1.0 - p)
         out = Tensor(self.data * mask, self.requires_grad, (self,), "dropout")
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * mask)
+        def _backward(live):
+            self._accumulate(out.grad * mask)
         out._backward = _backward
         return out
 
@@ -170,10 +179,9 @@ class Tensor:
         y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         out = Tensor(y, self.requires_grad, (self,), "log_softmax")
 
-        def _backward():
-            if self.requires_grad:
-                g = out.grad
-                self._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+        def _backward(live):
+            g = out.grad
+            self._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
         out._backward = _backward
         return out
 
@@ -181,21 +189,19 @@ class Tensor:
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
                      self.requires_grad, (self,), "sum")
 
-        def _backward():
-            if self.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+        def _backward(live):
+            g = out.grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
         out._backward = _backward
         return out
 
     def reshape(self, *shape) -> "Tensor":
         out = Tensor(self.data.reshape(*shape), self.requires_grad, (self,), "reshape")
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.data.shape))
+        def _backward(live):
+            self._accumulate(out.grad.reshape(self.data.shape))
         out._backward = _backward
         return out
 
@@ -204,39 +210,35 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.int64)
         out = Tensor(self.data[idx], self.requires_grad, (self,), "take_rows")
 
-        def _backward():
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, idx, out.grad)
+        def _backward(live):
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            np.add.at(self.grad, idx, out.grad)
         out._backward = _backward
         return out
 
-    def backward(self):
-        """Reverse pass from a scalar: topological sort, then chain rule."""
+    def backward(self, leaves: Optional[Sequence["Tensor"]] = None):
+        """Reverse pass from a scalar into ``leaves``, by default every leaf needing grad."""
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar root")
-        topo: List[Tensor] = []
-        visited = set()
-        stack = [(self, iter(self._prev))]
-        on_path = {id(self)}
+        nodes, stack = {self}, [self]
         while stack:
-            node, children = stack[-1]
-            nxt = next(children, None)
-            if nxt is None:
-                stack.pop()
-                on_path.discard(id(node))
-                visited.add(id(node))
-                topo.append(node)
-            elif id(nxt) not in visited:
-                if id(nxt) in on_path:
-                    raise RuntimeError("cycle in computation graph")
-                stack.append((nxt, iter(nxt._prev)))
-                on_path.add(id(nxt))
+            for prev in stack.pop()._prev:
+                if prev not in nodes:
+                    nodes.add(prev)
+                    stack.append(prev)
+        if leaves is None:
+            leaves = [node for node in nodes if node.requires_grad and not node._prev]
+        topo = sorted(nodes, key=lambda node: node._seq)
+        named, live = set(leaves), set()
+        for node in topo:
+            if node in named or any(p in live for p in node._prev):
+                live.add(node)
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            node._backward()
             if node._prev:
+                if node in live:
+                    node._backward(live)
                 # The closure holds its own output tensor: drop the cycle so the
                 # graph is freed by reference counting, not the cyclic collector.
                 node._backward = _consumed
@@ -285,9 +287,9 @@ class AdaGrad:
             p.grad = None
 
     def minimize(self, loss: Tensor, params: Optional[Sequence[Parameter]] = None) -> float:
-        """One descent step on a scalar loss: zero, backpropagate, update ``params``."""
+        """One descent step on a scalar loss: zero, backpropagate into ``params``, update them."""
         self.zero_grad()
-        loss.backward()
+        loss.backward(self.params if params is None else params)
         self.step(params)
         return float(loss.data)
 

@@ -308,17 +308,21 @@ def backdoor_estimate(model: LPPModel, features: np.ndarray) -> PropensityEstima
     both training losses are softmax cross-entropies, blind to a per-list
     shift of the head, and ratios of log-averaged rates cancel that floating
     level exactly, where a squashed arithmetic mean would flatten them
-    toward 1. The documents are encoded once and every rank's embedding is
-    added to the shared block; the test oracle ``backdoor_adjust(k)`` in
-    ``tests/helpers.py`` scores one rank at a time and must agree. The
-    readout needs no gradient, so it runs on plain arrays through
-    ``MLP.infer`` and builds no tape.
+    toward 1. The documents are encoded once; each rank's embedding is then
+    added to that block and the head scored one rank at a time, so the
+    working set is one docs x width block, not positions times that. The
+    test oracle ``backdoor_adjust(k)`` in ``tests/helpers.py`` scores one
+    rank through the taped forward and must agree. The readout needs no
+    gradient, so it runs on plain arrays through ``MLP.infer`` and builds no
+    tape. A log-rate whose exp overflows is refused with a ValueError.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("features must be a non-empty (docs, feature_dim) matrix")
     m = model.encoder_d.infer(X)
-    n, docs = model.n_positions, m.shape[0]
-    tiled = (model.position_table.data[:, None, :] + m[None, :, :]).reshape(n * docs, -1)
-    raw = np.exp(model.ffn.infer(tiled).reshape(n, docs).mean(axis=1))
+    log_rates = np.array([model.ffn.infer(m + p).mean() for p in model.position_table.data])
+    with np.errstate(over="ignore"):
+        raw = np.exp(log_rates)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"backdoor readout: exp of log-rates {log_rates.tolist()} is not finite")
     return PropensityEstimate.from_raw(raw)

@@ -7,7 +7,7 @@ models and the backdoor adjustment sum for the enumeration identities, the
 closed-form click probability
 behind the vectorized click sampler, the full-information loss that the
 IPW click loss estimates, and the one-rank-at-a-time backdoor readout
-behind ``backdoor_estimate``.
+behind ``backdoor_estimate``, and the four-pass ELU behind ``_elu``.
 """
 
 import math
@@ -125,6 +125,16 @@ def brute_err(labels, k, y_max=4):
             stop_here *= 1.0 - R[j]
         total += stop_here / (i + 1)
     return total
+
+
+def elu_four_pass(x: np.ndarray) -> np.ndarray:
+    """ELU in place as max(x, 0) + expm1(min(x, 0)): the four-pass formula
+    ``autodiff._elu`` replaced, kept as the reference for its bits."""
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    np.maximum(x, 0.0, out=x)
+    x += neg
+    return x
 
 
 GRADIENT_PRIMITIVES = (

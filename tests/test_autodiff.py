@@ -13,7 +13,9 @@ from helpers import (
     GRADIENT_PRIMITIVES,
     check_gradients,
     check_parameter_gradients,
+    elu_four_pass,
     gradient_case,
+    ranker_gradient_case,
 )
 from ultrlab.autodiff import (
     MLP,
@@ -21,10 +23,12 @@ from ultrlab.autodiff import (
     Linear,
     Parameter,
     Tensor,
+    _elu,
     load_params,
     save_params,
     weighted_listwise_ce,
 )
+from ultrlab.propensity import LPPModel
 
 
 @pytest.mark.parametrize("name", GRADIENT_PRIMITIVES)
@@ -121,6 +125,32 @@ def test_mlp_infer_is_bit_identical_to_the_eval_forward(in_dim, hidden, out_dim)
     assert not np.shares_memory(out, X)
 
 
+def _elu_sweep():
+    """Random arrays from 1e-320 to 1e300, |x| < 2**-53, subnormals and specials."""
+    rng = np.random.default_rng(14)
+    scales = 10.0 ** np.arange(-320, 301, 5)
+    spread = (rng.normal(size=(scales.size, 64)) * scales[:, None]).ravel()
+    tiny = np.ldexp(rng.uniform(-1.0, 1.0, size=512), -53)
+    subnormal = np.ldexp(rng.uniform(-1.0, 1.0, size=512), -1022)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                        np.finfo(float).tiny, -np.finfo(float).tiny,
+                        np.finfo(float).max, -np.finfo(float).max, -745.2, -709.8, 709.8])
+    return np.concatenate([spread, tiny, subnormal, special])
+
+
+def test_elu_kernel_keeps_the_four_pass_bits():
+    x = _elu_sweep()
+    assert _elu(x.copy()).tobytes() == elu_four_pass(x.copy()).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=16))
+def test_elu_kernel_keeps_the_four_pass_bits_on_any_float(values):
+    x = np.array(values, dtype=np.float64)
+    assert _elu(x.copy()).tobytes() == elu_four_pass(x.copy()).tobytes()
+
+
 def test_matmul_rejects_non_2d():
     with pytest.raises(ValueError):
         Tensor(np.ones(3)).matmul(Tensor(np.ones((3, 2))))
@@ -160,6 +190,75 @@ def test_backward_consumes_the_graph_and_frees_it_without_the_cycle_collector():
     # The leaf keeps its gradient and can start a new graph.
     assert w.grad[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
     (w * w).sum().backward()
+
+
+def _lpp_view_case(view):
+    """One LPP forward view under a listwise loss, with a nonzero position table."""
+    rng = np.random.default_rng(31)
+    model = LPPModel(4, 3, rng, embed_dim=5, encoder_hidden=(7,), ffn_hidden=(6, 4))
+    model.position_table.data[:] = 0.3 * rng.normal(size=model.position_table.data.shape)
+    X = rng.uniform(size=(6, 4))
+    w = rng.uniform(0.2, 1.0, size=(2, 3))
+
+    def loss_fn():
+        if view == "confounder":
+            out = model.forward_confounder(X)
+        else:
+            out = model.forward_joint(X, np.tile(np.arange(3), 2))
+        return weighted_listwise_ce(out.reshape(2, 3), w)
+
+    return model.parameters(), loss_fn
+
+
+PRUNING_CASES = {
+    "ranker": lambda: ranker_gradient_case(np.random.default_rng(30)),
+    "lpp-confounder": lambda: _lpp_view_case("confounder"),
+    "lpp-joint": lambda: _lpp_view_case("joint"),
+}
+
+
+@pytest.mark.parametrize("case, names", [
+    ("ranker", ("ranker.l0.W",)),
+    ("ranker", ("ranker.l2.W", "ranker.l2.b")),
+    ("ranker", ("ranker.l0.b", "ranker.l1.W", "ranker.l2.b")),
+    ("lpp-confounder", ("lpp.encoder_d.l0.W", "lpp.encoder_d.l1.b")),
+    ("lpp-confounder", ("lpp.ffn.l0.W", "lpp.ffn.l0.b", "lpp.ffn.l2.W")),
+    ("lpp-joint", ("lpp.encoder_p",)),
+    ("lpp-joint", ("lpp.encoder_p", "lpp.ffn.l1.W", "lpp.ffn.l2.b")),
+    ("lpp-joint", ("lpp.encoder_d.l0.W",)),
+])
+def test_backward_into_named_leaves_matches_the_full_pass(case, names):
+    """Pruned backward hands the named leaves the full pass's gradient bits;
+    the rest get no gradient, and an update leaves their data and their
+    AdaGrad accumulators alone."""
+    params, loss_fn = PRUNING_CASES[case]()
+    loss_fn().backward()
+    full = {p.name: p.grad.tobytes() for p in params if p.name in names}
+    named = [p for p in params if p.name in names]
+    assert len(named) == len(names)
+    opt = AdaGrad(params, lr=0.1)
+    before = [p.data.copy() for p in params]
+    opt.minimize(loss_fn(), named)
+    for p, b in zip(params, before):
+        if p.name in names:
+            assert p.grad.tobytes() == full[p.name], p.name
+            # The output bias of a softmax loss gets an exact zero gradient.
+            assert np.array_equal(p.data, b) == (not np.any(p.grad))
+        else:
+            assert p.grad is None, p.name
+            assert np.array_equal(p.data, b)
+            assert not np.any(opt.state[id(p)])
+
+
+def test_backward_leaves_default_to_every_leaf_that_requires_grad():
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    c = Tensor(np.array([2.0, 2.0]))
+    ((a * b).elu() * c).sum().backward([b])
+    assert a.grad is None and c.grad is None
+    assert b.grad is not None
+    ((a * b).elu() * c).sum().backward()
+    assert a.grad is not None and c.grad is None
 
 
 def test_unconnected_parameter_gets_no_gradient_and_no_update():

@@ -379,6 +379,16 @@ def test_steep_eta_still_trains(ten_doc_dir, tmp_path):
     assert values and np.all(np.isfinite(values))
 
 
+def test_readout_overflow_fails_cleanly_without_warnings(data_dir, tmp_path):
+    """A step size that blows up the LPP head makes exp overflow in the
+    backdoor readout: one error line naming it, and no numpy warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = _train_fails_cleanly(tmp_path / "o", "--data", str(data_dir),
+                                    "--algorithm", "upe", *TINY, "--set", "learning_rate=2.5")
+    assert line.startswith("error: backdoor readout: ") and line.endswith("is not finite")
+
+
 @pytest.mark.parametrize("seeds", ["4..0", "", "..", "0..", "a..2", "0..1.5"])
 def test_reversed_empty_and_non_integer_seed_ranges_fail_cleanly(tmp_path, seeds):
     line = _train_fails_cleanly(tmp_path / "o", "--seeds", seeds)

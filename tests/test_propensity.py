@@ -318,12 +318,14 @@ def test_position_targets_from_base():
 
 
 def test_joint_step_detects_a_pathway_update(monkeypatch):
-    """An optimizer that ignores the parameters it is given trips the check."""
+    """A backward that ignores the leaf set and an optimizer that ignores the
+    parameters it is given together trip the check."""
     model = small_lpp(seed=9)
     opt = AdaGrad(model.parameters(), lr=0.05)
     X = np.random.default_rng(10).normal(size=(2, 4, 3))
     targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
-    step_all = AdaGrad.step
+    backward_all, step_all = Tensor.backward, AdaGrad.step
+    monkeypatch.setattr(Tensor, "backward", lambda self, leaves=None: backward_all(self))
     monkeypatch.setattr(AdaGrad, "step", lambda self, params=None: step_all(self))
     with pytest.raises(FreezeContractError):
         joint_propensity_step(model, opt, X, targets)
@@ -331,7 +333,7 @@ def test_joint_step_detects_a_pathway_update(monkeypatch):
 
 def test_joint_step_honours_the_freeze_bitwise():
     """With no setup by the caller the step moves the table alone: the
-    pathway gets gradient, but neither its bits nor the shared optimizer's
+    pathway gets no gradient, and neither its bits nor the shared optimizer's
     accumulators for it change."""
     model = small_lpp(seed=10)
     opt = AdaGrad(model.parameters(), lr=0.05)
@@ -342,7 +344,7 @@ def test_joint_step_honours_the_freeze_bitwise():
     loss = joint_propensity_step(model, opt, X, targets)
     assert np.isfinite(loss)
     for p, before in zip(model.g_pt, pathway_before):
-        assert p.grad is not None
+        assert p.grad is None
         assert np.array_equal(p.data, before)
         assert not np.any(opt.state[id(p)])
     assert not np.array_equal(model.position_table.data, table_before)
@@ -428,7 +430,8 @@ def test_backdoor_adjust_validation():
 
 
 def test_backdoor_estimate_matches_per_rank_adjustment():
-    """The one-pass estimate and the rank-at-a-time route must agree."""
+    """The per-rank blocks of the estimate and the taped rank-at-a-time route
+    must agree."""
     model = small_lpp(seed=23)
     rng = np.random.default_rng(24)
     for p in model.g_pos:
@@ -452,6 +455,24 @@ def test_backdoor_estimate_validation():
         backdoor_estimate(model, np.zeros((0, 3)))
     with pytest.raises(ValueError):
         backdoor_estimate(model, np.zeros(3))
+
+
+def test_backdoor_estimate_refuses_rates_whose_exp_is_not_finite():
+    """A log-rate past exp's range (or NaN) is refused by name, with no numpy
+    warning; a head just inside the range still reads out."""
+    model = small_lpp(seed=29)
+    X = np.random.default_rng(30).normal(size=(4, 3))
+    head = model.ffn.layers[-1].b.data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        head[:] = 700.0
+        assert np.all(np.isfinite(backdoor_estimate(model, X).weights))
+        head[:] = 720.0
+        with pytest.raises(ValueError, match="^backdoor readout: "):
+            backdoor_estimate(model, X)
+        head[:] = np.nan
+        with pytest.raises(ValueError, match="^backdoor readout: "):
+            backdoor_estimate(model, X)
 
 
 def test_joint_training_recovers_base_ratios():

@@ -423,6 +423,23 @@ def test_forward_only_passes_leave_nothing_for_the_cycle_collector(small_data):
         gc.enable()
 
 
+def test_learner_steps_leave_nothing_for_the_cycle_collector(small_data):
+    """A full UPE step and a full DLA step free every graph they build by
+    reference counting: backward consumes live and dead closures alike."""
+    cfg = _small_cfg(algorithm="upe")
+    policy, batch = _policy_and_batch(small_data, cfg, seed=56)
+    upe = UPELearner(cfg, 5, 6, policy.view.flat_features()[:20])
+    dla = DLALearner(cfg, 5, 6)
+    gc.disable()
+    try:
+        for learner in (upe, dla):
+            gc.collect()
+            learner.step(batch)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_shorter_curve_than_display_raises(small_data):
     cfg = _small_cfg()
     with pytest.raises(ValueError):

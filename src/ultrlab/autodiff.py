@@ -232,7 +232,7 @@ class Tensor:
         topo = sorted(nodes, key=lambda node: node._seq)
         named, live = set(leaves), set()
         for node in topo:
-            if node in named or any(p in live for p in node._prev):
+            if node in named or not live.isdisjoint(node._prev):
                 live.add(node)
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):

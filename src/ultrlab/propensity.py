@@ -314,7 +314,7 @@ def backdoor_estimate(model: LPPModel, features: np.ndarray) -> PropensityEstima
     test oracle ``backdoor_adjust(k)`` in ``tests/helpers.py`` scores one
     rank through the taped forward and must agree. The readout needs no
     gradient, so it runs on plain arrays through ``MLP.infer`` and builds no
-    tape. A log-rate whose exp overflows is refused with a ValueError.
+    tape. A log-rate whose exp is not finite is refused with a ValueError.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:

@@ -3,8 +3,9 @@
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 ``backward(leaves)`` on a scalar result accumulates gradients into the named
 leaves, every leaf that requires grad by default. Just enough ops for
-feedforward scorers with listwise losses: broadcasting add/mul, matmul, ELU,
-inverted dropout, row-wise log-softmax, sum, reshape, and embedding lookup.
+feedforward scorers with listwise losses: add (broadcasting a bias row over
+leading axes), matmul, ELU, inverted dropout, row-wise log-softmax, reshape,
+embedding lookup, and the weighted listwise cross-entropy as one loss node.
 
 An op's inputs exist before its output, so creation order is a topological
 order: backward walks the reachable nodes once, sorts them by creation number
@@ -18,12 +19,13 @@ refuses a second pass, which frees the graph by reference counting.
 Gradient buffers are handed over, not copied: the first gradient a tensor
 receives becomes its ``.grad``, and later ones are added into it in place.
 That is safe under one invariant: a gradient buffer is handed to at most one
-tensor whose backward has not yet run. Most backward closures build a fresh
-array anyway; the pass-throughs are ``+`` (an operand with the output's shape
-gets ``out.grad`` itself) and ``reshape`` (a view of it), both reached only
-after ``out`` is finished, and ``+`` copies for its second operand when the
-first already took the buffer. An inner tensor's ``.grad`` may thus change
-after its own backward ran; only the leaves' gradients are final.
+tensor whose backward has not yet run. Only two ops pass a buffer on: ``+``
+(an operand with the output's shape gets ``out.grad`` itself) and ``reshape``
+(a view of it), both reached only after ``out`` is finished; ``+`` copies for
+its second operand when the first already took the buffer. Every other
+closure, the loss node's included, builds a fresh array. An inner tensor's
+``.grad`` may thus change after its own backward ran; only the leaves'
+gradients are final.
 
 Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
 the tape: ``MLP.infer`` runs the same layers on plain arrays and shares the
@@ -40,16 +42,14 @@ _CREATED = itertools.count()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcasted gradient back down to the original operand shape."""
+    """Sum a gradient over the leading axes its operand was broadcast along.
+
+    ``+`` only broadcasts over leading axes (a bias row); any other broadcast
+    fails in the final reshape.
+    """
     if grad.shape == shape:
         return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    return grad.sum(axis=tuple(range(grad.ndim - len(shape)))).reshape(shape)
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -85,12 +85,7 @@ class Tensor:
         else:
             self.grad += grad
 
-    @staticmethod
-    def _wrap(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=np.float64))
-
-    def __add__(self, other):
-        other = self._wrap(other)
+    def __add__(self, other: "Tensor") -> "Tensor":
         out = Tensor(self.data + other.data,
                      self.requires_grad or other.requires_grad, (self, other), "+")
 
@@ -104,29 +99,7 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def __mul__(self, other):
-        other = self._wrap(other)
-        out = Tensor(self.data * other.data,
-                     self.requires_grad or other.requires_grad, (self, other), "*")
-
-        def _backward(live):
-            if self in live:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            if other in live:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
-        out._backward = _backward
-        return out
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("division only by plain scalars")
-        return self * (1.0 / float(scalar))
-
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = self._wrap(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ValueError("matmul expects 2-D operands")
         out = Tensor(self.data @ other.data,
@@ -182,18 +155,6 @@ class Tensor:
         def _backward(live):
             g = out.grad
             self._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
-        out._backward = _backward
-        return out
-
-    def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                     self.requires_grad, (self,), "sum")
-
-        def _backward(live):
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
         out._backward = _backward
         return out
 
@@ -349,13 +310,22 @@ def weighted_listwise_ce(logits: Tensor, weights: np.ndarray) -> Tensor:
     """Softmax cross-entropy against unnormalized per-item weights, meaned over rows.
 
     For a row z with weights w this is -sum_j w_j log softmax(z)_j, whose
-    gradient in z_j is -w_j + (sum_i w_i) softmax(z)_j.
+    gradient in z_j is -w_j + (sum_i w_i) softmax(z)_j. It adds two tape
+    nodes, the log-softmax and the loss, and keeps the operation order that
+    ``listwise_ce_op_by_op`` in ``tests/helpers.py`` pins bit for bit.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != logits.data.shape:
         raise ValueError("weights must match logits shape")
-    n_rows = logits.data.shape[0] if logits.data.ndim == 2 else 1
-    return -(Tensor(weights) * logits.log_softmax()).sum() / n_rows
+    scale = 1.0 / float(logits.data.shape[0] if logits.data.ndim == 2 else 1)
+    log_p = logits.log_softmax()
+    out = Tensor((weights * log_p.data).sum() * -1.0 * scale,
+                 log_p.requires_grad, (log_p,), "listwise_ce")
+
+    def _backward(live):
+        log_p._accumulate(out.grad * scale * -1.0 * weights)
+    out._backward = _backward
+    return out
 
 
 def save_params(path, params: Sequence[Parameter]):
@@ -367,7 +337,8 @@ def save_params(path, params: Sequence[Parameter]):
 
 
 def load_params(path, params: Sequence[Parameter]):
-    """Restore a snapshot in place, matching parameters by name."""
+    """Restore a snapshot in place, matching parameters by name; refuses
+    missing, misshapen and non-finite parameters."""
     with np.load(path) as archive:
         for p in params:
             if p.name not in archive.files:
@@ -377,4 +348,7 @@ def load_params(path, params: Sequence[Parameter]):
                 raise ValueError(
                     f"parameter {p.name!r}: snapshot shape {stored.shape} != {p.data.shape}"
                 )
-            p.data = stored.astype(np.float64)
+            stored = stored.astype(np.float64)
+            if not np.all(np.isfinite(stored)):
+                raise ValueError(f"parameter {p.name!r}: snapshot holds non-finite values")
+            p.data = stored

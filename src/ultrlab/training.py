@@ -372,7 +372,6 @@ class UPELearner(DLALearner):
                             ffn_hidden=cfg.lpp_ffn_hidden)
         self.opt_lpp = AdaGrad(self.lpp.parameters(), lr=cfg.learning_rate)
         self.probe_features = probe_features
-        self.last_estimate = PropensityEstimate.uniform(n_positions)
 
     def step(self, batch: StepBatch) -> float:
         """One loop body, in order: the dual IRW update of ``position_model``,
@@ -389,8 +388,8 @@ class UPELearner(DLALearner):
         joint_propensity_step(self.lpp, self.opt_lpp, batch.features, targets,
                               enforce_freeze=cfg.upe_freeze)
 
-        self.last_estimate = backdoor_estimate(self.lpp, batch.features.reshape(B * N, d))
-        return self._ranker_update(scores, batch, self.last_estimate)
+        estimate = backdoor_estimate(self.lpp, batch.features.reshape(B * N, d))
+        return self._ranker_update(scores, batch, estimate)
 
     def estimate(self) -> PropensityEstimate:
         """Eval-time estimate over the fixed probe documents."""

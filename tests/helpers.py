@@ -7,7 +7,8 @@ models and the backdoor adjustment sum for the enumeration identities, the
 closed-form click probability
 behind the vectorized click sampler, the full-information loss that the
 IPW click loss estimates, and the one-rank-at-a-time backdoor readout
-behind ``backdoor_estimate``, and the four-pass ELU behind ``_elu``.
+behind ``backdoor_estimate``, the four-pass ELU behind ``_elu``, and the
+op-by-op listwise cross-entropy behind ``weighted_listwise_ce``.
 """
 
 import math
@@ -137,9 +138,28 @@ def elu_four_pass(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def listwise_ce_op_by_op(logits: np.ndarray, weights: np.ndarray):
+    """Loss value and logits gradient of ``weighted_listwise_ce`` in numpy,
+    in the order of the chain the fused loss node replaced: log-softmax,
+    ``w * ls`` summed, negated and scaled by 1/rows; backward broadcasts the
+    scaled -1 over ``ls``, multiplies by ``w`` and runs log-softmax's backward.
+    """
+    z = logits - logits.max(axis=-1, keepdims=True)
+    ls = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    n = logits.shape[0] if logits.ndim == 2 else 1
+    loss = ((weights * ls).sum() * -1.0) * (1 / n)
+    g = np.broadcast_to(-(1 / n), ls.shape) * weights
+    return loss, g - np.exp(ls) * g.sum(axis=-1, keepdims=True)
+
+
+def linear_readout(t: Tensor, W: np.ndarray) -> Tensor:
+    """Scalar sum of ``t`` weighted by ``W`` (same shape), built from matmul
+    and reshape so the readout uses only the tape's own ops."""
+    return t.reshape(1, -1).matmul(Tensor(W.reshape(-1, 1))).reshape(())
+
+
 GRADIENT_PRIMITIVES = (
-    "add_broadcast", "mul_broadcast", "neg", "div_scalar", "matmul", "elu",
-    "dropout", "log_softmax", "sum_all", "sum_axis", "sum_keepdims", "reshape",
+    "add_broadcast", "matmul", "elu", "dropout", "log_softmax", "reshape",
     "take_rows", "weighted_listwise_ce",
 )
 
@@ -147,53 +167,36 @@ GRADIENT_PRIMITIVES = (
 def gradient_case(name, rng):
     """Random input arrays and a scalar-loss builder for one primitive.
 
-    Every builder mixes the op's output with a fixed random weight tensor so
-    the loss depends on each output coordinate differently; a sign or
-    transpose bug cannot hide behind a symmetric reduction.
+    Every builder reads the op's output out through a fixed random weight
+    array so the loss depends on each output coordinate differently; a sign
+    or transpose bug cannot hide behind a symmetric reduction.
     """
     W34 = rng.normal(size=(3, 4))
     if name == "add_broadcast":
         arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4,))]
-        return arrays, lambda ts: ((ts[0] + ts[1]) * Tensor(W34)).sum()
-    if name == "mul_broadcast":
-        arrays = [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))]
-        return arrays, lambda ts: ((ts[0] * ts[1]) * Tensor(W34)).sum()
-    if name == "neg":
-        return [rng.normal(size=(3, 4))], lambda ts: ((-ts[0]) * Tensor(W34)).sum()
-    if name == "div_scalar":
-        return [rng.normal(size=(3, 4))], lambda ts: ((ts[0] / 3.7) * Tensor(W34)).sum()
+        return arrays, lambda ts: linear_readout(ts[0] + ts[1], W34)
     if name == "matmul":
         arrays = [rng.normal(size=(3, 5)), rng.normal(size=(5, 4))]
-        return arrays, lambda ts: (ts[0].matmul(ts[1]) * Tensor(W34)).sum()
+        return arrays, lambda ts: linear_readout(ts[0].matmul(ts[1]), W34)
     if name == "elu":
-        return [rng.normal(size=(3, 4))], lambda ts: (ts[0].elu() * Tensor(W34)).sum()
+        return [rng.normal(size=(3, 4))], lambda ts: linear_readout(ts[0].elu(), W34)
     if name == "dropout":
         seed = int(rng.integers(2**32))
         return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].dropout(0.4, rng=np.random.default_rng(seed))
-                        * Tensor(W34)).sum())
+            lambda ts: linear_readout(ts[0].dropout(0.4, rng=np.random.default_rng(seed)),
+                                      W34))
     if name == "log_softmax":
         return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].log_softmax() * Tensor(W34)).sum())
-    if name == "sum_all":
-        return [rng.normal(size=(3, 4))], lambda ts: ts[0].sum()
-    if name == "sum_axis":
-        w = rng.normal(size=4)
-        return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].sum(axis=0) * Tensor(w)).sum())
-    if name == "sum_keepdims":
-        w = rng.normal(size=(3, 1))
-        return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].sum(axis=1, keepdims=True) * Tensor(w)).sum())
+            lambda ts: linear_readout(ts[0].log_softmax(), W34))
     if name == "reshape":
         W26 = rng.normal(size=(2, 6))
         return [rng.normal(size=(3, 4))], (
-            lambda ts: (ts[0].reshape(2, 6) * Tensor(W26)).sum())
+            lambda ts: linear_readout(ts[0].reshape(2, 6), W26))
     if name == "take_rows":
         idx = np.array([0, 2, 2, 4, 1])
         W53 = rng.normal(size=(5, 3))
         return [rng.normal(size=(5, 3))], (
-            lambda ts: (ts[0].take_rows(idx) * Tensor(W53)).sum())
+            lambda ts: linear_readout(ts[0].take_rows(idx), W53))
     if name == "weighted_listwise_ce":
         w = rng.uniform(0.1, 1.0, size=(3, 4))
         return [rng.normal(size=(3, 4))], (
@@ -229,8 +232,7 @@ def lpp_gradient_case(rng):
     def loss_fn():
         joint = model.forward_joint(X, positions).reshape(2, 3)
         conf = model.forward_confounder(X).reshape(2, 3)
-        return weighted_listwise_ce(joint, w_joint) + \
-            weighted_listwise_ce(conf, w_conf) * 0.5
+        return weighted_listwise_ce(joint, w_joint) + weighted_listwise_ce(conf, 0.5 * w_conf)
 
     return model.parameters(), loss_fn
 

@@ -15,6 +15,8 @@ from helpers import (
     check_parameter_gradients,
     elu_four_pass,
     gradient_case,
+    linear_readout,
+    listwise_ce_op_by_op,
     ranker_gradient_case,
 )
 from ultrlab.autodiff import (
@@ -39,14 +41,14 @@ def test_primitive_gradients_match_finite_differences(name):
         check_gradients(build, arrays)
 
 
-# Leaves reused on several paths; W mixes the result so every coordinate counts.
+# Leaves reused on several paths, as (leaf shapes, forward); "times" is matmul.
 FAN_OUT_CASES = {
-    "x_plus_x": (1, lambda t, W: ((t[0] + t[0]) * W).sum()),
-    "a_plus_b": (2, lambda t, W: ((t[0] + t[1]) * W).sum()),
-    "a_plus_b_times_a": (2, lambda t, W: ((t[0] + t[1]) * t[0] * W).sum()),
-    "reshape_twice": (1, lambda t, W: (
-        (t[0].reshape(12) + t[0].reshape(12).elu()).reshape(3, 4) * W).sum()),
-    "w_times_w": (1, lambda t, W: ((t[0] * t[0] + t[0]) * W).sum()),
+    "x_plus_x": ([(3, 4)], lambda t: t[0] + t[0]),
+    "a_plus_b": ([(3, 4)] * 2, lambda t: t[0] + t[1]),
+    "a_plus_b_times_a": ([(4, 4)] * 2, lambda t: (t[0] + t[1]).matmul(t[0])),
+    "reshape_twice": ([(3, 4)], lambda t: (
+        t[0].reshape(12) + t[0].reshape(12).elu()).reshape(3, 4)),
+    "w_times_w": ([(4, 4)], lambda t: t[0].matmul(t[0]) + t[0]),
 }
 
 
@@ -61,35 +63,41 @@ def _assert_own_writeable_grads(grads):
 def test_fan_out_gradients_match_and_own_their_buffers(name):
     """Gradient buffers are handed on, not copied: a leaf reached twice must
     still get the right sum, in an array no other leaf holds."""
-    n_leaves, build = FAN_OUT_CASES[name]
+    shapes, forward = FAN_OUT_CASES[name]
     for trial in range(3):
         rng = np.random.default_rng(2000 + trial)
-        W = Tensor(rng.normal(size=(3, 4)))
-        arrays = [rng.normal(size=(3, 4)) for _ in range(n_leaves)]
-        leaves = check_gradients(lambda t: build(t, W), arrays)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        # W mixes the result so every coordinate counts.
+        W = rng.normal(size=forward([Tensor(a) for a in arrays]).shape)
+        leaves = check_gradients(lambda t: linear_readout(forward(t), W), arrays)
         _assert_own_writeable_grads([t.grad for t in leaves])
 
 
 def test_parameter_feeding_two_branches_of_an_equal_shape_add():
     """``m + p`` shape: both add operands have the output's shape, so the
     second one must not share the first one's buffer. Here the first
-    branch is the product, whose backward reads that buffer after the
+    branch is the matmul, whose backward reads that buffer after the
     reshape branch has handed it on to ``p``."""
     rng = np.random.default_rng(21)
     p = Parameter(rng.normal(size=(3, 4)), "p")
-    q = Parameter(rng.normal(size=(3, 4)), "q")
-    W = Tensor(rng.normal(size=(3, 4)))
+    q = Parameter(rng.normal(size=(4, 4)), "q")
+    W = rng.normal(size=(3, 4))
     check_parameter_gradients(
-        [p, q], lambda: ((p * q + p.reshape(12).reshape(3, 4)) * W).sum())
+        [p, q], lambda: linear_readout(p.matmul(q) + p.reshape(12).reshape(3, 4), W))
     _assert_own_writeable_grads([p.grad, q.grad])
 
 
 def test_zero_dim_leaf_gets_an_ndarray_gradient():
+    """``+`` broadcasts over leading axes only: a 0-d leaf's gradient sums
+    down to a numpy scalar, and a size-1 inner axis is refused in backward."""
     s = Tensor(np.array(2.0), requires_grad=True)
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    (s * x).sum().backward()
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    linear_readout(s + x, np.arange(6.0).reshape(2, 3)).backward()
     assert s.grad == 15.0
     _assert_own_writeable_grads([s.grad, x.grad])
+    column = Tensor(np.zeros((2, 1)), requires_grad=True)
+    with pytest.raises(ValueError):
+        linear_readout(column + x, np.ones((2, 3))).backward()
 
 
 def test_elu_scalar_values():
@@ -157,26 +165,34 @@ def test_matmul_rejects_non_2d():
 
 
 def test_division_by_tensor_rejected():
+    """The tape has no elementwise product, negation or division: losses are
+    built by ``weighted_listwise_ce`` and readouts by matmul."""
+    a, b = Tensor(np.ones(3)), Tensor(np.ones(3))
     with pytest.raises(TypeError):
-        Tensor(np.ones(3)) / Tensor(np.ones(3))
+        a / b
+    with pytest.raises(TypeError):
+        a * b
+    with pytest.raises(TypeError):
+        -a
+    assert not hasattr(Tensor, "sum") and not hasattr(Tensor, "_wrap")
 
 
 def test_backward_requires_scalar_root():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        (t * 2.0).backward()
+        t.elu().backward()
 
 
 def test_square_loss_gradient():
-    w = Tensor(np.array([3.0]), requires_grad=True)
-    (w * w).sum().backward()
-    assert w.grad[0] == pytest.approx(6.0, abs=1e-12)
+    w = Tensor(np.array([[3.0]]), requires_grad=True)
+    w.matmul(w).backward()
+    assert w.grad[0, 0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_backward_consumes_the_graph_and_frees_it_without_the_cycle_collector():
     w = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     hidden = w.matmul(Tensor(np.ones((2, 1)))).elu()
-    loss = hidden.sum()
+    loss = hidden.reshape(())
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
@@ -189,7 +205,7 @@ def test_backward_consumes_the_graph_and_frees_it_without_the_cycle_collector():
         gc.enable()
     # The leaf keeps its gradient and can start a new graph.
     assert w.grad[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
-    (w * w).sum().backward()
+    w.matmul(Tensor(np.ones((2, 1)))).backward()
 
 
 def _lpp_view_case(view):
@@ -251,27 +267,27 @@ def test_backward_into_named_leaves_matches_the_full_pass(case, names):
 
 
 def test_backward_leaves_default_to_every_leaf_that_requires_grad():
-    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    b = Tensor(np.array([0.5, 3.0]), requires_grad=True)
-    c = Tensor(np.array([2.0, 2.0]))
-    ((a * b).elu() * c).sum().backward([b])
+    a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    b = Tensor(np.array([[0.5, 3.0], [1.0, -1.0]]), requires_grad=True)
+    c = Tensor(np.array([[2.0], [2.0]]))
+    a.matmul(b).elu().matmul(c).backward([b])
     assert a.grad is None and c.grad is None
     assert b.grad is not None
-    ((a * b).elu() * c).sum().backward()
+    a.matmul(b).elu().matmul(c).backward()
     assert a.grad is not None and c.grad is None
 
 
 def test_unconnected_parameter_gets_no_gradient_and_no_update():
     p = Parameter(np.array([1.5]), "loose")
-    q = Parameter(np.array([2.0]), "used")
+    q = Parameter(np.array([[2.0]]), "used")
     opt = AdaGrad([p, q], lr=0.1)
     opt.zero_grad()
-    (q * q).sum().backward()
+    q.matmul(q).backward()
     assert p.grad is None
     before = p.data.copy()
     opt.step()
     assert np.array_equal(p.data, before)
-    assert q.data[0] != 2.0
+    assert q.data[0, 0] != 2.0
 
 
 def test_adagrad_single_step_magnitude():
@@ -462,6 +478,53 @@ def test_ce_never_beats_the_entropy_floor():
         assert loss >= entropy - 1e-12
 
 
+def _assert_listwise_ce_bits(logits, weights):
+    z = Tensor(logits.copy(), requires_grad=True)
+    loss = weighted_listwise_ce(z, weights)
+    loss.backward()
+    want_loss, want_grad = listwise_ce_op_by_op(logits, weights)
+    assert loss.data.tobytes() == np.float64(want_loss).tobytes()
+    assert z.grad.tobytes() == want_grad.tobytes()
+
+
+def test_listwise_ce_keeps_the_op_by_op_bits():
+    """Loss and logits gradient equal the numpy chain bit for bit, on 1-D and
+    (B, N) logits, with all-zero weight rows and weights from 1e-300 to 1e300."""
+    rng = np.random.default_rng(12)
+    for scale in 10.0 ** np.arange(-300, 301, 25):
+        for shape in [(7,), (1, 5), (4, 6), (32, 10)]:
+            logits = rng.normal(scale=3.0, size=shape)
+            weights = rng.uniform(size=shape) * (rng.uniform(size=shape) < 0.5) * scale
+            if len(shape) == 2:
+                weights[0] = 0.0
+            _assert_listwise_ce_bits(logits, weights)
+    _assert_listwise_ce_bits(np.zeros((3, 4)), np.zeros((3, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_listwise_ce_keeps_the_op_by_op_bits_on_any_batch(data):
+    rows = data.draw(st.sampled_from([None, 1, 2, 5]))
+    n = data.draw(st.integers(1, 8))
+    shape = (n,) if rows is None else (rows, n)
+    size = n * (rows or 1)
+    logits = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=size, max_size=size)))
+    weights = np.array(data.draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
+    logits = logits.reshape(shape) * 10.0 ** data.draw(st.integers(-3, 3))
+    weights = weights.reshape(shape) * 10.0 ** data.draw(st.integers(-300, 300))
+    if rows is not None:
+        zero = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        weights[np.array(zero)] = 0.0
+    _assert_listwise_ce_bits(logits, weights)
+
+
+def test_listwise_ce_adds_two_tape_nodes():
+    z = Tensor(np.zeros((2, 3)), requires_grad=True)
+    loss = weighted_listwise_ce(z, np.ones((2, 3)))
+    (log_p,) = loss._prev
+    assert log_p._op == "log_softmax" and log_p._prev == (z,)
+
+
 def test_listwise_ce_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         weighted_listwise_ce(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
@@ -488,6 +551,11 @@ def test_load_rejects_missing_and_misshapen(tmp_path):
         load_params(path, [Parameter(np.zeros(3), "b")])
     with pytest.raises(ValueError):
         load_params(path, [Parameter(np.zeros(4), "a")])
+    for bad in (np.nan, np.inf, -np.inf):
+        save_params(path, [Parameter(np.array([0.0, bad, 1.0]), "a")])
+        with pytest.raises(ValueError, match="'a'"):
+            load_params(path, [a])
+        assert np.array_equal(a.data, np.zeros(3))
 
 
 def test_save_rejects_duplicate_names(tmp_path):

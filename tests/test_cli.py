@@ -149,6 +149,19 @@ def test_eval_refuses_files_that_are_not_npz(run_dir, tmp_path, content):
     assert "not an npz archive" in _fails_cleanly("eval", "--model", str(model))
 
 
+@pytest.mark.parametrize("name, value", [("ranker.l0.W", np.nan), ("ranker.l2.b", np.inf)])
+def test_eval_refuses_non_finite_parameters(run_dir, data_dir, tmp_path, name, value):
+    """NaN scores keep the original order, so a corrupt snapshot would print
+    made-up metrics; it is refused instead, naming the parameter."""
+    with np.load(run_dir / "model_seed0.npz") as archive:
+        params = {key: archive[key] for key in archive.files}
+    params[name].flat[0] = value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **params)
+    line = _fails_cleanly("eval", "--model", str(bad), "--data", str(data_dir))
+    assert name in line and "non-finite" in line
+
+
 @pytest.mark.parametrize("flag", ["--config", "--set"])
 def test_eval_takes_no_config(run_dir, flag):
     with pytest.raises(SystemExit) as exc:

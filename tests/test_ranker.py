@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ultrlab.autodiff import Tensor
 from ultrlab.clicks import SimulationConfig
 from ultrlab.propensity import PropensityEstimate
 from helpers import full_information_loss
@@ -101,7 +102,7 @@ def test_ipw_loss_is_shift_invariant():
     clicks = (rng.random((2, 4)) < 0.5).astype(float)
     est = PropensityEstimate(weights=np.array([1.0, 0.6, 0.3, 0.2]))
     base = ipw_ranking_loss(ranker.forward(X).reshape(2, 4), clicks, est)
-    shifted = ipw_ranking_loss(ranker.forward(X).reshape(2, 4) + 41.5,
+    shifted = ipw_ranking_loss(ranker.forward(X).reshape(2, 4) + Tensor(np.full(4, 41.5)),
                                clicks, est)
     assert float(shifted.data) == pytest.approx(float(base.data), abs=1e-9)
 

@@ -265,6 +265,17 @@ def test_naive_learner_equals_dla_pinned_to_uniform(small_data):
         assert np.array_equal(a.data, b.data)
 
 
+def _record_step_estimates(monkeypatch):
+    """The backdoor estimates that UPE steps weight the ranker with, in order."""
+    seen = []
+
+    def spy(*args):
+        seen.append(backdoor_estimate(*args))
+        return seen[-1]
+    monkeypatch.setattr(training, "backdoor_estimate", spy)
+    return seen
+
+
 def test_upe_with_inert_position_table_matches_dla_step(small_data, monkeypatch):
     """Zero position embeddings make every rank carry the same backdoor rate,
     so the first update degenerates to the uniform-weight update, which is
@@ -277,14 +288,16 @@ def test_upe_with_inert_position_table_matches_dla_step(small_data, monkeypatch)
     for a, b in zip(upe.ranker.parameters(), dla.ranker.parameters()):
         assert np.array_equal(a.data, b.data)
     monkeypatch.setattr(training, "joint_propensity_step", lambda *args, **kw: 0.0)
+    estimates = _record_step_estimates(monkeypatch)
     upe.step(batch)
     dla.step(batch)
-    assert np.array_equal(upe.last_estimate.weights, np.ones(6))
+    assert len(estimates) == 1
+    assert np.array_equal(estimates[0].weights, np.ones(6))
     for a, b in zip(upe.ranker.parameters(), dla.ranker.parameters()):
         assert np.array_equal(a.data, b.data)
 
 
-def test_upe_iteration_moves_the_right_parameters(small_data):
+def test_upe_iteration_moves_the_right_parameters(small_data, monkeypatch):
     cfg = _small_cfg(algorithm="upe")
     policy, batch = _policy_and_batch(small_data, cfg, seed=55)
     probe = policy.view.flat_features()[:20]
@@ -293,9 +306,11 @@ def test_upe_iteration_moves_the_right_parameters(small_data):
     table_before = learner.lpp.position_table.data.copy()
     pathway_before = [p.data.copy() for p in learner.lpp.g_pt]
     ranker_before = [p.data.copy() for p in learner.ranker.parameters()]
+    estimates = _record_step_estimates(monkeypatch)
     for it in range(3):
         learner.step(batch)
-        est = learner.last_estimate
+        assert len(estimates) == it + 1
+        est = estimates[-1]
         assert est.weights[0] == 1.0
         assert np.all(est.weights > 0) and np.all(est.weights <= 1.0)
     assert not np.array_equal(learner.position_model.logits.data, base_before)

@@ -1,9 +1,9 @@
 """Tour of the reverse-mode engine: tensors, backward, AdaGrad, a tiny fit.
 
-Builds a scalar expression by hand and differentiates it, cross-checks one
-gradient against a finite difference, then fits a two-layer network to
-per-list target distributions with the listwise loss and AdaGrad to show
-the optimizer loop end to end.
+Builds a scalar expression by hand and differentiates it into the leaves
+it names, cross-checks one gradient against a finite difference, then fits a
+two-layer network to per-list target distributions with the listwise loss and
+AdaGrad to show the optimizer loop end to end.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ from ultrlab.autodiff import MLP, AdaGrad, Tensor, weighted_listwise_ce
 
 
 def scalar_example():
-    x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
-    w = Tensor(np.array([[0.5], [-1.0], [0.25]]), requires_grad=True)
+    x = Tensor(np.array([[1.0, 2.0, 3.0]]))
+    w = Tensor(np.array([[0.5], [-1.0], [0.25]]))
     y = x.matmul(w).elu()
-    y.backward()
+    y.backward([x, w])
     print("y =", y.data.item())
     print("dy/dx =", x.grad.reshape(-1))
     print("dy/dw =", w.grad.reshape(-1))
@@ -30,10 +30,10 @@ def scalar_example():
 
 
 def listwise_loss_example():
-    scores = Tensor(np.array([[2.0, 0.0, -1.0]]), requires_grad=True)
+    scores = Tensor(np.array([[2.0, 0.0, -1.0]]))
     weights = np.array([[1.0, 0.0, 0.0]])
     loss = weighted_listwise_ce(scores, weights)
-    loss.backward()
+    loss.backward([scores])
     print("\nlistwise cross-entropy with the first item as target:",
           float(loss.data))
     print("gradient rows sum to zero:", scores.grad.sum())

@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and remembers how it was produced; calling
-``backward(leaves)`` on a scalar result accumulates gradients into the named
-leaves, every leaf that requires grad by default. Just enough ops for
+A Tensor wraps a float64 ndarray and remembers the tensors it was computed
+from; calling ``backward(leaves)`` on a scalar result accumulates gradients
+into the named leaves and no others. Just enough ops for
 feedforward scorers with listwise losses: add (broadcasting a bias row over
 leading axes), matmul, ELU, inverted dropout, row-wise log-softmax, reshape,
 embedding lookup, and the weighted listwise cross-entropy as one loss node.
@@ -65,18 +65,12 @@ def _consumed(live):
 
 
 class Tensor:
-    def __init__(self, data, requires_grad: bool = False, _prev=(), _op: str = ""):
+    def __init__(self, data, _prev=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
         self._prev = tuple(_prev)
-        self._op = _op
         self._seq = next(_CREATED)
         self._backward: Callable[[set], None] = lambda live: None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
@@ -86,8 +80,7 @@ class Tensor:
             self.grad += grad
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        out = Tensor(self.data + other.data,
-                     self.requires_grad or other.requires_grad, (self, other), "+")
+        out = Tensor(self.data + other.data, (self, other))
 
         def _backward(live):
             if self in live:
@@ -102,8 +95,7 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ValueError("matmul expects 2-D operands")
-        out = Tensor(self.data @ other.data,
-                     self.requires_grad or other.requires_grad, (self, other), "@")
+        out = Tensor(self.data @ other.data, (self, other))
 
         def _backward(live):
             if self in live:
@@ -115,7 +107,7 @@ class Tensor:
 
     def elu(self) -> "Tensor":
         y = _elu(self.data.copy())
-        out = Tensor(y, self.requires_grad, (self,), "elu")
+        out = Tensor(y, (self,))
 
         def _backward(live):
             # d/dx is 1 where y > 0 and y + 1 elsewhere: min(y, 0) + 1.
@@ -139,7 +131,7 @@ class Tensor:
         if rng is None:
             raise ValueError("dropout needs an rng")
         mask = (rng.random(self.data.shape) >= p) / (1.0 - p)
-        out = Tensor(self.data * mask, self.requires_grad, (self,), "dropout")
+        out = Tensor(self.data * mask, (self,))
 
         def _backward(live):
             self._accumulate(out.grad * mask)
@@ -150,7 +142,7 @@ class Tensor:
         """Row-wise log softmax over the last axis."""
         z = self.data - self.data.max(axis=-1, keepdims=True)
         y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        out = Tensor(y, self.requires_grad, (self,), "log_softmax")
+        out = Tensor(y, (self,))
 
         def _backward(live):
             g = out.grad
@@ -159,7 +151,7 @@ class Tensor:
         return out
 
     def reshape(self, *shape) -> "Tensor":
-        out = Tensor(self.data.reshape(*shape), self.requires_grad, (self,), "reshape")
+        out = Tensor(self.data.reshape(*shape), (self,))
 
         def _backward(live):
             self._accumulate(out.grad.reshape(self.data.shape))
@@ -169,7 +161,7 @@ class Tensor:
     def take_rows(self, indices) -> "Tensor":
         """Row lookup (embedding gather); backward scatter-adds into the table."""
         idx = np.asarray(indices, dtype=np.int64)
-        out = Tensor(self.data[idx], self.requires_grad, (self,), "take_rows")
+        out = Tensor(self.data[idx], (self,))
 
         def _backward(live):
             if self.grad is None:
@@ -178,8 +170,8 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def backward(self, leaves: Optional[Sequence["Tensor"]] = None):
-        """Reverse pass from a scalar into ``leaves``, by default every leaf needing grad."""
+    def backward(self, leaves: Sequence["Tensor"]):
+        """Reverse pass from a scalar root into the named ``leaves`` and no others."""
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar root")
         nodes, stack = {self}, [self]
@@ -188,8 +180,6 @@ class Tensor:
                 if prev not in nodes:
                     nodes.add(prev)
                     stack.append(prev)
-        if leaves is None:
-            leaves = [node for node in nodes if node.requires_grad and not node._prev]
         topo = sorted(nodes, key=lambda node: node._seq)
         named, live = set(leaves), set()
         for node in topo:
@@ -204,15 +194,12 @@ class Tensor:
                 # graph is freed by reference counting, not the cyclic collector.
                 node._backward = _consumed
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self._op!r})"
-
 
 class Parameter(Tensor):
     """A named leaf tensor updated by an optimizer."""
 
     def __init__(self, data, name: str):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data)
         self.name = name
 
     def __repr__(self):
@@ -307,20 +294,22 @@ class MLP:
 
 
 def weighted_listwise_ce(logits: Tensor, weights: np.ndarray) -> Tensor:
-    """Softmax cross-entropy against unnormalized per-item weights, meaned over rows.
+    """Softmax cross-entropy of (rows, items) logits against unnormalized
+    per-item weights of the same shape, meaned over rows.
 
     For a row z with weights w this is -sum_j w_j log softmax(z)_j, whose
     gradient in z_j is -w_j + (sum_i w_i) softmax(z)_j. It adds two tape
-    nodes, the log-softmax and the loss, and keeps the operation order that
-    ``listwise_ce_op_by_op`` in ``tests/helpers.py`` pins bit for bit.
+    nodes, the log-softmax and the loss, and keeps the operation order of the
+    op-by-op numpy chain in ``tests/helpers.py``, which pins it bit for bit.
     """
+    if logits.data.ndim != 2:
+        raise ValueError(f"logits must be (rows, items), got shape {logits.data.shape}")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != logits.data.shape:
         raise ValueError("weights must match logits shape")
-    scale = 1.0 / float(logits.data.shape[0] if logits.data.ndim == 2 else 1)
+    scale = 1.0 / float(logits.data.shape[0])
     log_p = logits.log_softmax()
-    out = Tensor((weights * log_p.data).sum() * -1.0 * scale,
-                 log_p.requires_grad, (log_p,), "listwise_ce")
+    out = Tensor((weights * log_p.data).sum() * -1.0 * scale, (log_p,))
 
     def _backward(live):
         log_p._accumulate(out.grad * scale * -1.0 * weights)
@@ -342,7 +331,7 @@ def load_params(path, params: Sequence[Parameter]):
     with np.load(path) as archive:
         for p in params:
             if p.name not in archive.files:
-                raise KeyError(f"snapshot missing parameter {p.name!r}")
+                raise ValueError(f"snapshot missing parameter {p.name!r}")
             stored = archive[p.name]
             if stored.shape != p.data.shape:
                 raise ValueError(

@@ -23,9 +23,9 @@ from . import __version__
 from .autodiff import load_params, save_params
 from .causal import ToyCausalModel, overestimation_report
 from .clicks import PositionBiasCurve
-from .data import generate_synthetic, parse_svmlight, serialize_svmlight
+# Unused here; perfbench/tracer.py wraps cli.generate_synthetic (ROADMAP item 1).
+from .data import generate_synthetic, parse_svmlight, serialize_svmlight  # noqa: F401
 from .ranker import RankerMLP
-from .seeding import derive_seed
 from .training import (
     CURVE_COLUMNS,
     DatasetView,
@@ -77,18 +77,14 @@ def _load_split(data_dir) -> SplitData:
 
 
 def cmd_gen_data(args) -> int:
-    specs = [("train.txt", args.train_queries, "train"),
-             ("test.txt", args.test_queries, "test")]
-    teacher = derive_seed(args.seed, "data", "teacher")
-    # Both splits first: a size generate_synthetic refuses leaves no files behind.
-    splits = [generate_synthetic(n_queries, args.docs, args.features,
-                                 derive_seed(args.seed, "data", split), teacher_seed=teacher)
-              for _, n_queries, split in specs]
+    # Both splits first: a size make_split_data refuses leaves no files behind.
+    data = make_split_data(args.train_queries, args.test_queries, args.docs,
+                           args.features, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for (filename, n_queries, _), ds in zip(specs, splits):
+    for filename, ds in (("train.txt", data.train), ("test.txt", data.test)):
         (out / filename).write_text(serialize_svmlight(ds))
-        print(f"wrote {out / filename} ({n_queries} queries x {args.docs} docs)")
+        print(f"wrote {out / filename} ({ds.n_queries} queries x {args.docs} docs)")
     return 0
 
 

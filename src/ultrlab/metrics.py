@@ -11,6 +11,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .data import Y_MAX
+from .propensity import PropensityEstimate
 
 DEFAULT_CUTOFFS = (1, 3, 5, 10)
 
@@ -56,31 +57,26 @@ def ranking_metrics(ranked, cutoffs: Sequence[int] = DEFAULT_CUTOFFS) -> Dict[st
     return out
 
 
-def _weight_vector(estimate) -> np.ndarray:
-    w = getattr(estimate, "weights", estimate)
-    return np.asarray(w, dtype=np.float64)
-
-
-def normalized_propensity(estimate, ref_position: int = 10) -> np.ndarray:
+def normalized_propensity(estimate: PropensityEstimate, ref_position: int = 10) -> np.ndarray:
     """Propensity weights rescaled so the reference rank maps to 1.
 
     Dividing by a deep rank's weight is how relative estimates from different
     runs become comparable; rank 1 of the rescaled vector is the headline
     'how steep does this model think the bias is' number.
     """
-    w = _weight_vector(estimate)
+    w = estimate.weights
     if not 1 <= ref_position <= w.size:
         raise ValueError(f"ref_position must lie in [1, {w.size}]")
     return w / w[ref_position - 1]
 
 
-def propensity_error(estimate, truth_curve, eta: float) -> float:
+def propensity_error(estimate: PropensityEstimate, truth_curve, eta: float) -> float:
     """Mean absolute relative error against the true curve, scale removed.
 
     Both the estimate and rho_k**eta are rescaled to their deepest shared
-    rank before comparing, so a uniformly scaled estimate scores 0.
+    rank before comparing, so an estimate proportional to the curve scores 0.
     """
-    w = _weight_vector(estimate)
+    w = estimate.weights
     true = truth_curve.examination(eta)[: w.size]
     if true.size != w.size:
         raise ValueError("truth curve shorter than the estimate")

@@ -48,14 +48,13 @@ def ipw_ranking_loss(scores: Tensor, clicks: np.ndarray,
     Each clicked position k contributes its negative log softmax score times
     w_k = weight_1 / max(weight_k, tau); unclicked positions only enter
     through the softmax normalizer. Rows are whole sessions; the loss is the
-    mean over rows. The estimate may cover more positions than the list.
+    mean over rows. The estimate has one weight per displayed position.
     """
     weights = propensity.weights
     c = np.asarray(clicks, dtype=np.float64)
     if c.shape != scores.data.shape:
         raise ValueError("clicks must match scores shape")
     n_pos = scores.data.shape[-1]
-    if weights.size < n_pos:
-        raise ValueError(f"propensity covers {weights.size} positions, need {n_pos}")
-    inv = clipped_inverse_weights(weights[:n_pos], tau)
-    return weighted_listwise_ce(scores, c * inv)
+    if weights.size != n_pos:
+        raise ValueError(f"propensity covers {weights.size} positions, the list has {n_pos}")
+    return weighted_listwise_ce(scores, c * clipped_inverse_weights(weights, tau))

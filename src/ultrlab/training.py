@@ -301,7 +301,6 @@ class IPWLearner:
 
     def __init__(self, cfg: ExperimentConfig, feature_dim: int, estimate: PropensityEstimate):
         self.cfg = cfg
-        self.n_positions = len(estimate)
         self.ranker = RankerMLP(feature_dim, rng_for(cfg.seed, cfg.algorithm, "init"),
                                 hidden=cfg.ranker_hidden, dropout=cfg.dropout)
         self.opt_ranker = AdaGrad(self.ranker.parameters(), lr=cfg.learning_rate)

@@ -54,9 +54,9 @@ def check_gradients(build_loss, arrays, tol=FD_TOL, h=FD_H):
     coordinates are judged absolutely and large ones relatively. Returns the
     leaf Tensors, holding the gradients of the backward pass that was checked.
     """
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    tensors = [Tensor(a.copy()) for a in arrays]
     loss = build_loss(tensors)
-    loss.backward()
+    loss.backward(tensors)
     analytic = [t.grad.copy() for t in tensors]
 
     def f(arrs):
@@ -78,7 +78,7 @@ def check_parameter_gradients(params, loss_fn, tol=FD_TOL, h=FD_H):
     """
     for p in params:
         p.grad = None
-    loss_fn().backward()
+    loss_fn().backward(params)
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for p in params]
     for p, ana in zip(params, analytic):
@@ -139,14 +139,15 @@ def elu_four_pass(x: np.ndarray) -> np.ndarray:
 
 
 def listwise_ce_op_by_op(logits: np.ndarray, weights: np.ndarray):
-    """Loss value and logits gradient of ``weighted_listwise_ce`` in numpy,
-    in the order of the chain the fused loss node replaced: log-softmax,
-    ``w * ls`` summed, negated and scaled by 1/rows; backward broadcasts the
-    scaled -1 over ``ls``, multiplies by ``w`` and runs log-softmax's backward.
+    """Loss value and (rows, items) logits gradient of ``weighted_listwise_ce``
+    in numpy, in the order of the chain the fused loss node replaced:
+    log-softmax, ``w * ls`` summed, negated and scaled by 1/rows; backward
+    broadcasts the scaled -1 over ``ls``, multiplies by ``w`` and runs
+    log-softmax's backward.
     """
     z = logits - logits.max(axis=-1, keepdims=True)
     ls = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    n = logits.shape[0] if logits.ndim == 2 else 1
+    n = logits.shape[0]
     loss = ((weights * ls).sum() * -1.0) * (1 / n)
     g = np.broadcast_to(-(1 / n), ls.shape) * weights
     return loss, g - np.exp(ls) * g.sum(axis=-1, keepdims=True)

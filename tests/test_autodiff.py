@@ -68,7 +68,7 @@ def test_fan_out_gradients_match_and_own_their_buffers(name):
         rng = np.random.default_rng(2000 + trial)
         arrays = [rng.normal(size=shape) for shape in shapes]
         # W mixes the result so every coordinate counts.
-        W = rng.normal(size=forward([Tensor(a) for a in arrays]).shape)
+        W = rng.normal(size=forward([Tensor(a) for a in arrays]).data.shape)
         leaves = check_gradients(lambda t: linear_readout(forward(t), W), arrays)
         _assert_own_writeable_grads([t.grad for t in leaves])
 
@@ -90,14 +90,14 @@ def test_parameter_feeding_two_branches_of_an_equal_shape_add():
 def test_zero_dim_leaf_gets_an_ndarray_gradient():
     """``+`` broadcasts over leading axes only: a 0-d leaf's gradient sums
     down to a numpy scalar, and a size-1 inner axis is refused in backward."""
-    s = Tensor(np.array(2.0), requires_grad=True)
-    x = Tensor(np.zeros((2, 3)), requires_grad=True)
-    linear_readout(s + x, np.arange(6.0).reshape(2, 3)).backward()
+    s = Tensor(np.array(2.0))
+    x = Tensor(np.zeros((2, 3)))
+    linear_readout(s + x, np.arange(6.0).reshape(2, 3)).backward([s, x])
     assert s.grad == 15.0
     _assert_own_writeable_grads([s.grad, x.grad])
-    column = Tensor(np.zeros((2, 1)), requires_grad=True)
+    column = Tensor(np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        linear_readout(column + x, np.ones((2, 3))).backward()
+        linear_readout(column + x, np.ones((2, 3))).backward([column, x])
 
 
 def test_elu_scalar_values():
@@ -178,24 +178,24 @@ def test_division_by_tensor_rejected():
 
 
 def test_backward_requires_scalar_root():
-    t = Tensor(np.ones((2, 2)), requires_grad=True)
+    t = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        t.elu().backward()
+        t.elu().backward([t])
 
 
 def test_square_loss_gradient():
-    w = Tensor(np.array([[3.0]]), requires_grad=True)
-    w.matmul(w).backward()
+    w = Tensor(np.array([[3.0]]))
+    w.matmul(w).backward([w])
     assert w.grad[0, 0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_backward_consumes_the_graph_and_frees_it_without_the_cycle_collector():
-    w = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    w = Tensor(np.array([[1.0, -2.0]]))
     hidden = w.matmul(Tensor(np.ones((2, 1)))).elu()
     loss = hidden.reshape(())
-    loss.backward()
+    loss.backward([w])
     with pytest.raises(RuntimeError):
-        loss.backward()
+        loss.backward([w])
     ref = weakref.ref(hidden)
     gc.disable()
     try:
@@ -205,7 +205,7 @@ def test_backward_consumes_the_graph_and_frees_it_without_the_cycle_collector():
         gc.enable()
     # The leaf keeps its gradient and can start a new graph.
     assert w.grad[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
-    w.matmul(Tensor(np.ones((2, 1)))).backward()
+    w.matmul(Tensor(np.ones((2, 1)))).backward([w])
 
 
 def _lpp_view_case(view):
@@ -248,7 +248,7 @@ def test_backward_into_named_leaves_matches_the_full_pass(case, names):
     the rest get no gradient, and an update leaves their data and their
     AdaGrad accumulators alone."""
     params, loss_fn = PRUNING_CASES[case]()
-    loss_fn().backward()
+    loss_fn().backward(params)
     full = {p.name: p.grad.tobytes() for p in params if p.name in names}
     named = [p for p in params if p.name in names]
     assert len(named) == len(names)
@@ -266,23 +266,12 @@ def test_backward_into_named_leaves_matches_the_full_pass(case, names):
             assert not np.any(opt.state[id(p)])
 
 
-def test_backward_leaves_default_to_every_leaf_that_requires_grad():
-    a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-    b = Tensor(np.array([[0.5, 3.0], [1.0, -1.0]]), requires_grad=True)
-    c = Tensor(np.array([[2.0], [2.0]]))
-    a.matmul(b).elu().matmul(c).backward([b])
-    assert a.grad is None and c.grad is None
-    assert b.grad is not None
-    a.matmul(b).elu().matmul(c).backward()
-    assert a.grad is not None and c.grad is None
-
-
 def test_unconnected_parameter_gets_no_gradient_and_no_update():
     p = Parameter(np.array([1.5]), "loose")
     q = Parameter(np.array([[2.0]]), "used")
     opt = AdaGrad([p, q], lr=0.1)
     opt.zero_grad()
-    q.matmul(q).backward()
+    q.matmul(q).backward([p, q])
     assert p.grad is None
     before = p.data.copy()
     opt.step()
@@ -479,23 +468,23 @@ def test_ce_never_beats_the_entropy_floor():
 
 
 def _assert_listwise_ce_bits(logits, weights):
-    z = Tensor(logits.copy(), requires_grad=True)
+    z = Tensor(logits.copy())
     loss = weighted_listwise_ce(z, weights)
-    loss.backward()
+    loss.backward([z])
     want_loss, want_grad = listwise_ce_op_by_op(logits, weights)
     assert loss.data.tobytes() == np.float64(want_loss).tobytes()
     assert z.grad.tobytes() == want_grad.tobytes()
 
 
 def test_listwise_ce_keeps_the_op_by_op_bits():
-    """Loss and logits gradient equal the numpy chain bit for bit, on 1-D and
-    (B, N) logits, with all-zero weight rows and weights from 1e-300 to 1e300."""
+    """Loss and logits gradient equal the numpy chain bit for bit, on one-row
+    and (B, N) logits, with all-zero weight rows and weights from 1e-300 to 1e300."""
     rng = np.random.default_rng(12)
     for scale in 10.0 ** np.arange(-300, 301, 25):
-        for shape in [(7,), (1, 5), (4, 6), (32, 10)]:
+        for shape in [(1, 7), (1, 5), (4, 6), (32, 10)]:
             logits = rng.normal(scale=3.0, size=shape)
             weights = rng.uniform(size=shape) * (rng.uniform(size=shape) < 0.5) * scale
-            if len(shape) == 2:
+            if shape != (1, 7):
                 weights[0] = 0.0
             _assert_listwise_ce_bits(logits, weights)
     _assert_listwise_ce_bits(np.zeros((3, 4)), np.zeros((3, 4)))
@@ -504,30 +493,33 @@ def test_listwise_ce_keeps_the_op_by_op_bits():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_listwise_ce_keeps_the_op_by_op_bits_on_any_batch(data):
-    rows = data.draw(st.sampled_from([None, 1, 2, 5]))
+    rows = data.draw(st.sampled_from([1, 2, 5]))
     n = data.draw(st.integers(1, 8))
-    shape = (n,) if rows is None else (rows, n)
-    size = n * (rows or 1)
+    shape = (rows, n)
+    size = n * rows
     logits = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=size, max_size=size)))
     weights = np.array(data.draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
     logits = logits.reshape(shape) * 10.0 ** data.draw(st.integers(-3, 3))
     weights = weights.reshape(shape) * 10.0 ** data.draw(st.integers(-300, 300))
-    if rows is not None:
-        zero = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-        weights[np.array(zero)] = 0.0
+    zero = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    weights[np.array(zero)] = 0.0
     _assert_listwise_ce_bits(logits, weights)
 
 
 def test_listwise_ce_adds_two_tape_nodes():
-    z = Tensor(np.zeros((2, 3)), requires_grad=True)
+    z = Tensor(np.log([[1.0, 2.0, 5.0], [3.0, 3.0, 4.0]]))
     loss = weighted_listwise_ce(z, np.ones((2, 3)))
     (log_p,) = loss._prev
-    assert log_p._op == "log_softmax" and log_p._prev == (z,)
+    assert log_p._prev == (z,) and z._prev == ()
+    assert np.allclose(log_p.data, np.log([[0.125, 0.25, 0.625], [0.3, 0.3, 0.4]]))
 
 
 def test_listwise_ce_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         weighted_listwise_ce(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+    # One list is a (1, items) row; a 1-D vector is refused, not read as one.
+    with pytest.raises(ValueError, match=r"\(rows, items\)"):
+        weighted_listwise_ce(Tensor(np.zeros(3)), np.zeros(3))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -547,7 +539,7 @@ def test_load_rejects_missing_and_misshapen(tmp_path):
     a = Parameter(np.zeros(3), "a")
     path = tmp_path / "one.npz"
     save_params(path, [a])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="missing parameter 'b'"):
         load_params(path, [Parameter(np.zeros(3), "b")])
     with pytest.raises(ValueError):
         load_params(path, [Parameter(np.zeros(4), "a")])

@@ -16,9 +16,15 @@ from ultrlab.autodiff import load_params
 from ultrlab.causal import ToyCausalModel, overestimation_report
 from ultrlab.cli import main
 from ultrlab.clicks import SimulationConfig
-from ultrlab.data import parse_svmlight
+from ultrlab.data import parse_svmlight, serialize_svmlight
 from ultrlab.ranker import RankerMLP
-from ultrlab.training import CURVE_COLUMNS, DatasetView, ExperimentConfig, evaluate_ranker
+from ultrlab.training import (
+    CURVE_COLUMNS,
+    DatasetView,
+    ExperimentConfig,
+    evaluate_ranker,
+    make_split_data,
+)
 
 TINY = ["--set", "total_steps=10", "--set", "eval_every=5",
         "--set", "refresh_interval=10", "--set", "batch_queries=4",
@@ -57,6 +63,10 @@ def test_gen_data_files_parse_and_repeat(data_dir, tmp_path):
                  "--test-queries", "4", "--docs", "5", "--features", "5",
                  "--seed", "3"]) == 0
     assert (again / "train.txt").read_text() == train_text
+    # The split seeds have one owner: gen-data writes what make_split_data builds.
+    split = make_split_data(8, 4, 5, 5, 3)
+    for name, ds in (("train.txt", split.train), ("test.txt", split.test)):
+        assert (data_dir / name).read_bytes() == serialize_svmlight(ds).encode()
 
 
 def test_train_writes_manifest_and_artifacts(run_dir):
@@ -126,13 +136,18 @@ def test_eval_prints_json_metrics(run_dir, data_dir, capsys):
 
 
 def test_eval_rejects_mismatched_shapes(run_dir, tmp_path):
-    """A snapshot trained on 5 features cannot score 6-feature documents."""
+    """A snapshot trained on 5 features cannot score 6-feature documents, and
+    an archive without the ranker's parameters scores nothing."""
     wide = tmp_path / "wide"
     assert main(["gen-data", "--out", str(wide), "--train-queries", "2",
                  "--test-queries", "2", "--docs", "5", "--features", "6"]) == 0
     line = _fails_cleanly("eval", "--model", str(run_dir / "model_seed0.npz"),
                           "--data", str(wide))
     assert "ranker.l0.W" in line
+    other = tmp_path / "other.npz"
+    np.savez(other, foo=np.ones(3))
+    line = _fails_cleanly("eval", "--model", str(other), "--data", str(wide))
+    assert line == "error: snapshot missing parameter 'ranker.l0.W'"
 
 
 @pytest.mark.parametrize("content", ["npy", "empty", "text", "truncated"])

@@ -122,11 +122,11 @@ def test_normalized_propensity_of_uniform_is_all_ones():
     assert np.array_equal(normalized_propensity(est, ref_position=6), np.ones(6))
 
 
-def test_normalized_propensity_accepts_plain_vectors_and_validates_ref():
-    got = normalized_propensity(np.array([4.0, 2.0, 1.0]), ref_position=3)
-    assert np.allclose(got, [4.0, 2.0, 1.0])
+def test_normalized_propensity_divides_by_the_reference_and_validates_it():
+    est = PropensityEstimate(weights=np.array([1.0, 0.5, 0.25]))
+    assert np.array_equal(normalized_propensity(est, ref_position=3), [4.0, 2.0, 1.0])
     with pytest.raises(ValueError):
-        normalized_propensity(np.ones(3), ref_position=4)
+        normalized_propensity(est, ref_position=4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,8 +135,8 @@ def test_normalized_propensity_accepts_plain_vectors_and_validates_ref():
 def test_normalized_propensity_scale_invariance(weights, c):
     w = np.array(weights)
     ref = len(weights)
-    a = normalized_propensity(w, ref_position=ref)
-    b = normalized_propensity(c * w, ref_position=ref)
+    a = normalized_propensity(PropensityEstimate.from_raw(w), ref_position=ref)
+    b = normalized_propensity(PropensityEstimate.from_raw(c * w), ref_position=ref)
     assert np.allclose(a, b, rtol=1e-12, atol=0)
 
 
@@ -147,19 +147,23 @@ def test_propensity_error_zero_at_truth():
 
 
 def test_propensity_error_ignores_uniform_scaling():
+    """An estimate is pinned to 1 at rank 1 and a curve need not be; the
+    comparison rescales both, so a uniformly scaled truth scores 0."""
     curve = PositionBiasCurve.inverse_rank(5)
-    scaled = 0.5 * curve.examination(1.0)
-    assert propensity_error(scaled, curve, eta=1.0) == pytest.approx(0.0, abs=1e-12)
+    est = PropensityEstimate.from_curve(curve, eta=1.0)
+    scaled = PositionBiasCurve(0.5 * curve.values)
+    assert propensity_error(est, scaled, eta=1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_propensity_error_single_doubled_coordinate():
     curve = PositionBiasCurve.inverse_rank(10)
     w = curve.examination(1.0).copy()
     w[0] *= 2.0
-    assert propensity_error(w, curve, eta=1.0) == pytest.approx(0.1, abs=1e-12)
+    est = PropensityEstimate.from_raw(w)
+    assert propensity_error(est, curve, eta=1.0) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_propensity_error_rejects_short_truth():
     curve = PositionBiasCurve.inverse_rank(3)
     with pytest.raises(ValueError):
-        propensity_error(np.ones(5), curve, eta=1.0)
+        propensity_error(PropensityEstimate.uniform(5), curve, eta=1.0)

@@ -166,7 +166,7 @@ def test_irw_loss_trains_toward_the_click_skew():
         clicks = (rng.random((8, 3)) < np.array([0.9, 0.3, 0.1])).astype(float)
         loss = irw_propensity_loss(model.batch_scores(8), clicks, rel)
         opt.zero_grad()
-        loss.backward()
+        loss.backward(model.parameters())
         opt.step()
     est = dla_propensity(model)
     assert est.weights[0] == 1.0
@@ -325,7 +325,8 @@ def test_joint_step_detects_a_pathway_update(monkeypatch):
     X = np.random.default_rng(10).normal(size=(2, 4, 3))
     targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
     backward_all, step_all = Tensor.backward, AdaGrad.step
-    monkeypatch.setattr(Tensor, "backward", lambda self, leaves=None: backward_all(self))
+    monkeypatch.setattr(Tensor, "backward",
+                        lambda self, leaves: backward_all(self, model.parameters()))
     monkeypatch.setattr(AdaGrad, "step", lambda self, params=None: step_all(self))
     with pytest.raises(FreezeContractError):
         joint_propensity_step(model, opt, X, targets)

@@ -85,14 +85,13 @@ def test_ipw_loss_reweights_clicks():
     assert float(loss.data) == pytest.approx(3 * math.log(2.0), abs=1e-12)
 
 
-def test_ipw_loss_accepts_longer_estimates():
+def test_ipw_loss_refuses_longer_estimates():
+    """Every learner's estimate has one weight per displayed position, so a
+    longer one is a caller's mistake, not a prefix to read."""
     scores = make_ranker().forward(np.zeros((2, 4))).reshape(1, 2)
-    clicks = np.array([[1.0, 1.0]])
-    exact = ipw_ranking_loss(
-        scores, clicks, PropensityEstimate(weights=np.array([1.0, 0.5])))
-    longer = ipw_ranking_loss(
-        scores, clicks, PropensityEstimate(weights=np.array([1.0, 0.5, 0.1])))
-    assert float(exact.data) == float(longer.data)
+    with pytest.raises(ValueError, match="covers 3 positions, the list has 2"):
+        ipw_ranking_loss(scores, np.array([[1.0, 1.0]]),
+                         PropensityEstimate(weights=np.array([1.0, 0.5, 0.1])))
 
 
 def test_ipw_loss_is_shift_invariant():
@@ -113,6 +112,8 @@ def test_ipw_loss_validation():
         ipw_ranking_loss(scores, np.zeros((1, 2)), PropensityEstimate.uniform(2))
     with pytest.raises(ValueError):
         ipw_ranking_loss(scores, np.zeros((2, 2)), PropensityEstimate(weights=[1.0]))
+    with pytest.raises(ValueError):
+        ipw_ranking_loss(scores.reshape(4), np.zeros(4), PropensityEstimate.uniform(4))
 
 
 def test_full_information_loss_weights_by_perceived_relevance():

@@ -50,11 +50,12 @@ def fit_example():
     floor = float(-(targets * np.log(targets)).sum() / lists)
 
     net = MLP(4, (16,), 1, rng, "toy", dropout=0.0)
-    opt = AdaGrad(net.parameters(), lr=0.2)
+    opt = AdaGrad(lr=0.2)
     print(f"\nfitting {lists} lists of {docs} documents to softmax targets "
           f"(entropy floor {floor:.5f})")
     for step in range(1, 401):
-        loss = opt.minimize(weighted_listwise_ce(net(Tensor(X)).reshape(lists, docs), targets))
+        loss = opt.minimize(weighted_listwise_ce(net(Tensor(X)).reshape(lists, docs), targets),
+                            net.parameters())
         if step % 100 == 0 or step == 1:
             print(f"  step {step:3d}: loss {loss:.5f}, above floor {loss - floor:.5f}")
 

@@ -35,7 +35,7 @@ def main():
     n_positions, feature_dim = 4, 3
     model = LPPModel(feature_dim, n_positions, rng, embed_dim=4,
                      encoder_hidden=(6,), ffn_hidden=(5,))
-    opt = AdaGrad(model.parameters(), lr=0.1)
+    opt = AdaGrad(lr=0.1)
 
     features = rng.uniform(size=(2, n_positions, feature_dim))
     logging_scores = np.sort(rng.normal(size=(2, n_positions)))[:, ::-1]

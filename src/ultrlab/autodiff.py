@@ -207,37 +207,34 @@ class Parameter(Tensor):
 
 
 class AdaGrad:
-    """Per-coordinate AdaGrad: G += g^2, then theta -= lr * g / sqrt(G + damping).
+    """Per-coordinate AdaGrad: G += g^2, then theta -= lr * g / sqrt(G + 1e-6).
 
-    ``step`` and ``minimize`` update the parameters they are given, all of the
-    optimizer's by default. A parameter left out keeps its data and its
-    accumulator, so leaving it out of a step is a pure pause.
+    Each update names the parameters it moves. A parameter's accumulator is
+    made at its first update, so leaving it out of a step is a pure pause.
     """
 
-    def __init__(self, params: Sequence[Parameter], lr: float, damping: float = 1e-6):
+    def __init__(self, lr: float):
         if lr <= 0:
             raise ValueError("lr must be positive")
-        self.params = list(params)
         self.lr = lr
-        self.damping = damping
-        self.state = {id(p): np.zeros_like(p.data) for p in self.params}
+        self.state = {}
 
-    def step(self, params: Optional[Sequence[Parameter]] = None):
-        for p in self.params if params is None else params:
-            if p.grad is None:
-                continue
-            G = self.state[id(p)]
+    def step(self, params: Sequence[Parameter]):
+        for p in params:
+            G = self.state.get(p)
+            if G is None:
+                G = self.state[p] = np.zeros_like(p.data)
             G += p.grad * p.grad
-            p.data -= self.lr * p.grad / np.sqrt(G + self.damping)
+            p.data -= self.lr * p.grad / np.sqrt(G + 1e-6)
 
-    def zero_grad(self):
-        for p in self.params:
+    def minimize(self, loss: Tensor, params: Sequence[Parameter]) -> float:
+        """Clear, backpropagate into and update ``params``; refuse one the loss misses."""
+        for p in params:
             p.grad = None
-
-    def minimize(self, loss: Tensor, params: Optional[Sequence[Parameter]] = None) -> float:
-        """One descent step on a scalar loss: zero, backpropagate into ``params``, update them."""
-        self.zero_grad()
-        loss.backward(self.params if params is None else params)
+        loss.backward(params)
+        for p in params:
+            if p.grad is None:
+                raise ValueError(f"loss does not reach parameter {p.name!r}")
         self.step(params)
         return float(loss.data)
 
@@ -268,14 +265,14 @@ class MLP:
         ]
         self.dropout = dropout
 
-    def __call__(self, x: Tensor, train: bool = False,
-                 rng: Optional[np.random.Generator] = None) -> Tensor:
+    def __call__(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
+        """Taped forward; dropout runs exactly when an ``rng`` is given."""
         h = x
         for i, layer in enumerate(self.layers):
             h = layer(h)
             if i < len(self.layers) - 1:
                 h = h.elu()
-                if train and self.dropout > 0.0:
+                if rng is not None:
                     h = h.dropout(self.dropout, rng=rng)
         return h
 

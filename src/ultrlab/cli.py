@@ -27,7 +27,9 @@ from .clicks import PositionBiasCurve
 from .data import generate_synthetic, parse_svmlight, serialize_svmlight  # noqa: F401
 from .ranker import RankerMLP
 from .training import (
+    ALGORITHMS,
     CURVE_COLUMNS,
+    PARADIGMS,
     DatasetView,
     ExperimentConfig,
     SplitData,
@@ -65,15 +67,17 @@ def _load_config(path, overrides, **flags) -> ExperimentConfig:
 
 
 def _load_split(data_dir) -> SplitData:
+    """Both splits at one width: an id absent from a split is 0.0 all through it."""
     root = Path(data_dir)
-    train_path, test_path = root / "train.txt", root / "test.txt"
-    for p in (train_path, test_path):
+    paths = (root / "train.txt", root / "test.txt")
+    for p in paths:
         if not p.exists():
             raise ValueError(f"missing data file {p}")
-    return SplitData(
-        train=parse_svmlight(train_path.read_text()),
-        test=parse_svmlight(test_path.read_text()),
-    )
+    splits = [parse_svmlight(p.read_text()) for p in paths]
+    width = max(ds.feature_dim for ds in splits)
+    for ds in splits:
+        ds.features = np.pad(ds.features, ((0, 0), (0, width - ds.feature_dim)))
+    return SplitData(*splits)
 
 
 def cmd_gen_data(args) -> int:
@@ -151,6 +155,7 @@ def cmd_train(args) -> int:
         "master_seed": seeds[0],
         "seeds": seeds,
         "data": os.path.relpath(args.data, out) if args.data else "synthetic-default",
+        "curve": os.path.relpath(args.curve, out) if args.curve else None,
         "results": {str(e["seed"]): e for e in entries},
         "wall_clock_s": time.monotonic() - started,
     }
@@ -275,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--data", help="directory from gen-data; default regenerates")
     p.add_argument("--curve", help="file with one examination probability per line")
-    p.add_argument("--algorithm", choices=["upe", "dla", "naive", "ipw_oracle"])
-    p.add_argument("--paradigm", choices=["OnD", "Off"])
+    p.add_argument("--algorithm", choices=ALGORITHMS)
+    p.add_argument("--paradigm", choices=PARADIGMS)
     p.add_argument("--seed", type=int, help="run seed; overrides the config's seed")
     p.add_argument("--seeds", help="inclusive range like 0..4; overrides --seed")
     p.add_argument("--workers", type=int, default=1)

@@ -83,14 +83,21 @@ class PositionBiasCurve:
 
     @classmethod
     def from_file(cls, path) -> "PositionBiasCurve":
-        """Load one float per line (blank lines and # comments skipped)."""
+        """Load one float per line (blank lines and # comments skipped); a refusal
+        names the path, and the line of a value that is not a float."""
         vals = []
         with open(path) as fh:
-            for raw in fh:
+            for n, raw in enumerate(fh, start=1):
                 line = raw.partition("#")[0].strip()
                 if line:
-                    vals.append(float(line))
-        return cls(values=np.array(vals, dtype=np.float64))
+                    try:
+                        vals.append(float(line))
+                    except ValueError:
+                        raise ValueError(f"{path}: line {n}: not a float: {line!r}") from None
+        try:
+            return cls(values=np.array(vals, dtype=np.float64))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def examination(self, eta: float) -> np.ndarray:
         """Examination probabilities rho_k ** eta for every rank."""

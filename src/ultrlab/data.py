@@ -29,10 +29,6 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class LabelRangeError(ParseError):
-    """A relevance label outside [0, Y_MAX]."""
-
-
 @dataclass
 class Dataset:
     """Query-grouped documents as flat arrays, one row per document.
@@ -119,7 +115,7 @@ def parse_svmlight(text: str) -> Dataset:
         except ValueError:
             raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
         if not 0 <= label <= Y_MAX:
-            raise LabelRangeError(line_no, f"label {label} outside [0, {Y_MAX}]")
+            raise ParseError(line_no, f"label {label} outside [0, {Y_MAX}]")
         if not tokens[1].startswith("qid:"):
             raise ParseError(line_no, f"expected qid:<id>, got {tokens[1]!r}")
         qid = tokens[1][len("qid:"):]

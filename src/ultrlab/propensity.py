@@ -246,8 +246,8 @@ def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
     """Fit the document pathway to per-session policy targets; one optimizer step.
 
     ``features`` is (batch, positions, feature_dim) in displayed order. The
-    embedding table takes no part in this forward, so only the document
-    pathway receives gradient.
+    embedding table takes no part in this forward; the update names
+    ``model.g_pt``, the document pathway, as the parameters it moves.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 3:
@@ -255,7 +255,7 @@ def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
     B, N, d = X.shape
     weights = target_weights(variant, logging_scores, B, N)
     logits = model.forward_confounder(X.reshape(B * N, d))
-    return optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights))
+    return optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights), model.g_pt)
 
 
 def position_targets_from_base(base: PositionPropensityModel) -> np.ndarray:

@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import MLP, Parameter, Tensor, weighted_listwise_ce
-from .propensity import PropensityEstimate, clipped_inverse_weights
+from .propensity import DEFAULT_TAU, PropensityEstimate, clipped_inverse_weights
 
 DEFAULT_HIDDEN = (64, 32, 16)
 
@@ -28,10 +28,9 @@ class RankerMLP:
             raise ValueError("empty document list")
         return X
 
-    def forward(self, features: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Score a stack of feature rows; returns a column of scores, one per row."""
-        return self.net(Tensor(self._rows(features)), train=train, rng=rng)
+    def forward(self, features: np.ndarray, rng: Optional[np.random.Generator] = None) -> Tensor:
+        """A column of scores, one per feature row; dropout runs exactly when given an rng."""
+        return self.net(Tensor(self._rows(features)), rng=rng)
 
     def score(self, features: np.ndarray) -> np.ndarray:
         """Eval-mode score column as a plain array, built with no tape."""
@@ -42,7 +41,7 @@ class RankerMLP:
 
 
 def ipw_ranking_loss(scores: Tensor, clicks: np.ndarray,
-                     propensity: PropensityEstimate, tau: float = 0.05) -> Tensor:
+                     propensity: PropensityEstimate, tau: float = DEFAULT_TAU) -> Tensor:
     """Inverse-propensity-weighted listwise softmax cross-entropy on clicks.
 
     Each clicked position k contributes its negative log softmax score times

@@ -29,6 +29,7 @@ from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, samp
 from .data import Dataset, generate_synthetic
 from .metrics import DEFAULT_CUTOFFS, normalized_propensity, propensity_error, ranking_metrics
 from .propensity import (
+    DEFAULT_TAU,
     TARGET_VARIANTS,
     LPPModel,
     PositionPropensityModel,
@@ -41,7 +42,7 @@ from .propensity import (
     position_targets_from_base,
     relevance_weights_from_scores,
 )
-from .ranker import RankerMLP, ipw_ranking_loss
+from .ranker import DEFAULT_HIDDEN, RankerMLP, ipw_ranking_loss
 from .seeding import derive_seed, rng_for
 
 ALGORITHMS = ("upe", "dla", "naive", "ipw_oracle")
@@ -50,10 +51,6 @@ PARADIGMS = ("OnD", "Off")
 CURVE_COLUMNS = ("step", "algorithm", "seed",
                  *(f"{metric}@{k}" for metric in ("ndcg", "err") for k in DEFAULT_CUTOFFS),
                  "norm_prop@1", "prop_error")
-
-
-class SamplingError(ValueError):
-    """A query sample came out empty."""
 
 
 @dataclass
@@ -164,7 +161,7 @@ def train_weak_policy(dataset: Dataset, fraction: float, seed: int) -> LoggingPo
     # The slack absorbs float rounding: (1 / 49) * 49 is 0.9999999999999999.
     n_sampled = int(fraction * view.n_queries + 1e-9)
     if n_sampled == 0:
-        raise SamplingError(
+        raise ValueError(
             f"fraction {fraction} of {view.n_queries} queries samples none"
         )
     rng = rng_for(seed, "weak-policy", "sample")
@@ -177,7 +174,7 @@ def train_weak_policy(dataset: Dataset, fraction: float, seed: int) -> LoggingPo
         diffs.append(X[i] - X[j])
     D = np.concatenate(diffs)
     if D.shape[0] == 0:
-        raise SamplingError("sampled queries contain no unequal label pairs")
+        raise ValueError("sampled queries contain no unequal label pairs")
     w = np.zeros(dataset.feature_dim)
     lr = 0.1
     for _ in range(100):
@@ -205,9 +202,9 @@ class ExperimentConfig:
     upe_freeze: bool = True
     eval_every: int = 100
     weak_fraction: float = 0.01
-    ranker_hidden: tuple = (64, 32, 16)
+    ranker_hidden: tuple = DEFAULT_HIDDEN
     dropout: float = 0.1
-    tau: float = 0.05
+    tau: float = DEFAULT_TAU
     lpp_embed_dim: int = 16
     lpp_encoder_hidden: tuple = (32,)
     lpp_ffn_hidden: tuple = (16, 64)
@@ -303,19 +300,18 @@ class IPWLearner:
         self.cfg = cfg
         self.ranker = RankerMLP(feature_dim, rng_for(cfg.seed, cfg.algorithm, "init"),
                                 hidden=cfg.ranker_hidden, dropout=cfg.dropout)
-        self.opt_ranker = AdaGrad(self.ranker.parameters(), lr=cfg.learning_rate)
+        self.opt = AdaGrad(cfg.learning_rate)
         self.drop_rng = rng_for(cfg.seed, cfg.algorithm, "ranker-dropout")
         self._estimate = estimate
 
     def _scores(self, batch: StepBatch):
         B, N, d = batch.features.shape
-        out = self.ranker.forward(batch.features.reshape(B * N, d),
-                                  train=True, rng=self.drop_rng)
+        out = self.ranker.forward(batch.features.reshape(B * N, d), rng=self.drop_rng)
         return out.reshape(B, N)
 
     def _ranker_update(self, scores, batch: StepBatch, estimate: PropensityEstimate) -> float:
-        return self.opt_ranker.minimize(
-            ipw_ranking_loss(scores, batch.clicks, estimate, tau=self.cfg.tau))
+        loss = ipw_ranking_loss(scores, batch.clicks, estimate, tau=self.cfg.tau)
+        return self.opt.minimize(loss, self.ranker.parameters())
 
     def step(self, batch: StepBatch) -> float:
         return self._ranker_update(self._scores(batch), batch, self.estimate())
@@ -335,14 +331,13 @@ class DLALearner(IPWLearner):
         # Zero logits give the uniform estimate; estimate() reads the logits.
         super().__init__(cfg, feature_dim, PropensityEstimate.uniform(n_positions))
         self.position_model = PositionPropensityModel(n_positions)
-        self.opt_prop = AdaGrad(self.position_model.parameters(), lr=cfg.learning_rate)
 
     def _position_update(self, scores, batch: StepBatch) -> float:
         """The IRW step on the position logits against the ranker's softmax."""
         rel = relevance_weights_from_scores(scores.data)
         pos_scores = self.position_model.batch_scores(batch.clicks.shape[0])
-        return self.opt_prop.minimize(
-            irw_propensity_loss(pos_scores, batch.clicks, rel, tau=self.cfg.tau))
+        loss = irw_propensity_loss(pos_scores, batch.clicks, rel, tau=self.cfg.tau)
+        return self.opt.minimize(loss, self.position_model.parameters())
 
     def step(self, batch: StepBatch) -> float:
         scores = self._scores(batch)
@@ -369,7 +364,6 @@ class UPELearner(DLALearner):
                             embed_dim=cfg.lpp_embed_dim,
                             encoder_hidden=cfg.lpp_encoder_hidden,
                             ffn_hidden=cfg.lpp_ffn_hidden)
-        self.opt_lpp = AdaGrad(self.lpp.parameters(), lr=cfg.learning_rate)
         self.probe_features = probe_features
 
     def step(self, batch: StepBatch) -> float:
@@ -382,9 +376,9 @@ class UPELearner(DLALearner):
         self._position_update(scores, batch)
         targets = position_targets_from_base(self.position_model)
 
-        confounding_effect_step(self.lpp, self.opt_lpp, batch.features,
+        confounding_effect_step(self.lpp, self.opt, batch.features,
                                 batch.logging_scores, variant=cfg.target_variant)
-        joint_propensity_step(self.lpp, self.opt_lpp, batch.features, targets,
+        joint_propensity_step(self.lpp, self.opt, batch.features, targets,
                               enforce_freeze=cfg.upe_freeze)
 
         estimate = backdoor_estimate(self.lpp, batch.features.reshape(B * N, d))

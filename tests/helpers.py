@@ -215,7 +215,7 @@ def ranker_gradient_case(rng):
     seed = int(rng.integers(2**32))
 
     def loss_fn():
-        out = model.forward(X, train=True, rng=np.random.default_rng(seed))
+        out = model.forward(X, rng=np.random.default_rng(seed))
         return ipw_ranking_loss(out.reshape(2, 3), clicks, estimate)
 
     return model.parameters(), loss_fn

@@ -128,7 +128,7 @@ def test_mlp_infer_is_bit_identical_to_the_eval_forward(in_dim, hidden, out_dim)
     X[10, :4] = [711.0, 800.0, -750.0, 1e3]
     X_before = X.copy()
     out = net.infer(X)
-    assert np.array_equal(out, net(Tensor(X), train=False).data)
+    assert np.array_equal(out, net(Tensor(X)).data)
     assert np.array_equal(X, X_before)
     assert not np.shares_memory(out, X)
 
@@ -245,14 +245,16 @@ PRUNING_CASES = {
 ])
 def test_backward_into_named_leaves_matches_the_full_pass(case, names):
     """Pruned backward hands the named leaves the full pass's gradient bits;
-    the rest get no gradient, and an update leaves their data and their
-    AdaGrad accumulators alone."""
+    the rest get no gradient, and an update leaves their data alone and
+    makes them no AdaGrad accumulator."""
     params, loss_fn = PRUNING_CASES[case]()
     loss_fn().backward(params)
     full = {p.name: p.grad.tobytes() for p in params if p.name in names}
     named = [p for p in params if p.name in names]
     assert len(named) == len(names)
-    opt = AdaGrad(params, lr=0.1)
+    for p in params:
+        p.grad = None
+    opt = AdaGrad(lr=0.1)
     before = [p.data.copy() for p in params]
     opt.minimize(loss_fn(), named)
     for p, b in zip(params, before):
@@ -263,47 +265,54 @@ def test_backward_into_named_leaves_matches_the_full_pass(case, names):
         else:
             assert p.grad is None, p.name
             assert np.array_equal(p.data, b)
-            assert not np.any(opt.state[id(p)])
+            assert p not in opt.state, p.name
 
 
-def test_unconnected_parameter_gets_no_gradient_and_no_update():
+def test_minimize_refuses_a_parameter_the_loss_does_not_reach():
+    """The refusal names the parameter and comes before any update: neither
+    the loose parameter nor the reached one moves or gets an accumulator."""
     p = Parameter(np.array([1.5]), "loose")
-    q = Parameter(np.array([[2.0]]), "used")
-    opt = AdaGrad([p, q], lr=0.1)
-    opt.zero_grad()
-    q.matmul(q).backward([p, q])
+    q = Parameter(np.array([[2.0, 0.0]]), "used")
+    opt = AdaGrad(lr=0.1)
+
+    def loss():
+        return weighted_listwise_ce(q, np.array([[0.0, 1.0]]))
+
+    with pytest.raises(ValueError, match="^loss does not reach parameter 'loose'$"):
+        opt.minimize(loss(), [q, p])
     assert p.grad is None
-    before = p.data.copy()
-    opt.step()
-    assert np.array_equal(p.data, before)
-    assert q.data[0, 0] != 2.0
+    assert p.data[0] == 1.5 and np.array_equal(q.data, [[2.0, 0.0]])
+    assert not opt.state
+    opt.minimize(loss(), [q])
+    assert q.data[0, 0] < 2.0 and q.data[0, 1] > 0.0
 
 
 def test_adagrad_single_step_magnitude():
     p = Parameter(np.array([0.0]), "p")
-    opt = AdaGrad([p], lr=0.1)
+    opt = AdaGrad(lr=0.1)
     p.grad = np.array([1.0])
-    opt.step()
+    opt.step([p])
     assert p.data[0] == pytest.approx(-0.1 / math.sqrt(1.0 + 1e-6), abs=1e-12)
 
 
 def test_adagrad_zero_gradient_is_a_no_op():
     p = Parameter(np.array([4.0]), "p")
-    opt = AdaGrad([p], lr=0.1)
+    opt = AdaGrad(lr=0.1)
+    assert p not in opt.state
     p.grad = np.array([0.0])
-    opt.step()
+    opt.step([p])
     assert p.data[0] == 4.0
-    assert opt.state[id(p)][0] == 0.0
+    assert opt.state[p][0] == 0.0
 
 
 def test_adagrad_second_step_shrinks_by_sqrt2():
     p = Parameter(np.array([0.0]), "p")
-    opt = AdaGrad([p], lr=0.1)
+    opt = AdaGrad(lr=0.1)
     p.grad = np.array([1.0])
-    opt.step()
+    opt.step([p])
     first = -p.data[0]
     p.grad = np.array([1.0])
-    opt.step()
+    opt.step([p])
     second = -p.data[0] - first
     assert second == pytest.approx(0.1 / math.sqrt(2.0), abs=1e-6)
     assert second == pytest.approx(first / math.sqrt(2.0), rel=1e-5)
@@ -311,14 +320,14 @@ def test_adagrad_second_step_shrinks_by_sqrt2():
 
 def test_adagrad_rejects_bad_lr():
     with pytest.raises(ValueError):
-        AdaGrad([Parameter(np.zeros(1), "p")], lr=0.0)
+        AdaGrad(lr=0.0)
 
 
 def test_frozen_parameters_do_not_move():
-    """A parameter left out of ``step(params)`` keeps its data and its accumulator."""
+    """A parameter left out of ``step(params)`` keeps its data and gets no accumulator."""
     rng = np.random.default_rng(5)
     params = [Parameter(rng.normal(size=(3,)), f"p{i}") for i in range(4)]
-    opt = AdaGrad(params, lr=0.5)
+    opt = AdaGrad(lr=0.5)
     for p in params:
         p.grad = np.ones(3)
     before = [p.data.copy() for p in params]
@@ -326,7 +335,7 @@ def test_frozen_parameters_do_not_move():
     opt.step(params[2:])
     for p, b in zip(params[:2], before):
         assert np.array_equal(p.data, b)
-        assert np.array_equal(opt.state[id(p)], np.zeros(3))
+        assert p not in opt.state
     for p, b in zip(params[2:], before[2:]):
         assert not np.array_equal(p.data, b)
 
@@ -339,7 +348,7 @@ def test_freeze_subset_over_many_steps():
             Parameter(rng.normal(size=(2,)), "a1")]
     live = [Parameter(rng.normal(size=(2, 2)), "b0"),
             Parameter(rng.normal(size=(2,)), "b1")]
-    opt = AdaGrad(held + live, lr=0.1)
+    opt = AdaGrad(lr=0.1)
     snap = [p.data.copy() for p in held]
     live_snap = [p.data.copy() for p in live]
     for step in range(100):
@@ -348,31 +357,16 @@ def test_freeze_subset_over_many_steps():
         opt.step(live)
     for p, s in zip(held, snap):
         assert np.array_equal(p.data, s)
+        assert p not in opt.state
     for p, s in zip(live, live_snap):
         assert not np.array_equal(p.data, s)
     fresh = [Parameter(s.copy(), f"fresh{i}") for i, s in enumerate(snap)]
     for p in held + live + fresh:
         p.grad = np.ones(p.data.shape)
-    opt.step()
-    AdaGrad(fresh, lr=0.1).step()
+    opt.step(held + live)
+    AdaGrad(lr=0.1).step(fresh)
     for p, f in zip(held, fresh):
         assert np.array_equal(p.data, f.data)
-
-
-def test_freeze_none_behaves_as_plain_step():
-    """``step()`` and ``step(all parameters)`` give the same bits."""
-    rng = np.random.default_rng(9)
-    a = [Parameter(rng.normal(size=(3,)), f"a{i}") for i in range(2)]
-    b = [Parameter(p.data.copy(), f"b{i}") for i, p in enumerate(a)]
-    opt_a, opt_b = AdaGrad(a, lr=0.1), AdaGrad(b, lr=0.1)
-    for _ in range(3):
-        for pa, pb in zip(a, b):
-            pa.grad = rng.normal(size=3)
-            pb.grad = pa.grad.copy()
-        opt_a.step()
-        opt_b.step(b)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.data, pb.data)
 
 
 def test_zero_mlp_outputs_zero():
@@ -388,7 +382,7 @@ def test_dropout_zero_rate_train_equals_eval():
     rng = np.random.default_rng(8)
     net = MLP(4, (5,), 2, rng, "d", dropout=0.0)
     x = rng.normal(size=(3, 4))
-    train_out = net(Tensor(x), train=True, rng=np.random.default_rng(0))
+    train_out = net(Tensor(x), rng=np.random.default_rng(0))
     eval_out = net(Tensor(x))
     assert np.array_equal(train_out.data, eval_out.data)
 

@@ -81,6 +81,7 @@ def test_train_writes_manifest_and_artifacts(run_dir):
         assert "ndcg@10" in entry["final_metrics"]
     header = (run_dir / "curves_seed0.csv").read_text().splitlines()[0]
     assert header == ",".join(CURVE_COLUMNS)
+    assert manifest["curve"] is None
 
 
 def test_manifest_records_the_data_directory_relative_to_the_output(run_dir, data_dir):
@@ -110,6 +111,47 @@ def test_manifest_config_reruns_identically(run_dir, data_dir, tmp_path):
                  "--config", str(cfg_path)]) == 0
     assert (replay / "curves_seed0.csv").read_bytes() == \
         (run_dir / "curves_seed0.csv").read_bytes()
+
+
+def test_manifest_replays_a_run_with_a_curve_file(data_dir, tmp_path):
+    """The manifest records --curve relative to --out, as it records --data,
+    so its config, data and curve alone rerun the curves byte for byte."""
+    curve = tmp_path / "curve.txt"
+    curve.write_text("1.0\n0.6  # rank 2\n\n0.45\n0.3\n0.2\n")
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), "--data", str(data_dir), "--curve", str(curve),
+                 "--algorithm", "ipw_oracle"] + TINY) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not Path(manifest["curve"]).is_absolute()
+    cfg_path = tmp_path / "replay.json"
+    cfg_path.write_text(json.dumps(manifest["config"]))
+    replay = tmp_path / "replay"
+    assert main(["train", "--out", str(replay), "--config", str(cfg_path),
+                 "--data", str(out / manifest["data"]),
+                 "--curve", str(out / manifest["curve"])]) == 0
+    curves = (out / "curves_seed0.csv").read_bytes()
+    assert (replay / "curves_seed0.csv").read_bytes() == curves
+    # The curve reaches the run: without it the same config writes other bytes.
+    plain = tmp_path / "plain"
+    assert main(["train", "--out", str(plain), "--config", str(cfg_path),
+                 "--data", str(data_dir)]) == 0
+    assert (plain / "curves_seed0.csv").read_bytes() != curves
+
+
+def test_sparse_splits_of_unequal_width_train_and_eval(data_dir, tmp_path):
+    """Feature 5 is zero on every test line, so those lines omit it; the
+    test split parses 4 wide and is padded with a zero column to 5."""
+    sparse = tmp_path / "sparse"
+    sparse.mkdir()
+    (sparse / "train.txt").write_text((data_dir / "train.txt").read_text())
+    test_lines = [" ".join(tok for tok in line.split(" ") if not tok.startswith("5:"))
+                  for line in (data_dir / "test.txt").read_text().splitlines()]
+    (sparse / "test.txt").write_text("\n".join(test_lines) + "\n")
+    assert parse_svmlight((sparse / "test.txt").read_text()).feature_dim == 4
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), "--data", str(sparse)] + TINY) == 0
+    assert main(["eval", "--model", str(out / "model_seed0.npz"),
+                 "--data", str(sparse)]) == 0
 
 
 def test_train_covers_the_full_loop(data_dir, tmp_path):
@@ -370,6 +412,18 @@ def test_unknown_simulation_key_in_config_file_fails_cleanly(tmp_path):
 @pytest.mark.parametrize("flag", ["--data", "--curve"])
 def test_missing_inputs_write_nothing(tmp_path, flag):
     _train_fails_cleanly(tmp_path / "o", flag, str(tmp_path / "missing"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0\nabc\n0.5\n", "line 2: not a float: 'abc'"),
+    ("1.0\n1.5\n", "curve values must lie in (0, 1]"),
+    ("# no values\n", "curve must be a non-empty 1-D array"),
+], ids=["not-a-float", "above-one", "empty"])
+def test_bad_curve_files_name_the_file(tmp_path, text, message):
+    curve = tmp_path / "curve.txt"
+    curve.write_text(text)
+    line = _train_fails_cleanly(tmp_path / "o", "--curve", str(curve))
+    assert line == f"error: {curve}: {message}"
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ultrlab.data import (
     Dataset,
-    LabelRangeError,
     ParseError,
     generate_synthetic,
     parse_svmlight,
@@ -73,11 +72,11 @@ def test_parse_errors_carry_line_numbers():
         parse_svmlight("0 qid:1 1:0.1\n1 qid:1 1:0.5 1:0.7")
 
 
-def test_label_out_of_range_is_its_own_error():
-    with pytest.raises(LabelRangeError):
+def test_label_out_of_range_is_a_parse_error_naming_the_range():
+    with pytest.raises(ParseError, match=r"^line 1: label 5 outside \[0, 4\]$"):
         parse_svmlight("5 qid:1 1:0.5")
-    with pytest.raises(LabelRangeError):
-        parse_svmlight("-1 qid:1 1:0.5")
+    with pytest.raises(ParseError, match=r"^line 2: label -1 outside \[0, 4\]$"):
+        parse_svmlight("0 qid:1 1:0.5\n-1 qid:1 1:0.5")
 
 
 def test_duplicate_doc_ids_rejected():

@@ -160,14 +160,12 @@ def test_irw_loss_trains_toward_the_click_skew():
     """Clicks concentrated at rank 1 with flat relevance push logit 1 up."""
     rng = np.random.default_rng(5)
     model = PositionPropensityModel(3)
-    opt = AdaGrad(model.parameters(), lr=0.1)
+    opt = AdaGrad(lr=0.1)
     rel = np.full((8, 3), 1 / 3)
     for _ in range(200):
         clicks = (rng.random((8, 3)) < np.array([0.9, 0.3, 0.1])).astype(float)
-        loss = irw_propensity_loss(model.batch_scores(8), clicks, rel)
-        opt.zero_grad()
-        loss.backward(model.parameters())
-        opt.step()
+        opt.minimize(irw_propensity_loss(model.batch_scores(8), clicks, rel),
+                     model.parameters())
     est = dla_propensity(model)
     assert est.weights[0] == 1.0
     assert est.weights[1] > est.weights[2]
@@ -291,7 +289,7 @@ def test_confounder_forward_scalar_behaviour():
 
 def test_confounding_step_moves_only_the_document_pathway():
     model = small_lpp(seed=6)
-    opt = AdaGrad(model.parameters(), lr=0.05)
+    opt = AdaGrad(lr=0.05)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(4, 4, 3))
     scores = rng.normal(size=(4, 4))
@@ -300,6 +298,7 @@ def test_confounding_step_moves_only_the_document_pathway():
     loss = confounding_effect_step(model, opt, X, scores)
     assert np.isfinite(loss)
     assert np.array_equal(model.position_table.data, table_before)
+    assert model.position_table not in opt.state
     assert any(not np.array_equal(p.data, before)
                for p, before in zip(model.g_pt, pathway_before))
     with pytest.raises(ValueError):
@@ -321,23 +320,23 @@ def test_joint_step_detects_a_pathway_update(monkeypatch):
     """A backward that ignores the leaf set and an optimizer that ignores the
     parameters it is given together trip the check."""
     model = small_lpp(seed=9)
-    opt = AdaGrad(model.parameters(), lr=0.05)
+    opt = AdaGrad(lr=0.05)
     X = np.random.default_rng(10).normal(size=(2, 4, 3))
     targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
     backward_all, step_all = Tensor.backward, AdaGrad.step
     monkeypatch.setattr(Tensor, "backward",
                         lambda self, leaves: backward_all(self, model.parameters()))
-    monkeypatch.setattr(AdaGrad, "step", lambda self, params=None: step_all(self))
+    monkeypatch.setattr(AdaGrad, "step", lambda self, params: step_all(self, model.parameters()))
     with pytest.raises(FreezeContractError):
         joint_propensity_step(model, opt, X, targets)
 
 
 def test_joint_step_honours_the_freeze_bitwise():
     """With no setup by the caller the step moves the table alone: the
-    pathway gets no gradient, and neither its bits nor the shared optimizer's
-    accumulators for it change."""
+    pathway gets no gradient, its bits do not change, and the shared
+    optimizer makes it no accumulator."""
     model = small_lpp(seed=10)
-    opt = AdaGrad(model.parameters(), lr=0.05)
+    opt = AdaGrad(lr=0.05)
     X = np.random.default_rng(11).normal(size=(2, 4, 3))
     targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
     pathway_before = [p.data.copy() for p in model.g_pt]
@@ -347,13 +346,13 @@ def test_joint_step_honours_the_freeze_bitwise():
     for p, before in zip(model.g_pt, pathway_before):
         assert p.grad is None
         assert np.array_equal(p.data, before)
-        assert not np.any(opt.state[id(p)])
+        assert p not in opt.state
     assert not np.array_equal(model.position_table.data, table_before)
 
 
 def test_joint_step_without_enforcement_moves_the_pathway():
     model = small_lpp(seed=12)
-    opt = AdaGrad(model.parameters(), lr=0.05)
+    opt = AdaGrad(lr=0.05)
     X = np.random.default_rng(13).normal(size=(2, 4, 3))
     targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
     pathway_before = [p.data.copy() for p in model.g_pt]
@@ -364,7 +363,7 @@ def test_joint_step_without_enforcement_moves_the_pathway():
 
 def test_joint_step_target_shapes():
     model = small_lpp(seed=14)
-    opt = AdaGrad(model.parameters(), lr=0.05)
+    opt = AdaGrad(lr=0.05)
     X = np.random.default_rng(15).normal(size=(2, 4, 3))
     joint_propensity_step(model, opt, X, np.zeros(4))
     with pytest.raises(ValueError):
@@ -378,7 +377,7 @@ def test_joint_step_target_shapes():
 def test_alternating_steps_keep_the_partition_separate():
     """Across interleaved iterations each step touches only its own half."""
     model = small_lpp(seed=16)
-    opt = AdaGrad(model.parameters(), lr=0.05)
+    opt = AdaGrad(lr=0.05)
     rng = np.random.default_rng(17)
     targets = np.log(softmax(np.array([1.0, 0.6, 0.4, 0.2])))
     for _ in range(3):
@@ -481,7 +480,7 @@ def test_joint_training_recovers_base_ratios():
     to the base model's softmax ratio: targets log [2/3, 1/3] land the
     second-rank weight at 1/2."""
     model = small_lpp(seed=28, n_positions=2)
-    opt = AdaGrad(model.parameters(), lr=0.5)
+    opt = AdaGrad(lr=0.5)
     base = PositionPropensityModel(2)
     base.logits.data[:] = np.array([[0.0, -math.log(2.0)]])
     targets = position_targets_from_base(base)

@@ -38,8 +38,8 @@ def test_forward_validation():
         RankerMLP(0, np.random.default_rng(0))
 
 
-def _scores(ranker, X, train=False, rng=None):
-    return ranker.forward(X, train=train, rng=rng).data.reshape(-1)
+def _scores(ranker, X, rng=None):
+    return ranker.forward(X, rng=rng).data.reshape(-1)
 
 
 def test_scoring_is_per_document():
@@ -62,8 +62,8 @@ def test_eval_scoring_is_deterministic():
 def test_train_scoring_uses_dropout():
     ranker = make_ranker(seed=6, dropout=0.5)
     X = np.random.default_rng(7).normal(size=(3, 4))
-    a = _scores(ranker, X, train=True, rng=np.random.default_rng(8))
-    b = _scores(ranker, X, train=True, rng=np.random.default_rng(9))
+    a = _scores(ranker, X, rng=np.random.default_rng(8))
+    b = _scores(ranker, X, rng=np.random.default_rng(9))
     assert not np.array_equal(a, b)
 
 

@@ -19,7 +19,6 @@ from ultrlab.training import (
     ExperimentConfig,
     IPWLearner,
     LoggingPolicy,
-    SamplingError,
     SplitData,
     StepBatch,
     UPELearner,
@@ -162,7 +161,7 @@ def test_weak_policy_is_deterministic(small_data):
 
 
 def test_weak_policy_sampling_errors(small_data, default_data, monkeypatch):
-    with pytest.raises(SamplingError):
+    with pytest.raises(ValueError, match="^fraction 0.01 of 30 queries samples none$"):
         train_weak_policy(small_data.train, 0.01, seed=1)
     sizes = []
 
@@ -187,7 +186,7 @@ def test_weak_policy_sampling_errors(small_data, default_data, monkeypatch):
         train_weak_policy(small_data.train, 0.0, seed=1)
     flat = _one_query([f"d{i}" for i in range(3)],
                       np.arange(3.0)[:, None] * np.ones(2), [2, 2, 2])
-    with pytest.raises(SamplingError):
+    with pytest.raises(ValueError, match="^sampled queries contain no unequal label pairs$"):
         train_weak_policy(flat, 1.0, seed=1)
 
 

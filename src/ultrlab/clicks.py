@@ -84,7 +84,8 @@ class PositionBiasCurve:
     @classmethod
     def from_file(cls, path) -> "PositionBiasCurve":
         """Load one float per line (blank lines and # comments skipped); a refusal
-        names the path, and the line of a value that is not a float."""
+        names the path, and the line of a value that is not a float or lies
+        outside (0, 1]."""
         vals = []
         with open(path) as fh:
             for n, raw in enumerate(fh, start=1):
@@ -94,6 +95,10 @@ class PositionBiasCurve:
                         vals.append(float(line))
                     except ValueError:
                         raise ValueError(f"{path}: line {n}: not a float: {line!r}") from None
+                    try:
+                        cls(values=vals[-1:])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {n}: {exc}") from None
         try:
             return cls(values=np.array(vals, dtype=np.float64))
         except ValueError as exc:

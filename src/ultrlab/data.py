@@ -5,10 +5,19 @@ Documents carry dense float64 feature vectors and integer relevance grades in
 benchmarks). ``Y_MAX`` is the one top grade of the package: the click model's
 gain map and the ranking metrics read it too. Sparse SVMlight feature ids are
 densified on parse.
+
+The SVMlight round trip is bulk work. ``serialize_svmlight`` renders every
+row through one ``%`` template per dataset, writing values as ``repr``
+floats, so reparsing gives back the same bits. ``parse_svmlight`` checks
+each line's label and qid as it reads it and converts feature tokens
+BLOCK_LINES lines at a time; a block that fails a bulk check is walked token
+by token, so a text with several faults reports the first in file order.
 """
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import List
 
 import numpy as np
@@ -88,6 +97,114 @@ class Dataset:
         return out
 
 
+# Lines whose feature tokens are converted together. A block bounds the token
+# strings held at once; the whole stream in one block costs peak memory.
+BLOCK_LINES = 512
+
+
+def _line_head(tokens):
+    """A line's label and qid; a fault raises ValueError with its message."""
+    if len(tokens) < 2:
+        raise ValueError("expected '<label> qid:<id> ...'")
+    try:
+        label = int(tokens[0])
+    except ValueError:
+        raise ValueError(f"bad label {tokens[0]!r}") from None
+    if not 0 <= label <= Y_MAX:
+        raise ValueError(f"label {label} outside [0, {Y_MAX}]")
+    if not tokens[1].startswith("qid:"):
+        raise ValueError(f"expected qid:<id>, got {tokens[1]!r}")
+    if tokens[1] == "qid:":
+        raise ValueError("empty qid")
+    return label, tokens[1][len("qid:"):]
+
+
+class _FeatureCells:
+    """The ``<fid>:<val>`` tokens of the lines read so far, as (row, id, value) cells.
+
+    Tokens wait in a block of up to BLOCK_LINES lines and are then converted
+    in bulk: one split of the joined block, then Python's ``int`` and
+    ``float`` over the id and value columns. A block that fails a bulk check
+    is walked token by token instead, which raises its first fault in file
+    order or converts what the bulk route would not take (ids out of order,
+    ids past int64).
+    """
+
+    def __init__(self):
+        self.tokens, self.counts, self.line_nos = [], [], []
+        self.rows, self.ids, self.vals = [], [], []
+        self.n_rows = 0
+        self.max_fid = 0
+
+    def add(self, line_no: int, tokens: List[str]) -> None:
+        self.tokens += tokens
+        self.counts.append(len(tokens))
+        self.line_nos.append(line_no)
+        if len(self.counts) == BLOCK_LINES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Convert the pending block, or raise the first fault in it."""
+        if not self.counts:
+            return
+        n = len(self.tokens)
+        joined = " ".join(self.tokens)
+        fields = joined.replace(":", " ").split()
+        rows = np.repeat(np.arange(self.n_rows, self.n_rows + len(self.counts)), self.counts)
+        try:
+            # One ':' in every token. A token with no text on one side of it
+            # leaves the value column short, which fromiter's count refuses.
+            if joined.count(":") != n or not all(map(operator.contains, self.tokens, repeat(":"))):
+                raise ValueError
+            ids = np.fromiter(map(int, fields[0::2]), np.int64, n)
+            vals = np.fromiter(map(float, fields[1::2]), np.float64, n)
+            # Ids rising along each line are 1-based and given once.
+            if (ids < 1).any() or ((rows[1:] == rows[:-1]) & (ids[1:] <= ids[:-1])).any():
+                raise ValueError
+            top = int(ids.max(initial=0))
+        except (ValueError, OverflowError):
+            ids, vals = self._walk()
+            top = max(ids, default=0)
+            if top > np.iinfo(np.int64).max:  # no int64 holds it; dense() refuses the width
+                ids, vals, rows = [], [], rows[:0]
+        self.rows.append(rows)
+        self.ids.append(np.asarray(ids, dtype=np.int64))
+        self.vals.append(np.asarray(vals, dtype=np.float64))
+        self.max_fid = max(self.max_fid, top)
+        self.n_rows += len(self.counts)
+        self.tokens, self.counts, self.line_nos = [], [], []
+
+    def _walk(self):
+        """The pending block token by token: its first fault, or its ids and values."""
+        ids, vals, tokens = [], [], iter(self.tokens)
+        for line_no, count in zip(self.line_nos, self.counts):
+            seen = set()
+            for tok in islice(tokens, count):
+                fid_s, _, val_s = tok.partition(":")
+                try:
+                    fid = int(fid_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise ParseError(line_no, f"bad feature token {tok!r}") from None
+                if fid < 1:
+                    raise ParseError(line_no, f"feature ids are 1-based, got {fid}")
+                if fid in seen:
+                    raise ParseError(line_no, f"feature id {fid} given twice")
+                seen.add(fid)
+                ids.append(fid)
+                vals.append(val)
+        return ids, vals
+
+    def dense(self) -> np.ndarray:
+        """The (rows, max feature id) matrix of every converted line, 0.0 where absent."""
+        self.flush()
+        features = np.zeros((self.n_rows, self.max_fid), dtype=np.float64)
+        if self.rows:
+            rows, ids = np.concatenate(self.rows), np.concatenate(self.ids)
+            features[rows, ids - 1] = np.concatenate(self.vals)
+        return features
+
+
 def parse_svmlight(text: str) -> Dataset:
     """Parse SVMlight/LETOR lines ``<label> qid:<id> <fid>:<val> ... [# comment]``.
 
@@ -95,58 +212,29 @@ def parse_svmlight(text: str) -> Dataset:
     Documents are grouped by qid in first-appearance order, and feature_dim is
     the maximum feature id seen anywhere in the stream. A trailing comment, if
     present, becomes the document id; otherwise ids are assigned per group.
+    A stream with several faults reports the first in file order.
     """
     qids, labels, comments = [], [], []
-    cells_row, cells_fid, cells_val = [], [], []
-    max_fid = 0
+    cells = _FeatureCells()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
         comment = comment.strip()
-        line = line.strip()
-        if not line:
-            if comment:
-                raise ParseError(line_no, "comment-only line has no label")
-            continue
         tokens = line.split()
-        if len(tokens) < 2:
-            raise ParseError(line_no, "expected '<label> qid:<id> ...'")
         try:
-            label = int(tokens[0])
-        except ValueError:
-            raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
-        if not 0 <= label <= Y_MAX:
-            raise ParseError(line_no, f"label {label} outside [0, {Y_MAX}]")
-        if not tokens[1].startswith("qid:"):
-            raise ParseError(line_no, f"expected qid:<id>, got {tokens[1]!r}")
-        qid = tokens[1][len("qid:"):]
-        if not qid:
-            raise ParseError(line_no, "empty qid")
-        feats = {}
-        for tok in tokens[2:]:
-            fid_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise ParseError(line_no, f"bad feature token {tok!r}")
-            try:
-                fid = int(fid_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(line_no, f"bad feature token {tok!r}") from None
-            if fid < 1:
-                raise ParseError(line_no, f"feature ids are 1-based, got {fid}")
-            if fid in feats:
-                raise ParseError(line_no, f"feature id {fid} given twice")
-            feats[fid] = val
-            max_fid = max(max_fid, fid)
-        cells_row.extend([len(qids)] * len(feats))
-        cells_fid.extend(feats)
-        cells_val.extend(feats.values())
+            if not tokens:
+                if comment:
+                    raise ValueError("comment-only line has no label")
+                continue
+            label, qid = _line_head(tokens)
+        except ValueError as exc:
+            cells.flush()  # a feature fault on an earlier line comes first
+            raise ParseError(line_no, str(exc)) from None
+        cells.add(line_no, tokens[2:])
         qids.append(qid)
         labels.append(label)
         comments.append(comment)
 
-    features = np.zeros((len(qids), max_fid), dtype=np.float64)
-    features[np.array(cells_row, dtype=np.int64),
-             np.array(cells_fid, dtype=np.int64) - 1] = cells_val
+    features = cells.dense()
     # Group lines by qid in first-appearance order, keeping line order within a group.
     first: dict = {}
     owner = np.array([first.setdefault(qid, len(first)) for qid in qids], dtype=np.int64)
@@ -160,14 +248,14 @@ def parse_svmlight(text: str) -> Dataset:
 
 
 def serialize_svmlight(dataset: Dataset) -> str:
-    """Render a Dataset back to SVMlight text; reparsing recovers it value-for-value."""
+    """Render a Dataset as SVMlight text, every value a ``repr`` float, so reparsing
+    recovers each bit. All rows go through one ``%`` template."""
+    fids = range(1, dataset.feature_dim + 1)
+    template = "%d qid:%s " + " ".join(f"{fid}:%r" for fid in fids) + " # %s\n"
     qids = np.repeat(dataset.query_ids, np.diff(dataset.offsets))
-    lines = []
-    for qid, label, doc_id, vec in zip(qids.tolist(), dataset.labels.tolist(),
-                                       dataset.doc_ids.tolist(), dataset.features.tolist()):
-        feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(vec, start=1))
-        lines.append(f"{label} qid:{qid} {feats} # {doc_id}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    rows = zip(dataset.labels.tolist(), qids.tolist(), *dataset.features.T.tolist(),
+               dataset.doc_ids.tolist())
+    return "".join(map(template.__mod__, rows))
 
 
 def generate_synthetic(

@@ -21,6 +21,10 @@ import numpy as np
 from .autodiff import MLP, AdaGrad, Parameter, Tensor, weighted_listwise_ce
 
 DEFAULT_TAU = 0.05
+# LPPModel's sizes: position embedding width, encoder and head hidden layers.
+DEFAULT_EMBED_DIM = 16
+DEFAULT_ENCODER_HIDDEN = (32,)
+DEFAULT_FFN_HIDDEN = (16, 64)
 
 
 class FreezeContractError(RuntimeError):
@@ -165,8 +169,9 @@ class LPPModel:
     """
 
     def __init__(self, feature_dim: int, n_positions: int, rng: np.random.Generator,
-                 embed_dim: int = 16, encoder_hidden: Sequence[int] = (32,),
-                 ffn_hidden: Sequence[int] = (16, 64)):
+                 embed_dim: int = DEFAULT_EMBED_DIM,
+                 encoder_hidden: Sequence[int] = DEFAULT_ENCODER_HIDDEN,
+                 ffn_hidden: Sequence[int] = DEFAULT_FFN_HIDDEN):
         if feature_dim < 1 or n_positions < 1:
             raise ValueError("feature_dim and n_positions must be >= 1")
         self.feature_dim = feature_dim

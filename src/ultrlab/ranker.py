@@ -8,13 +8,14 @@ from .autodiff import MLP, Parameter, Tensor, weighted_listwise_ce
 from .propensity import DEFAULT_TAU, PropensityEstimate, clipped_inverse_weights
 
 DEFAULT_HIDDEN = (64, 32, 16)
+DEFAULT_DROPOUT = 0.1
 
 
 class RankerMLP:
     """Per-document scorer: feedforward net with ELU, dropout, scalar output."""
 
     def __init__(self, feature_dim: int, rng: np.random.Generator,
-                 hidden: Sequence[int] = DEFAULT_HIDDEN, dropout: float = 0.1):
+                 hidden: Sequence[int] = DEFAULT_HIDDEN, dropout: float = DEFAULT_DROPOUT):
         if feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
         self.feature_dim = feature_dim

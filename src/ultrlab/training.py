@@ -29,6 +29,9 @@ from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, samp
 from .data import Dataset, generate_synthetic
 from .metrics import DEFAULT_CUTOFFS, normalized_propensity, propensity_error, ranking_metrics
 from .propensity import (
+    DEFAULT_EMBED_DIM,
+    DEFAULT_ENCODER_HIDDEN,
+    DEFAULT_FFN_HIDDEN,
     DEFAULT_TAU,
     TARGET_VARIANTS,
     LPPModel,
@@ -42,7 +45,7 @@ from .propensity import (
     position_targets_from_base,
     relevance_weights_from_scores,
 )
-from .ranker import DEFAULT_HIDDEN, RankerMLP, ipw_ranking_loss
+from .ranker import DEFAULT_DROPOUT, DEFAULT_HIDDEN, RankerMLP, ipw_ranking_loss
 from .seeding import derive_seed, rng_for
 
 ALGORITHMS = ("upe", "dla", "naive", "ipw_oracle")
@@ -203,11 +206,11 @@ class ExperimentConfig:
     eval_every: int = 100
     weak_fraction: float = 0.01
     ranker_hidden: tuple = DEFAULT_HIDDEN
-    dropout: float = 0.1
+    dropout: float = DEFAULT_DROPOUT
     tau: float = DEFAULT_TAU
-    lpp_embed_dim: int = 16
-    lpp_encoder_hidden: tuple = (32,)
-    lpp_ffn_hidden: tuple = (16, 64)
+    lpp_embed_dim: int = DEFAULT_EMBED_DIM
+    lpp_encoder_hidden: tuple = DEFAULT_ENCODER_HIDDEN
+    lpp_ffn_hidden: tuple = DEFAULT_FFN_HIDDEN
     probe_docs: int = 320
 
     def __post_init__(self):

@@ -7,10 +7,14 @@ models and the backdoor adjustment sum for the enumeration identities, the
 closed-form click probability
 behind the vectorized click sampler, the full-information loss that the
 IPW click loss estimates, and the one-rank-at-a-time backdoor readout
-behind ``backdoor_estimate``, the four-pass ELU behind ``_elu``, and the
-op-by-op listwise cross-entropy behind ``weighted_listwise_ce``.
+behind ``backdoor_estimate``, the four-pass ELU behind ``_elu``, the
+op-by-op listwise cross-entropy behind ``weighted_listwise_ce``, and the
+line-by-line SVMlight parser and f-string serializer behind the block-wise
+``parse_svmlight`` and the one-template ``serialize_svmlight``. It also reads
+OpenBLAS's thread count, for the checks that BLAS threads change no byte.
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -18,6 +22,7 @@ import numpy as np
 from ultrlab.autodiff import Tensor, weighted_listwise_ce
 from ultrlab.causal import ToyCausalModel, enumerate_joint, interventional_joint
 from ultrlab.clicks import PositionBiasCurve, SimulationConfig, perceived_relevance_probability
+from ultrlab.data import Y_MAX, Dataset, ParseError
 from ultrlab.propensity import LPPModel, PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
 
@@ -331,3 +336,95 @@ def backdoor_adjustment_terms(model: ToyCausalModel, k: int, c: slice) -> np.nda
     prior = cut.sum(axis=(1, 2, 3)) / cut.sum()
     exam = seen[:, :, 1].sum(axis=(1, 2)) / seen.sum(axis=(1, 2, 3))
     return prior * exam
+
+
+def parse_svmlight_line_by_line(text: str) -> Dataset:
+    """``parse_svmlight`` one token at a time: every check on a line runs before
+    the next line is read, so the first fault in file order is the one raised."""
+    qids, labels, comments = [], [], []
+    cells_row, cells_fid, cells_val = [], [], []
+    max_fid = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line, _, comment = raw.partition("#")
+        comment = comment.strip()
+        line = line.strip()
+        if not line:
+            if comment:
+                raise ParseError(line_no, "comment-only line has no label")
+            continue
+        tokens = line.split()
+        if len(tokens) < 2:
+            raise ParseError(line_no, "expected '<label> qid:<id> ...'")
+        try:
+            label = int(tokens[0])
+        except ValueError:
+            raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
+        if not 0 <= label <= Y_MAX:
+            raise ParseError(line_no, f"label {label} outside [0, {Y_MAX}]")
+        if not tokens[1].startswith("qid:"):
+            raise ParseError(line_no, f"expected qid:<id>, got {tokens[1]!r}")
+        qid = tokens[1][len("qid:"):]
+        if not qid:
+            raise ParseError(line_no, "empty qid")
+        feats = {}
+        for tok in tokens[2:]:
+            fid_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise ParseError(line_no, f"bad feature token {tok!r}")
+            try:
+                fid = int(fid_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(line_no, f"bad feature token {tok!r}") from None
+            if fid < 1:
+                raise ParseError(line_no, f"feature ids are 1-based, got {fid}")
+            if fid in feats:
+                raise ParseError(line_no, f"feature id {fid} given twice")
+            feats[fid] = val
+            max_fid = max(max_fid, fid)
+        cells_row.extend([len(qids)] * len(feats))
+        cells_fid.extend(feats)
+        cells_val.extend(feats.values())
+        qids.append(qid)
+        labels.append(label)
+        comments.append(comment)
+
+    features = np.zeros((len(qids), max_fid), dtype=np.float64)
+    features[np.array(cells_row, dtype=np.int64),
+             np.array(cells_fid, dtype=np.int64) - 1] = cells_val
+    first: dict = {}
+    owner = np.array([first.setdefault(qid, len(first)) for qid in qids], dtype=np.int64)
+    order = np.argsort(owner, kind="stable")
+    offsets = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=len(first)), out=offsets[1:])
+    slot = np.arange(len(qids)) - offsets[owner[order]]
+    doc_ids = [comments[i] or f"q{qids[i]}_d{j}" for i, j in zip(order.tolist(), slot.tolist())]
+    return Dataset(features=features[order], labels=np.array(labels, dtype=np.int64)[order],
+                   doc_ids=doc_ids, query_ids=list(first), offsets=offsets)
+
+
+def serialize_svmlight_fstring(dataset: Dataset) -> str:
+    """``serialize_svmlight`` one f-string and one ``repr`` per feature token."""
+    qids = np.repeat(dataset.query_ids, np.diff(dataset.offsets))
+    lines = []
+    for qid, label, doc_id, vec in zip(qids.tolist(), dataset.labels.tolist(),
+                                       dataset.doc_ids.tolist(), dataset.features.tolist()):
+        feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(vec, start=1))
+        lines.append(f"{label} qid:{qid} {feats} # {doc_id}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def openblas_threads():
+    """OpenBLAS's own thread count, read from the library this process loaded
+    (as ``perfbench/run.py`` reads it); None when numpy uses another BLAS."""
+    with open("/proc/self/maps") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return fn()
+    return None

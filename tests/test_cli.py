@@ -416,9 +416,11 @@ def test_missing_inputs_write_nothing(tmp_path, flag):
 
 @pytest.mark.parametrize("text, message", [
     ("1.0\nabc\n0.5\n", "line 2: not a float: 'abc'"),
-    ("1.0\n1.5\n", "curve values must lie in (0, 1]"),
+    ("1.0\n1.5\n", "line 2: curve values must lie in (0, 1]"),
+    ("1.0\n\n0.0  # never examined\n", "line 3: curve values must lie in (0, 1]"),
+    ("1.0\ninf\n", "line 2: curve has non-finite values"),
     ("# no values\n", "curve must be a non-empty 1-D array"),
-], ids=["not-a-float", "above-one", "empty"])
+], ids=["not-a-float", "above-one", "zero", "not-finite", "empty"])
 def test_bad_curve_files_name_the_file(tmp_path, text, message):
     curve = tmp_path / "curve.txt"
     curve.write_text(text)

@@ -1,10 +1,14 @@
 """SVMlight parsing, serialization round-trips, synthetic generation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from helpers import parse_svmlight_line_by_line, serialize_svmlight_fstring
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultrlab import data
 from ultrlab.data import (
     Dataset,
     ParseError,
@@ -149,6 +153,167 @@ def test_serialize_parse_round_trip(raw_groups):
     assert np.array_equal(back.doc_ids, ds.doc_ids)
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
+
+
+# Pieces of SVMlight lines, valid ones listed more often than faults.
+_LABELS = ["0", "1", "2", "3", "4", "+2", "02"] * 3 + ["5", "-1", "x", "2.0", "", "1_0"]
+_QIDS = ["qid:1", "qid:2", "qid:a"] * 4 + ["qid:", "qid", "q:1", "1:0.5"]
+_IDS = ["1", "2", "3", "4", "+2", "02", "1_0"]
+_VALUES = ["0.5", "-0.0", "5e-324", "1e-05", "1e16", "1.7976931348623157e308", "1_0", ".5",
+           "+1", "3"]
+_BAD_TOKENS = ["1=0.5", ":5", "1:", "1:2:3", "a:1", "1:abc", "0:1", "-3:1", ":", "1::2", "5",
+               "nan:1", "1:nan", "2:inf"]
+_SEPARATORS = [" "] * 4 + ["  ", "\t", " \t "]
+_ENDINGS = ["\n"] * 4 + ["\r\n", "\r"]
+_COMMENTS = [""] * 3 + [" # d1", " # d2", "#d3", " #", " # ", "# %s"]
+
+
+@st.composite
+def _svmlight_lines(draw):
+    """One line of a random SVMlight text, valid more often than not."""
+    kind = draw(st.sampled_from(["doc"] * 8 + ["blank", "comment-only", "short"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment-only":
+        return "# only a comment"
+    tokens = [draw(st.sampled_from(_LABELS))]
+    if kind == "doc":
+        tokens.append(draw(st.sampled_from(_QIDS)))
+        n_feats = draw(st.integers(0, 5))
+        ids = draw(st.one_of(st.just([str(i) for i in range(1, n_feats + 1)]),
+                             st.lists(st.sampled_from(_IDS), min_size=n_feats,
+                                      max_size=n_feats)))
+        for fid in ids:
+            value = draw(st.one_of(st.sampled_from(_VALUES),
+                                   st.floats(allow_nan=False, allow_infinity=False).map(repr)))
+            tokens.append(f"{fid}:{value}")
+        for _ in range(draw(st.sampled_from([0] * 6 + [1, 1, 2]))):
+            tokens.insert(draw(st.integers(2, len(tokens))), draw(st.sampled_from(_BAD_TOKENS)))
+    sep = draw(st.sampled_from(_SEPARATORS))
+    return sep.join(tokens) + draw(st.sampled_from(_COMMENTS))
+
+
+def _parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the arrays, feature bits included, or the refusal."""
+    try:
+        ds = parse(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_no", None)
+    return (ds.features.shape, ds.features.view(np.uint64).tolist(), ds.labels.tolist(),
+            ds.doc_ids.tolist(), ds.query_ids.tolist(), ds.offsets.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(_svmlight_lines(), st.sampled_from(_ENDINGS)), max_size=12),
+       block_lines=st.integers(1, 5))
+def test_parse_matches_the_line_by_line_oracle(lines, block_lines):
+    """Block-wise conversion parses as the line-by-line oracle does, bit for bit,
+    and refuses with its message and line, whatever the block size."""
+    text = "".join(line + end for line, end in lines)
+    want = _parse_outcome(parse_svmlight_line_by_line, text)
+    with mock.patch.object(data, "BLOCK_LINES", block_lines):
+        assert _parse_outcome(parse_svmlight, text) == want
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def _edge_datasets(draw):
+    """Small datasets of 0-4 features holding edge floats, with '%' in their ids."""
+    d = draw(st.integers(0, 4))
+    value = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    doc = st.tuples(st.integers(0, 4), st.lists(value, min_size=d, max_size=d))
+    groups = draw(st.lists(st.lists(doc, min_size=1, max_size=3), max_size=4))
+    docs = [doc for group in groups for doc in group]
+    return Dataset(features=np.array([feats for _, feats in docs]).reshape(len(docs), d),
+                   labels=[label for label, _ in docs],
+                   doc_ids=[f"%d{i} %s" for i in range(len(docs))],
+                   query_ids=[f"q%{q}" for q in range(len(groups))],
+                   offsets=np.cumsum([0] + [len(group) for group in groups]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_datasets())
+def test_serialize_matches_the_fstring_oracle(ds):
+    """One template renders every row as the f-string oracle does, byte for byte,
+    and the text parses back to the same bits."""
+    text = serialize_svmlight(ds)
+    assert text == serialize_svmlight_fstring(ds)
+    if ds.feature_dim and ds.n_queries:
+        back = parse_svmlight(text)
+        assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
+
+
+def test_serialize_writes_two_spaces_for_no_features():
+    ds = Dataset(features=np.zeros((1, 0)), labels=[3], doc_ids=["a"], query_ids=["7"],
+                 offsets=[0, 1])
+    assert serialize_svmlight(ds) == "3 qid:7  # a\n" == serialize_svmlight_fstring(ds)
+    empty = Dataset(features=np.zeros((0, 2)), labels=[], doc_ids=[], query_ids=[], offsets=[0])
+    assert serialize_svmlight(empty) == ""
+
+
+def _valid_lines(n):
+    return [f"{i % 5} qid:{i // 10} 1:{i / 7!r} 2:0.25 # d{i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("lines, want", [
+    # A feature fault on line 2 comes before a label fault on line 4.
+    (["1 qid:1 1:0.5", "1 qid:1 1:bad", "1 qid:1 2:0.1", "x qid:1 1:0.5"],
+     "line 2: bad feature token '1:bad'"),
+    # ... and before a qid fault, an empty qid and a comment-only line.
+    (["1 qid:1 2:0.5 2:0.1", "1 noqid 1:0.5"], "line 1: feature id 2 given twice"),
+    (["1 qid:1 0:0.5", "1 qid: 1:0.5"], "line 1: feature ids are 1-based, got 0"),
+    (["1 qid:1 1:0.5", "1 qid:1 1=2", "# stray"], "line 2: bad feature token '1=2'"),
+    # Two faults on one line: the label before any feature, then token order.
+    (["x qid:1 1:bad"], "line 1: bad label 'x'"),
+    (["1 qid:1 0:1 1:bad"], "line 1: feature ids are 1-based, got 0"),
+    (["1 qid:1 1:bad 0:1"], "line 1: bad feature token '1:bad'"),
+    (["1 qid:1 3:1 3:bad"], "line 1: bad feature token '3:bad'"),
+    # Two colons in one token and none in the next still split into two fields each.
+    (["1 qid:1 1:2:3 5"], "line 1: bad feature token '1:2:3'"),
+    (["1 qid:1 1:2:3", "1 qid:1 5"], "line 1: bad feature token '1:2:3'"),
+])
+def test_the_first_fault_in_file_order_is_reported(lines, want):
+    text = "\n".join(lines)
+    for parse in (parse_svmlight, parse_svmlight_line_by_line):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("faults", [
+    {511: "1 qid:1 1:0.5 1:0.5"}, {512: "1 qid:1 0:0.5"}, {513: "1 qid:1 1:x"},
+    {1500: "9 qid:1 1:0.5"}, {512: "1 qid:1 1:x", 513: "x qid:1"},
+    {511: "1 qid:1 1=0", 513: "1 qid:1 1:x"}, {513: "1 qid:1 1:x", 1500: "x qid:1"},
+    {1025: "1 qid:1 4:1 2:1 2:3"},
+])
+def test_late_faults_on_both_sides_of_a_block_boundary(faults):
+    """With BLOCK_LINES at 512, faults at and around the block edges are found
+    where the oracle finds them."""
+    assert data.BLOCK_LINES == 512
+    lines = _valid_lines(1600)
+    for line_no, line in faults.items():
+        lines[line_no - 1] = line
+    text = "\n".join(lines)
+    want = _parse_outcome(parse_svmlight_line_by_line, text)
+    assert want[2] == min(faults)
+    assert _parse_outcome(parse_svmlight, text) == want
+
+
+def test_many_blocks_parse_as_the_oracle_does():
+    text = "\r\n".join(_valid_lines(1600)[::-1] + ["2 qid:x 3:1.0 1:2.0 # out of order"])
+    want = _parse_outcome(parse_svmlight_line_by_line, text)
+    assert want[0] == (1601, 3)
+    assert _parse_outcome(parse_svmlight, text) == want
+
+
+def test_a_feature_id_past_int64_is_refused_as_the_oracle_refuses_it():
+    for text in ("1 qid:1 99999999999999999999:1", "1 qid:1 99999999999999999999:1\nx qid:1"):
+        want = _parse_outcome(parse_svmlight_line_by_line, text)
+        assert want[0] in ("ValueError", "ParseError")
+        assert _parse_outcome(parse_svmlight, text) == want
 
 
 def test_round_trip_of_generated_data():

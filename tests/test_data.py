@@ -246,14 +246,6 @@ def test_serialize_matches_the_fstring_oracle(ds):
         assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
 
 
-def test_serialize_writes_two_spaces_for_no_features():
-    ds = Dataset(features=np.zeros((1, 0)), labels=[3], doc_ids=["a"], query_ids=["7"],
-                 offsets=[0, 1])
-    assert serialize_svmlight(ds) == "3 qid:7  # a\n" == serialize_svmlight_fstring(ds)
-    empty = Dataset(features=np.zeros((0, 2)), labels=[], doc_ids=[], query_ids=[], offsets=[0])
-    assert serialize_svmlight(empty) == ""
-
-
 def _valid_lines(n):
     return [f"{i % 5} qid:{i // 10} 1:{i / 7!r} 2:0.25 # d{i}" for i in range(n)]
 

@@ -60,6 +60,15 @@ def _elu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, neg, out=x)
 
 
+def _elu_grad(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ELU's backward from its output y into ``out`` (which may be y), returning
+    it: d/dx is 1 where y > 0 and y + 1 elsewhere, so the gradient is (min(y, 0) + 1) * g."""
+    np.minimum(y, 0.0, out=out)
+    out += 1.0
+    out *= g
+    return out
+
+
 def _consumed(live):
     raise RuntimeError("backward() already ran through this graph")
 
@@ -110,11 +119,7 @@ class Tensor:
         out = Tensor(y, (self,))
 
         def _backward(live):
-            # d/dx is 1 where y > 0 and y + 1 elsewhere: min(y, 0) + 1.
-            g = np.minimum(y, 0.0)
-            g += 1.0
-            g *= out.grad
-            self._accumulate(g)
+            self._accumulate(_elu_grad(y, out.grad, np.empty_like(y)))
         out._backward = _backward
         return out
 
@@ -247,9 +252,6 @@ class Linear:
         self.W = Parameter(rng.uniform(-limit, limit, size=(in_dim, out_dim)), f"{name}.W")
         self.b = Parameter(np.zeros(out_dim), f"{name}.b")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x.matmul(self.W) + self.b
-
     def parameters(self) -> List[Parameter]:
         return [self.W, self.b]
 
@@ -266,15 +268,59 @@ class MLP:
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Taped forward; dropout runs exactly when an ``rng`` is given."""
-        h = x
+        """Taped forward as one node; dropout runs exactly when an ``rng`` is given.
+
+        Each layer is ``h @ W``, the bias added in place, then on hidden layers
+        ELU in place and inverted dropout: the operation order of the primitive
+        chain ``x.matmul(W) + b``, ``.elu()``, ``.dropout(p, rng)``, so output
+        and gradients keep its bits and the rng its stream. Backward walks the
+        layers down only as far as the lowest live leaf, and feeds only the
+        live ones.
+        """
+        if x.data.ndim != 2:
+            raise ValueError("matmul expects 2-D operands")
+        p = self.dropout if rng is not None else 0.0
+        if not 0.0 <= p < 1.0:
+            raise ValueError("dropout rate must lie in [0, 1)")
+        last = len(self.layers) - 1
+        inputs, acts, masks = [], [], []
+        h = x.data
         for i, layer in enumerate(self.layers):
-            h = layer(h)
-            if i < len(self.layers) - 1:
-                h = h.elu()
-                if rng is not None:
-                    h = h.dropout(self.dropout, rng=rng)
-        return h
+            inputs.append(h)
+            h = h @ layer.W.data
+            h += layer.b.data
+            if i < last:
+                acts.append(_elu(h))
+                mask = None
+                if p > 0.0:
+                    mask = rng.random(h.shape)
+                    np.divide(mask >= p, 1.0 - p, out=mask)
+                    h = h * mask
+                masks.append(mask)
+        out = Tensor(h, (x, *self.parameters()))
+
+        def _backward(live):
+            lowest = -1 if x in live else min(
+                i for i, layer in enumerate(self.layers) if layer.W in live or layer.b in live)
+            g = out.grad
+            for i in range(last, max(lowest, 0) - 1, -1):
+                layer = self.layers[i]
+                if layer.b in live:
+                    layer.b._accumulate(g.sum(axis=0))
+                if layer.W in live:
+                    layer.W._accumulate(inputs[i].T @ g)
+                if i == lowest:
+                    break
+                g = g @ layer.W.data.T
+                if i == 0:
+                    x._accumulate(g)
+                    break
+                # inputs[i] is read: the cached mask and ELU output take the gradient.
+                if masks[i - 1] is not None:
+                    g = np.multiply(g, masks[i - 1], out=masks[i - 1])
+                g = _elu_grad(acts[i - 1], g, acts[i - 1])
+        out._backward = _backward
+        return out
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode forward on plain arrays: no tape, no dropout, x left unchanged."""

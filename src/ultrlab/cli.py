@@ -67,13 +67,19 @@ def _load_config(path, overrides, **flags) -> ExperimentConfig:
 
 
 def _load_split(data_dir) -> SplitData:
-    """Both splits at one width: an id absent from a split is 0.0 all through it."""
+    """Both splits at one width: an id absent from a split is 0.0 all through it.
+    A refused split is named by its path."""
     root = Path(data_dir)
     paths = (root / "train.txt", root / "test.txt")
     for p in paths:
         if not p.exists():
             raise ValueError(f"missing data file {p}")
-    splits = [parse_svmlight(p.read_text()) for p in paths]
+    splits = []
+    for p in paths:
+        try:
+            splits.append(parse_svmlight(p.read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
     width = max(ds.feature_dim for ds in splits)
     for ds in splits:
         ds.features = np.pad(ds.features, ((0, 0), (0, width - ds.feature_dim)))

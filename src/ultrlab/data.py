@@ -134,7 +134,7 @@ class _FeatureCells:
         self.tokens, self.counts, self.line_nos = [], [], []
         self.rows, self.ids, self.vals = [], [], []
         self.n_rows = 0
-        self.max_fid = 0
+        self.max_fid = self.max_line = 0
 
     def add(self, line_no: int, tokens: List[str]) -> None:
         self.tokens += tokens
@@ -162,15 +162,18 @@ class _FeatureCells:
             if (ids < 1).any() or ((rows[1:] == rows[:-1]) & (ids[1:] <= ids[:-1])).any():
                 raise ValueError
             top = int(ids.max(initial=0))
+            at = int(ids.argmax()) if n else 0
         except (ValueError, OverflowError):
             ids, vals = self._walk()
             top = max(ids, default=0)
-            if top > np.iinfo(np.int64).max:  # no int64 holds it; dense() refuses the width
-                ids, vals, rows = [], [], rows[:0]
+            at = ids.index(top) if ids else 0
+        if top > self.max_fid:
+            self.max_fid, self.max_line = top, self.line_nos[rows[at] - self.n_rows]
+        if top > np.iinfo(np.int64).max:  # no int64 holds it; dense() refuses the width
+            ids, vals, rows = [], [], rows[:0]
         self.rows.append(rows)
         self.ids.append(np.asarray(ids, dtype=np.int64))
         self.vals.append(np.asarray(vals, dtype=np.float64))
-        self.max_fid = max(self.max_fid, top)
         self.n_rows += len(self.counts)
         self.tokens, self.counts, self.line_nos = [], [], []
 
@@ -196,9 +199,15 @@ class _FeatureCells:
         return ids, vals
 
     def dense(self) -> np.ndarray:
-        """The (rows, max feature id) matrix of every converted line, 0.0 where absent."""
+        """The (rows, max feature id) matrix of every converted line, 0.0 where absent.
+
+        A width numpy cannot allocate is refused on the line holding the largest id."""
         self.flush()
-        features = np.zeros((self.n_rows, self.max_fid), dtype=np.float64)
+        try:
+            features = np.zeros((self.n_rows, self.max_fid), dtype=np.float64)
+        except (MemoryError, ValueError):
+            raise ParseError(self.max_line, f"feature id {self.max_fid} needs a {self.n_rows} x "
+                             f"{self.max_fid} feature matrix, too large to allocate") from None
         if self.rows:
             rows, ids = np.concatenate(self.rows), np.concatenate(self.ids)
             features[rows, ids - 1] = np.concatenate(self.vals)

@@ -343,7 +343,7 @@ def parse_svmlight_line_by_line(text: str) -> Dataset:
     the next line is read, so the first fault in file order is the one raised."""
     qids, labels, comments = [], [], []
     cells_row, cells_fid, cells_val = [], [], []
-    max_fid = 0
+    max_fid = max_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
         comment = comment.strip()
@@ -381,7 +381,8 @@ def parse_svmlight_line_by_line(text: str) -> Dataset:
             if fid in feats:
                 raise ParseError(line_no, f"feature id {fid} given twice")
             feats[fid] = val
-            max_fid = max(max_fid, fid)
+            if fid > max_fid:
+                max_fid, max_line = fid, line_no
         cells_row.extend([len(qids)] * len(feats))
         cells_fid.extend(feats)
         cells_val.extend(feats.values())
@@ -389,7 +390,11 @@ def parse_svmlight_line_by_line(text: str) -> Dataset:
         labels.append(label)
         comments.append(comment)
 
-    features = np.zeros((len(qids), max_fid), dtype=np.float64)
+    try:
+        features = np.zeros((len(qids), max_fid), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ParseError(max_line, f"feature id {max_fid} needs a {len(qids)} x {max_fid} "
+                         "feature matrix, too large to allocate") from None
     features[np.array(cells_row, dtype=np.int64),
              np.array(cells_fid, dtype=np.int64) - 1] = cells_val
     first: dict = {}

@@ -27,10 +27,21 @@ closure, the loss node's included, builds a fresh array. An inner tensor's
 ``.grad`` may thus change after its own backward ran; only the leaves'
 gradients are final.
 
+An ``MLP`` call is one node whose inputs are x and the MLP's parameters. It
+runs the layers on plain arrays with in-place bias, ELU and dropout kernels,
+keeps each layer's input, ELU output and dropout mask, and its backward
+writes the ELU and dropout gradients into those cached buffers; per layer
+that replaces four nodes and their copies. The primitives stay: perfbench's
+tracer wraps ``Tensor.matmul``, ``.elu``, ``.log_softmax`` and ``backward``
+by name, and the gradient suite checks ``+``, ``matmul``, ``elu`` and
+``dropout`` one by one, which ``tests/helpers.py`` also composes into the
+op-by-op chain the MLP node must match bit for bit. The MLP node shares
+the ELU kernel ``_elu`` with ``Tensor.elu`` and ``MLP.infer``, and its
+gradient kernel ``_elu_grad`` with ``Tensor.elu``.
+
 Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
-the tape: ``MLP.infer`` runs the same layers on plain arrays and shares the
-in-place ELU kernel ``_elu`` with ``Tensor.elu``, so its output has the same
-bits as the eval-mode ``Tensor`` forward.
+the tape: ``MLP.infer`` runs the same layers on plain arrays, so its output
+has the same bits as the eval-mode taped forward.
 """
 
 import itertools

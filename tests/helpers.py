@@ -8,7 +8,8 @@ closed-form click probability
 behind the vectorized click sampler, the full-information loss that the
 IPW click loss estimates, and the one-rank-at-a-time backdoor readout
 behind ``backdoor_estimate``, the four-pass ELU behind ``_elu``, the
-op-by-op listwise cross-entropy behind ``weighted_listwise_ce``, and the
+op-by-op listwise cross-entropy behind ``weighted_listwise_ce``, the
+primitive layer chain behind the one-node ``MLP`` call, and the
 line-by-line SVMlight parser and f-string serializer behind the block-wise
 ``parse_svmlight`` and the one-template ``serialize_svmlight``. It also reads
 OpenBLAS's thread count, for the checks that BLAS threads change no byte.
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from ultrlab.autodiff import Tensor, weighted_listwise_ce
+from ultrlab.autodiff import MLP, Tensor, weighted_listwise_ce
 from ultrlab.causal import ToyCausalModel, enumerate_joint, interventional_joint
 from ultrlab.clicks import PositionBiasCurve, SimulationConfig, perceived_relevance_probability
 from ultrlab.data import Y_MAX, Dataset, ParseError
@@ -156,6 +157,21 @@ def listwise_ce_op_by_op(logits: np.ndarray, weights: np.ndarray):
     loss = ((weights * ls).sum() * -1.0) * (1 / n)
     g = np.broadcast_to(-(1 / n), ls.shape) * weights
     return loss, g - np.exp(ls) * g.sum(axis=-1, keepdims=True)
+
+
+def mlp_op_by_op(net: MLP, x: Tensor, rng=None) -> Tensor:
+    """``net(x, rng)`` as the chain of tape primitives the one-node call replaced:
+    per layer ``x.matmul(W) + b``, then on hidden layers ``.elu()`` and, given
+    an rng, ``.dropout(p, rng)``. Four tape nodes a layer, each with its own
+    backward."""
+    h = x
+    for i, layer in enumerate(net.layers):
+        h = h.matmul(layer.W) + layer.b
+        if i < len(net.layers) - 1:
+            h = h.elu()
+            if rng is not None:
+                h = h.dropout(net.dropout, rng=rng)
+    return h
 
 
 def linear_readout(t: Tensor, W: np.ndarray) -> Tensor:

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
     gradient_case,
     linear_readout,
     listwise_ce_op_by_op,
+    mlp_op_by_op,
     ranker_gradient_case,
 )
 from ultrlab.autodiff import (
@@ -131,6 +133,49 @@ def test_mlp_infer_is_bit_identical_to_the_eval_forward(in_dim, hidden, out_dim)
     assert np.array_equal(out, net(Tensor(X)).data)
     assert np.array_equal(X, X_before)
     assert not np.shares_memory(out, X)
+
+
+def test_mlp_call_is_one_tape_node():
+    net = MLP(4, (5, 3), 2, np.random.default_rng(13), "one", dropout=0.2)
+    x = Tensor(np.ones((3, 4)))
+    for rng in (None, np.random.default_rng(0)):
+        out = net(x, rng=rng)
+        assert out._prev == (x, *net.parameters())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mlp_node_keeps_the_op_by_op_bits(data):
+    """The one-node call against the primitive chain: the same output bits and
+    the same gradient bits in every named leaf, with dropout on or off and x
+    live or not. A leaf left out keeps ``.grad is None``."""
+    dims = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5), label="dims")
+    rows = data.draw(st.integers(1, 7), label="rows")
+    p = data.draw(st.sampled_from([0.0, 0.3, 0.7]), label="p")
+    train = data.draw(st.booleans(), label="train")
+    seed = data.draw(st.integers(0, 2**32 - 2), label="seed")
+    rng = np.random.default_rng(seed)
+    net = MLP(dims[0], dims[1:-1], dims[-1], rng, "net", dropout=p)
+    for q in net.parameters():
+        q.data += rng.normal(size=q.data.shape)
+    X = rng.normal(scale=2.0, size=(rows, dims[0]))
+    W = rng.normal(size=(rows, dims[-1]))
+    named = data.draw(st.sets(st.sampled_from(["x"] + [q.name for q in net.parameters()])),
+                      label="named")
+    results = []
+    for forward in (net.__call__, partial(mlp_op_by_op, net)):
+        x = Tensor(X.copy())
+        leaves = {"x": x, **{q.name: q for q in net.parameters()}}
+        for q in net.parameters():
+            q.grad = None
+        out = forward(x, np.random.default_rng(seed + 1) if train else None)
+        linear_readout(out, W).backward([leaves[name] for name in named])
+        grads = {name: None if t.grad is None else t.grad.tobytes()
+                 for name, t in leaves.items()}
+        results.append((out.data.tobytes(), grads))
+    assert results[0] == results[1]
+    for name, grad in results[0][1].items():
+        assert (grad is None) == (name not in named), name
 
 
 def _elu_sweep():
@@ -392,6 +437,10 @@ def test_dropout_requires_rng_and_a_rate_below_one():
         Tensor(np.ones((2, 2))).dropout(0.5)
     with pytest.raises(ValueError):
         Tensor(np.ones((2, 2))).dropout(1.0, rng=np.random.default_rng(0))
+    net = MLP(2, (3,), 1, np.random.default_rng(0), "r", dropout=1.0)
+    with pytest.raises(ValueError, match="dropout rate"):
+        net(Tensor(np.ones((2, 2))), rng=np.random.default_rng(0))
+    assert net(Tensor(np.ones((2, 2)))).data.shape == (2, 1)
 
 
 def test_dropout_mask_scales_survivors():
@@ -402,6 +451,24 @@ def test_dropout_mask_scales_survivors():
     assert set(np.unique(out.data)) == {0.0, 2.0}
     again = x.dropout(0.5, rng=np.random.default_rng(3))
     assert np.array_equal(again.data, out.data)
+
+
+def test_mlp_dropout_mask_scales_survivors():
+    """Inside the one-node call, each hidden unit is zeroed or scaled by
+    1/(1-p), by the mask ``Tensor.dropout`` draws from the same generator,
+    and a generator seeded afresh draws the same mask again."""
+    net = MLP(3, (5,), 5, np.random.default_rng(4), "m", dropout=0.5)
+    first, head = net.layers
+    first.W.data[:] = 0.0
+    first.b.data[:] = 1.0  # every hidden unit reads elu(1) = 1
+    head.W.data[:] = np.eye(5)
+    x = Tensor(np.ones((4, 3)))
+    out = net(x, rng=np.random.default_rng(3))
+    assert set(np.unique(out.data)) == {0.0, 2.0}
+    again = net(x, rng=np.random.default_rng(3))
+    assert np.array_equal(again.data, out.data)
+    alone = Tensor(np.ones((4, 5))).dropout(0.5, rng=np.random.default_rng(3))
+    assert np.array_equal(alone.data, out.data)
 
 
 def test_linear_bias_starts_at_zero():

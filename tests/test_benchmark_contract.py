@@ -11,9 +11,12 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ultrlab import training
+from ultrlab.autodiff import Tensor
+from ultrlab.ranker import RankerMLP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,3 +88,14 @@ def test_traced_steps_do_not_nest_and_return_finite_losses(tracer_module, algori
         assert parent < 0 or tracer.names[parent] != "training.step"
     assert len(losses) == cfg.total_steps
     assert all(isinstance(loss, float) and math.isfinite(loss) for loss in losses)
+
+
+def test_ranker_forward_returns_a_tensor_with_one_score_row_per_document():
+    """perfbench's ``ranker.forward_rows`` hook and its ingest check read
+    ``RankerMLP.forward(X).data`` as an (n, 1) score column."""
+    model = RankerMLP(4, np.random.default_rng(0), hidden=(6, 3))
+    X = np.random.default_rng(1).uniform(size=(7, 4))
+    for rng in (None, np.random.default_rng(2)):
+        out = model.forward(X, rng=rng)
+        assert isinstance(out, Tensor)
+        assert out.data.shape == (7, 1)

@@ -428,6 +428,44 @@ def test_bad_curve_files_name_the_file(tmp_path, text, message):
     assert line == f"error: {curve}: {message}"
 
 
+def _split_dir(tmp_path, data_dir, split, edit):
+    """A copy of ``data_dir`` whose ``split`` file has its lines passed through ``edit``."""
+    out = tmp_path / "data"
+    out.mkdir()
+    for name in ("train.txt", "test.txt"):
+        lines = (data_dir / name).read_text().splitlines()
+        (out / name).write_text("\n".join(edit(lines) if name == split else lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("split", ["train.txt", "test.txt"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_data_files_name_the_file(run_dir, data_dir, tmp_path, command, split):
+    bad = _split_dir(tmp_path, data_dir, split, lambda lines: ["1 qid:1 1:x", *lines[1:]])
+    if command == "train":
+        line = _train_fails_cleanly(tmp_path / "o", "--data", str(bad))
+    else:
+        line = _fails_cleanly("eval", "--model", str(run_dir / "model_seed0.npz"),
+                              "--data", str(bad))
+    assert line == f"error: {bad / split}: line 1: bad feature token '1:x'"
+
+
+@pytest.mark.parametrize("fid", ["1000000000000", "99999999999999999999"],
+                         ids=["past-memory", "past-int64"])
+def test_a_huge_feature_id_fails_cleanly_on_its_line(data_dir, tmp_path, fid):
+    """40 rows by 10**12 ids ask for 320 TB, more than a process can map, so
+    numpy refuses the allocation; an id past int64 is refused as a width.
+    Both refusals name the file and the line."""
+    def edit(lines):
+        lines[2] = lines[2].replace(" 5:", f" {fid}:")
+        return lines
+
+    bad = _split_dir(tmp_path, data_dir, "train.txt", edit)
+    line = _train_fails_cleanly(tmp_path / "o", "--data", str(bad))
+    assert line == (f"error: {bad / 'train.txt'}: line 3: feature id {fid} needs a "
+                    f"40 x {fid} feature matrix, too large to allocate")
+
+
 @pytest.fixture(scope="module")
 def ten_doc_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("ten")

@@ -308,6 +308,19 @@ def test_a_feature_id_past_int64_is_refused_as_the_oracle_refuses_it():
         assert _parse_outcome(parse_svmlight, text) == want
 
 
+@pytest.mark.parametrize("fid", [10**12, 10**20], ids=["past-memory", "past-int64"])
+def test_a_width_no_array_can_hold_is_refused_on_the_first_line_with_that_id(fid):
+    lines = _valid_lines(1200)
+    lines[99] = "1 qid:z 7:1.0"
+    lines[549] = f"1 qid:x 1:0.5 {fid}:1.0"
+    lines[1099] = f"1 qid:y {fid}:2.0"
+    text = "\n".join(lines)
+    want = _parse_outcome(parse_svmlight_line_by_line, text)
+    assert want == ("ParseError", f"line 550: feature id {fid} needs a 1200 x {fid} "
+                    "feature matrix, too large to allocate", 550)
+    assert _parse_outcome(parse_svmlight, text) == want
+
+
 def test_round_trip_of_generated_data():
     ds = generate_synthetic(5, 4, 6, seed=3)
     back = parse_svmlight(serialize_svmlight(ds))

@@ -350,6 +350,24 @@ def test_joint_step_honours_the_freeze_bitwise():
     assert not np.array_equal(model.position_table.data, table_before)
 
 
+def test_frozen_joint_step_forms_no_pathway_gradient_on_the_default_model():
+    """The joint step backpropagates through the head's one node to its input
+    only: after a confounding step filled the pathway's gradients and they
+    were cleared, every ``g_pt`` parameter still has ``.grad is None``."""
+    model = LPPModel(3, 4, np.random.default_rng(12))
+    opt = AdaGrad(lr=0.05)
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(3, 4, 3))
+    confounding_effect_step(model, opt, X, rng.normal(size=(3, 4)))
+    assert all(p.grad is not None for p in model.g_pt)
+    for p in model.g_pt:
+        p.grad = None
+    joint_propensity_step(model, opt, X, np.log(softmax([1.0, 0.5, 0.2, 0.1])))
+    for p in model.g_pt:
+        assert p.grad is None, p.name
+    assert model.position_table.grad is not None
+
+
 def test_joint_step_without_enforcement_moves_the_pathway():
     model = small_lpp(seed=12)
     opt = AdaGrad(lr=0.05)

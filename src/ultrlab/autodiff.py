@@ -23,7 +23,8 @@ tensor whose backward has not yet run. Only two ops pass a buffer on: ``+``
 (an operand with the output's shape gets ``out.grad`` itself) and ``reshape``
 (a view of it), both reached only after ``out`` is finished; ``+`` copies for
 its second operand when the first already took the buffer. Every other
-closure, the loss node's included, builds a fresh array. An inner tensor's
+closure, the loss node's and ``take_rows``'s scatter included, builds a fresh
+array and hands it to ``_accumulate``. An inner tensor's
 ``.grad`` may thus change after its own backward ran; only the leaves'
 gradients are final.
 
@@ -41,7 +42,9 @@ gradient kernel ``_elu_grad`` with ``Tensor.elu``.
 
 Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
 the tape: ``MLP.infer`` runs the same layers on plain arrays, so its output
-has the same bits as the eval-mode taped forward.
+has the same bits as the eval-mode taped forward. It scores a whole split
+INFER_BLOCK_ROWS rows at a time, so a refresh or an evaluation holds one
+block's activations, not the split's, and gets the one-shot chain's bits.
 """
 
 import itertools
@@ -50,6 +53,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 _CREATED = itertools.count()
+
+# Rows MLP.infer scores at once, so a full split's temporaries stay one block wide.
+INFER_BLOCK_ROWS = 512
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -180,9 +186,14 @@ class Tensor:
         out = Tensor(self.data[idx], (self,))
 
         def _backward(live):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, idx, out.grad)
+            # One bincount over flat (row, column) cells adds each cell's terms
+            # in index order from zero, as np.add.at into zeros does.
+            # The gather accepted idx, so the modulo only maps negative rows.
+            width = self.data[0].size
+            rows = idx.reshape(-1, 1) % len(self.data)
+            cells = (rows * width + np.arange(width)).reshape(-1)
+            grad = np.bincount(cells, weights=out.grad.reshape(-1), minlength=self.data.size)
+            self._accumulate(grad.reshape(self.data.shape))
         out._backward = _backward
         return out
 
@@ -334,8 +345,24 @@ class MLP:
         return out
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode forward on plain arrays: no tape, no dropout, x left unchanged."""
-        h = x
+        """Eval-mode forward on plain arrays: no tape, no dropout, x left unchanged.
+
+        More rows go through in blocks of INFER_BLOCK_ROWS written into one
+        result. Blocks start at multiples of the block size, so each row meets
+        the BLAS kernel's row tiling where the one-shot chain puts it and keeps
+        its bits. A last row left alone joins the block before it: numpy
+        multiplies a 1-row matrix as a vector, which rounds differently.
+        """
+        n = x.shape[0]
+        if n <= INFER_BLOCK_ROWS + 1:
+            return self._infer_block(x)
+        out = np.empty((n, self.layers[-1].b.data.size))
+        for start in range(0, n - 1, INFER_BLOCK_ROWS):
+            stop = n if n - start <= INFER_BLOCK_ROWS + 1 else start + INFER_BLOCK_ROWS
+            out[start:stop] = self._infer_block(x[start:stop])
+        return out
+
+    def _infer_block(self, h: np.ndarray) -> np.ndarray:
         for i, layer in enumerate(self.layers):
             h = h @ layer.W.data
             h += layer.b.data

@@ -14,7 +14,6 @@ import os
 import sys
 import time
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +149,9 @@ def cmd_train(args) -> int:
     jobs = [(c, data, curve, str(out)) for c in configs]
 
     if args.workers > 1 and len(jobs) > 1:
+        # Imported here: the pool module loads multiprocessing, socket and logging,
+        # which a one-process run never uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             entries = list(pool.map(_train_one_seed, *zip(*jobs)))
     else:

@@ -6,12 +6,14 @@ benchmarks). ``Y_MAX`` is the one top grade of the package: the click model's
 gain map and the ranking metrics read it too. Sparse SVMlight feature ids are
 densified on parse.
 
-The SVMlight round trip is bulk work. ``serialize_svmlight`` renders every
-row through one ``%`` template per dataset, writing values as ``repr``
-floats, so reparsing gives back the same bits. ``parse_svmlight`` checks
-each line's label and qid as it reads it and converts feature tokens
-BLOCK_LINES lines at a time; a block that fails a bulk check is walked token
-by token, so a text with several faults reports the first in file order.
+The SVMlight round trip is bulk work done BLOCK_LINES lines at a time, so
+the Python objects held at once stay one block's however long the split.
+``serialize_svmlight`` renders each block of rows through one ``%`` template
+per dataset, writing values as ``repr`` floats, so reparsing gives back the
+same bits. ``parse_svmlight`` checks each line's label and qid as it reads it
+and converts feature tokens a block at a time; a block that fails a bulk
+check is walked token by token, so a text with several faults reports the
+first in file order.
 """
 
 import operator
@@ -97,8 +99,8 @@ class Dataset:
         return out
 
 
-# Lines whose feature tokens are converted together. A block bounds the token
-# strings held at once; the whole stream in one block costs peak memory.
+# Lines parsed or rendered together. A block bounds the token strings, floats
+# and line strings held at once; the whole stream in one block costs peak memory.
 BLOCK_LINES = 512
 
 
@@ -258,13 +260,18 @@ def parse_svmlight(text: str) -> Dataset:
 
 def serialize_svmlight(dataset: Dataset) -> str:
     """Render a Dataset as SVMlight text, every value a ``repr`` float, so reparsing
-    recovers each bit. All rows go through one ``%`` template."""
+    recovers each bit. All rows go through one ``%`` template, BLOCK_LINES rows
+    at a time, so the Python floats and line strings held at once stay one block's."""
     fids = range(1, dataset.feature_dim + 1)
     template = "%d qid:%s " + " ".join(f"{fid}:%r" for fid in fids) + " # %s\n"
     qids = np.repeat(dataset.query_ids, np.diff(dataset.offsets))
-    rows = zip(dataset.labels.tolist(), qids.tolist(), *dataset.features.T.tolist(),
-               dataset.doc_ids.tolist())
-    return "".join(map(template.__mod__, rows))
+    blocks = []
+    for start in range(0, qids.size, BLOCK_LINES):
+        block = slice(start, start + BLOCK_LINES)
+        rows = zip(dataset.labels[block].tolist(), qids[block].tolist(),
+                   *dataset.features[block].T.tolist(), dataset.doc_ids[block].tolist())
+        blocks.append("".join(map(template.__mod__, rows)))
+    return "".join(blocks)
 
 
 def generate_synthetic(

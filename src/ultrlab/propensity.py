@@ -290,14 +290,15 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
         raise ValueError("position_targets must be (n_positions,)")
     weights = _softmax(np.tile(y, (B, 1)))
 
-    snapshot = [p.data.copy() for p in model.g_pt] if enforce_freeze else None
+    snapshot = [p.data.tobytes() for p in model.g_pt] if enforce_freeze else None
     positions = np.tile(np.arange(N, dtype=np.int64), B)
     logits = model.forward_joint(X.reshape(B * N, d), positions)
     loss = optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights),
                               model.g_pos if enforce_freeze else model.parameters())
     if enforce_freeze:
         for p, before in zip(model.g_pt, snapshot):
-            if not np.array_equal(p.data, before):
+            # Bytes, not values: NaN equals itself here and -0.0 differs from +0.0.
+            if p.data.tobytes() != before:
                 raise FreezeContractError(
                     f"document-pathway parameter {p.name!r} changed in the position-only step")
     return loss

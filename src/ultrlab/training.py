@@ -115,19 +115,22 @@ def rank_view_scores(scores: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LoggingPolicy:
-    """A frozen scorer snapshot: per-query scores and the displayed order."""
+    """A frozen scorer snapshot: per-query scores and the displayed order, also as
+    ``shown_rows``, the flat view row (``q * n_docs + order[q, k]``) shown at each rank."""
 
     view: DatasetView
     scores: np.ndarray
     order: np.ndarray = field(init=False)
+    shown_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (self.view.n_queries, self.view.n_docs):
             raise ValueError("scores must be (n_queries, n_docs) for the view")
         self.order = rank_view_scores(self.scores)
-        self.scores.setflags(write=False)
-        self.order.setflags(write=False)
+        self.shown_rows = self.order + self.view.n_docs * np.arange(self.view.n_queries)[:, None]
+        for array in (self.scores, self.order, self.shown_rows):
+            array.setflags(write=False)
 
     @classmethod
     def from_ranker(cls, ranker: RankerMLP, view: DatasetView) -> "LoggingPolicy":
@@ -141,13 +144,9 @@ class LoggingPolicy:
 
     def displayed(self, query_rows: np.ndarray, top_n: int):
         """Features, labels, and policy scores of the shown prefix, in order."""
-        n = min(top_n, self.view.n_docs)
-        order = self.order[query_rows, :n]
-        feats = np.take_along_axis(
-            self.view.features[query_rows], order[:, :, None], axis=1)
-        labels = np.take_along_axis(self.view.labels[query_rows], order, axis=1)
-        scores = np.take_along_axis(self.scores[query_rows], order, axis=1)
-        return feats, labels, scores
+        rows = self.shown_rows[query_rows, :min(top_n, self.view.n_docs)]
+        return (self.view.flat_features()[rows], self.view.labels.reshape(-1)[rows],
+                self.scores.reshape(-1)[rows])
 
 
 def train_weak_policy(dataset: Dataset, fraction: float, seed: int) -> LoggingPolicy:

@@ -9,10 +9,12 @@ behind the vectorized click sampler, the full-information loss that the
 IPW click loss estimates, and the one-rank-at-a-time backdoor readout
 behind ``backdoor_estimate``, the four-pass ELU behind ``_elu``, the
 op-by-op listwise cross-entropy behind ``weighted_listwise_ce``, the
-primitive layer chain behind the one-node ``MLP`` call, and the
-line-by-line SVMlight parser and f-string serializer behind the block-wise
-``parse_svmlight`` and the one-template ``serialize_svmlight``. It also reads
-OpenBLAS's thread count, for the checks that BLAS threads change no byte.
+primitive layer chain behind the one-node ``MLP`` call and the block-wise
+``MLP.infer``, the ``np.add.at`` scatter behind ``take_rows``'s backward, the
+per-query gathers behind ``LoggingPolicy.displayed``, and the line-by-line
+SVMlight parser and f-string serializer behind the block-wise
+``parse_svmlight`` and ``serialize_svmlight``. It also reads OpenBLAS's
+thread count, for the checks that BLAS threads change no byte.
 """
 
 import ctypes
@@ -172,6 +174,26 @@ def mlp_op_by_op(net: MLP, x: Tensor, rng=None) -> Tensor:
             if rng is not None:
                 h = h.dropout(net.dropout, rng=rng)
     return h
+
+
+def take_rows_scatter_add_at(table_shape, indices, grad: np.ndarray) -> np.ndarray:
+    """``take_rows``'s table gradient as ``np.add.at`` into zeros: the scatter
+    the one-call bincount replaced, kept as the reference for its bits."""
+    out = np.zeros(table_shape)
+    np.add.at(out, np.asarray(indices, dtype=np.int64), grad)
+    return out
+
+
+def displayed_take_along_axis(policy, query_rows, top_n: int):
+    """``policy.displayed(query_rows, top_n)`` as per-query ``take_along_axis``
+    gathers over copies of the queries' rows: the version the flat-row gather
+    replaced, kept as the reference for its bits."""
+    n = min(top_n, policy.view.n_docs)
+    order = policy.order[query_rows, :n]
+    feats = np.take_along_axis(policy.view.features[query_rows], order[:, :, None], axis=1)
+    labels = np.take_along_axis(policy.view.labels[query_rows], order, axis=1)
+    scores = np.take_along_axis(policy.scores[query_rows], order, axis=1)
+    return feats, labels, scores
 
 
 def linear_readout(t: Tensor, W: np.ndarray) -> Tensor:

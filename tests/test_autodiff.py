@@ -20,8 +20,10 @@ from helpers import (
     listwise_ce_op_by_op,
     mlp_op_by_op,
     ranker_gradient_case,
+    take_rows_scatter_add_at,
 )
 from ultrlab.autodiff import (
+    INFER_BLOCK_ROWS,
     MLP,
     AdaGrad,
     Linear,
@@ -135,6 +137,30 @@ def test_mlp_infer_is_bit_identical_to_the_eval_forward(in_dim, hidden, out_dim)
     assert not np.shares_memory(out, X)
 
 
+# Block edges for INFER_BLOCK_ROWS = 512, and a split-sized input.
+INFER_ROWS = [1, 511, 512, 513, 1025, 5000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(INFER_SHAPES),
+       rows=st.one_of(st.sampled_from(INFER_ROWS), st.integers(1, 3 * INFER_BLOCK_ROWS + 2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_infer_keeps_the_one_shot_bits(shape, rows, seed):
+    """Inputs past one block are scored block by block, every row with the
+    bits of the one-shot eval chain, and the input is left as it was."""
+    in_dim, hidden, out_dim = shape
+    rng = np.random.default_rng(seed)
+    net = MLP(in_dim, hidden, out_dim, rng, "net", dropout=0.1)
+    for p in net.parameters():
+        p.data += 0.1 * rng.normal(size=p.data.shape)
+    X = rng.normal(scale=3.0, size=(rows, in_dim))
+    X_before = X.copy()
+    out = net.infer(X)
+    assert out.shape == (rows, out_dim) and out.dtype == np.float64
+    assert out.tobytes() == mlp_op_by_op(net, Tensor(X)).data.tobytes()
+    assert X.tobytes() == X_before.tobytes()
+
+
 def test_mlp_call_is_one_tape_node():
     net = MLP(4, (5, 3), 2, np.random.default_rng(13), "one", dropout=0.2)
     x = Tensor(np.ones((3, 4)))
@@ -189,6 +215,30 @@ def _elu_sweep():
                         np.finfo(float).tiny, -np.finfo(float).tiny,
                         np.finfo(float).max, -np.finfo(float).max, -745.2, -709.8, 709.8])
     return np.concatenate([spread, tiny, subnormal, special])
+
+
+_SCATTER_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e16, -1.0]),
+                            st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_take_rows_scatter_keeps_the_add_at_bits(data):
+    """The table gradient has the bits of np.add.at into zeros: repeated,
+    unsorted and negative indices, -0.0 terms, rows no index reaches, a 1-row
+    table."""
+    n_rows, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    idx = np.array(data.draw(st.lists(st.integers(-n_rows, n_rows - 1), min_size=1,
+                                      max_size=12)))
+    grad = np.array(data.draw(st.lists(_SCATTER_VALUES, min_size=idx.size * width,
+                                       max_size=idx.size * width))).reshape(idx.size, width)
+    table = Tensor(np.ones((n_rows, width)))
+    out = table.take_rows(idx)
+    root = Tensor(0.0, (out,))
+    root._backward = lambda live: out._accumulate(grad)
+    root.backward([table])
+    want = take_rows_scatter_add_at(table.data.shape, idx, grad)
+    assert table.grad.shape == want.shape and table.grad.tobytes() == want.tobytes()
 
 
 def test_elu_kernel_keeps_the_four_pass_bits():

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -555,6 +558,17 @@ def test_worker_pool_writes_the_serial_bytes(run_dir, data_dir, tmp_path):
     for seed in (0, 1):
         name = f"curves_seed{seed}.csv"
         assert (pooled / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool's modules load only for a --workers run, not on import."""
+    pool_modules = ("concurrent.futures.process", "multiprocessing", "socket", "logging")
+    code = ("import json, sys, ultrlab.cli; "
+            f"print(json.dumps([m for m in {pool_modules!r} if m in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == []
 
 
 def test_single_seed_range(data_dir, tmp_path):

@@ -246,6 +246,21 @@ def test_serialize_matches_the_fstring_oracle(ds):
         assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
 
 
+@pytest.mark.parametrize("block_lines", [1, 7, 512])
+def test_serialize_matches_the_fstring_oracle_across_blocks(block_lines):
+    """A split of several blocks (1,150 rows) renders as the oracle renders it,
+    whatever the block size."""
+    base = generate_synthetic(115, 10, 5, seed=4)
+    X = base.features.copy()
+    cells = X.reshape(-1)[::37]
+    X.reshape(-1)[::37] = np.resize(_EDGE_FLOATS, cells.size)
+    ds = Dataset(features=X, labels=base.labels,
+                 doc_ids=[f"%d{i} %s" for i in range(X.shape[0])],
+                 query_ids=[f"q%{q}" for q in range(base.n_queries)], offsets=base.offsets)
+    with mock.patch.object(data, "BLOCK_LINES", block_lines):
+        assert serialize_svmlight(ds) == serialize_svmlight_fstring(ds)
+
+
 def _valid_lines(n):
     return [f"{i % 5} qid:{i // 10} 1:{i / 7!r} 2:0.25 # d{i}" for i in range(n)]
 

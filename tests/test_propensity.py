@@ -331,6 +331,37 @@ def test_joint_step_detects_a_pathway_update(monkeypatch):
         joint_propensity_step(model, opt, X, targets)
 
 
+def test_joint_step_accepts_a_pathway_holding_nan():
+    """A NaN the step leaves alone keeps its bits, so it is no change."""
+    model = small_lpp(seed=9)
+    model.encoder_d.layers[0].W.data[0, 0] = np.nan
+    pathway_before = [p.data.tobytes() for p in model.g_pt]
+    X = np.random.default_rng(10).normal(size=(2, 4, 3))
+    targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        joint_propensity_step(model, AdaGrad(lr=0.05), X, targets)
+    assert [p.data.tobytes() for p in model.g_pt] == pathway_before
+
+
+def test_joint_step_detects_a_sign_flip_of_zero(monkeypatch):
+    """-0.0 == +0.0 as values; a step that flips a zero bias's sign still
+    changed the pathway's bits."""
+    model = small_lpp(seed=9)
+    bias = model.encoder_d.layers[0].b
+    assert bias.data[0].tobytes() == np.float64(0.0).tobytes()
+    X = np.random.default_rng(10).normal(size=(2, 4, 3))
+    targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
+    step = AdaGrad.step
+
+    def step_and_flip(self, params):
+        step(self, params)
+        bias.data[0] = -0.0
+    monkeypatch.setattr(AdaGrad, "step", step_and_flip)
+    with pytest.raises(FreezeContractError, match="lpp.encoder_d.l0.b"):
+        joint_propensity_step(model, AdaGrad(lr=0.05), X, targets)
+
+
 def test_joint_step_honours_the_freeze_bitwise():
     """With no setup by the caller the step moves the table alone: the
     pathway gets no gradient, its bits do not change, and the shared

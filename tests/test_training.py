@@ -5,8 +5,11 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ultrlab import training
+from helpers import displayed_take_along_axis
+from ultrlab import autodiff, training
 from ultrlab.clicks import PositionBiasCurve, SimulationConfig
 from ultrlab.data import Dataset, generate_synthetic
 from ultrlab.metrics import ranking_metrics
@@ -130,6 +133,47 @@ def test_logging_policy_arrays_are_frozen():
         policy.scores[0, 0] = 5.0
     with pytest.raises(ValueError):
         policy.order[0, 0] = 0
+    with pytest.raises(ValueError):
+        policy.shown_rows[0, 0] = 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_displayed_keeps_the_take_along_axis_bits(data):
+    """The flat-row gather returns the per-query gathers' three arrays bit for
+    bit, with their dtypes and shapes: tied scores, top_n past and short of
+    the list, repeated and unsorted query rows, doc ids out of order."""
+    n_queries, n_docs = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    d = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ds = Dataset(features=rng.normal(size=(n_queries * n_docs, d)),
+                 labels=rng.integers(0, 5, size=n_queries * n_docs),
+                 doc_ids=[f"d{j}" for _ in range(n_queries) for j in rng.permutation(n_docs)],
+                 query_ids=[str(q) for q in range(n_queries)],
+                 offsets=np.arange(n_queries + 1) * n_docs)
+    scores = rng.integers(-2, 3, size=(n_queries, n_docs)) * 0.5
+    policy = LoggingPolicy(view=DatasetView(ds), scores=scores)
+    query_rows = np.array(data.draw(st.lists(st.integers(0, n_queries - 1),
+                                             min_size=1, max_size=8)))
+    top_n = data.draw(st.integers(1, n_docs + 3))
+    got = policy.displayed(query_rows, top_n)
+    want = displayed_take_along_axis(policy, query_rows, top_n)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
+
+
+def test_ond_upe_bytes_do_not_depend_on_the_infer_block(monkeypatch):
+    """Policy refreshes and evaluations over splits past one block write the
+    bytes of one-shot scoring. The train split is one row past two blocks."""
+    data = make_split_data(n_train=205, n_test=120, docs_per_query=5, seed=3)
+    assert min(data.train.labels.size, data.test.labels.size) > autodiff.INFER_BLOCK_ROWS + 1
+    cfg = ExperimentConfig(paradigm="OnD", algorithm="upe", total_steps=40,
+                           refresh_interval=10, eval_every=10, batch_queries=8)
+    blocked = run_experiment(cfg, data)
+    monkeypatch.setattr(autodiff, "INFER_BLOCK_ROWS", 10**9)
+    one_shot = run_experiment(cfg, data)
+    assert blocked.curves_csv() == one_shot.curves_csv()
+    assert blocked.final_estimate.as_csv() == one_shot.final_estimate.as_csv()
 
 
 def test_policy_scores_must_match_view_shape():

@@ -10,7 +10,6 @@ import argparse
 
 import numpy as np
 
-from ultrlab.metrics import normalized_propensity
 from ultrlab.training import ExperimentConfig, make_split_data, run_experiment
 
 
@@ -46,10 +45,8 @@ def main():
     print(f"{'algorithm':>10}  {'ndcg@10':>8}  {'err@10':>8}  {'prop@1/prop@10':>14}")
     for algorithm, result in results.items():
         m = result.final_metrics
-        np1 = normalized_propensity(result.final_estimate,
-                                    len(result.final_estimate))[0]
         print(f"{algorithm:>10}  {m['ndcg@10']:8.4f}  {m['err@10']:8.4f}"
-              f"  {np1:14.2f}")
+              f"  {m['norm_prop@1']:14.2f}")
 
     print("\nfinal relative propensity by rank (truth is the 1/k curve):")
     ranks = np.arange(1, len(results["upe"].final_estimate) + 1)

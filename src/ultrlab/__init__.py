@@ -28,7 +28,7 @@ from .data import (
     parse_svmlight,
     serialize_svmlight,
 )
-from .metrics import normalized_propensity, propensity_error, ranking_metrics
+from .metrics import propensity_error, ranking_metrics
 from .propensity import (
     FreezeContractError,
     LPPModel,

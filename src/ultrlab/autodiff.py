@@ -48,6 +48,7 @@ block's activations, not the split's, and gets the one-shot chain's bits.
 """
 
 import itertools
+from collections import namedtuple
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -266,27 +267,25 @@ class AdaGrad:
         return float(loss.data)
 
 
-class Linear:
-    """Affine layer with Glorot-uniform weights and zero bias."""
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str):
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        self.W = Parameter(rng.uniform(-limit, limit, size=(in_dim, out_dim)), f"{name}.W")
-        self.b = Parameter(np.zeros(out_dim), f"{name}.b")
-
-    def parameters(self) -> List[Parameter]:
-        return [self.W, self.b]
+_Layer = namedtuple("_Layer", "W b")
 
 
 class MLP:
-    """Feedforward stack: ELU and dropout after every hidden layer, linear output."""
+    """Feedforward stack: ELU and dropout after every hidden layer, linear output.
+
+    Layer i is a Glorot-uniform weight ``{name}.l{i}.W`` of shape (in, out)
+    and a zero bias ``{name}.l{i}.b``; the weights are drawn first layer first.
+    """
 
     def __init__(self, in_dim: int, hidden: Sequence[int], out_dim: int,
                  rng: np.random.Generator, name: str, dropout: float = 0.0):
         dims = [in_dim, *hidden, out_dim]
-        self.layers = [
-            Linear(dims[i], dims[i + 1], rng, f"{name}.l{i}") for i in range(len(dims) - 1)
-        ]
+        self.layers = []
+        for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            W = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+            self.layers.append(_Layer(Parameter(W, f"{name}.l{i}.W"),
+                                      Parameter(np.zeros(fan_out), f"{name}.l{i}.b")))
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -371,7 +370,7 @@ class MLP:
         return h
 
     def parameters(self) -> List[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [p for layer in self.layers for p in layer]
 
 
 def weighted_listwise_ce(logits: Tensor, weights: np.ndarray) -> Tensor:

@@ -13,13 +13,12 @@ import json
 import os
 import sys
 import time
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .autodiff import load_params, save_params
+from .autodiff import save_params
 from .causal import ToyCausalModel, overestimation_report
 from .clicks import PositionBiasCurve
 # Unused here; perfbench/tracer.py wraps cli.generate_synthetic (ROADMAP item 1).
@@ -28,6 +27,7 @@ from .ranker import RankerMLP
 from .training import (
     ALGORITHMS,
     CURVE_COLUMNS,
+    METRIC_COLUMNS,
     PARADIGMS,
     DatasetView,
     ExperimentConfig,
@@ -167,10 +167,6 @@ def cmd_train(args) -> int:
         "results": {str(e["seed"]): e for e in entries},
         "wall_clock_s": time.monotonic() - started,
     }
-    for entry in entries:
-        for key in ("curves", "model", "propensity"):
-            if not (out / entry[key]).exists():
-                raise ValueError(f"expected output {entry[key]} was not written")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out / 'manifest.json'} ({len(seeds)} seed(s))")
     return 0
@@ -179,20 +175,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     data = _load_split(args.data) if args.data else make_split_data()
     dataset = data.test if args.split == "test" else data.train
-    # Layer i's weight matrix is (in, out), so each hidden width is the out
-    # side of every layer but the last; load_params checks the input width.
-    hidden = []
-    try:
-        archive = np.load(args.model)
-    except (EOFError, ValueError, zipfile.BadZipFile):
-        archive = None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"--model {args.model} is not an npz archive from train")
-    with archive:
-        while f"ranker.l{len(hidden) + 1}.W" in archive.files:
-            hidden.append(archive[f"ranker.l{len(hidden)}.W"].shape[-1])
-    ranker = RankerMLP(dataset.feature_dim, np.random.default_rng(0), hidden=hidden)
-    load_params(args.model, ranker.parameters())
+    ranker = RankerMLP.from_snapshot(args.model, dataset.feature_dim)
     metrics = evaluate_ranker(ranker, DatasetView(dataset))
     print(json.dumps(metrics, indent=2))
     return 0
@@ -242,20 +225,19 @@ def cmd_export_curves(args) -> int:
     if not rows:
         raise ValueError(f"curve CSVs under {run_dir} hold no rows")
 
-    metric_cols = [c for c in CURVE_COLUMNS if c not in ("step", "algorithm", "seed")]
     grouped = {}
     for row in rows:
         grouped.setdefault((row["algorithm"], int(row["step"])), []).append(row)
 
     out_path = Path(args.out)
     header = ["step", "algorithm", "n_seeds"]
-    for col in metric_cols:
+    for col in METRIC_COLUMNS:
         header += [f"mean_{col}", f"std_{col}"]
     lines = [",".join(header)]
     for (algorithm, step) in sorted(grouped, key=lambda k: (k[0], k[1])):
         bucket = grouped[(algorithm, step)]
         cells = [str(step), algorithm, str(len(bucket))]
-        for col in metric_cols:
+        for col in METRIC_COLUMNS:
             vals = np.array([float(r[col]) for r in bucket])
             std = vals.std(ddof=1) if vals.size > 1 else 0.0
             cells += [repr(float(vals.mean())), repr(float(std))]

@@ -1,4 +1,5 @@
-"""Graded ranking quality metrics: nDCG@k and ERR@k, plus propensity summaries.
+"""Graded ranking quality metrics: nDCG@k and ERR@k, plus a propensity estimate's
+error against the true curve.
 
 The ranking metrics take a (queries, ranks) label matrix, each row already
 arranged in display order (the best-first ranking to be scored), use
@@ -55,19 +56,6 @@ def ranking_metrics(ranked, cutoffs: Sequence[int] = DEFAULT_CUTOFFS) -> Dict[st
     for k in cutoffs:
         out[f"err@{k}"] = err[:, min(k, n)].copy()
     return out
-
-
-def normalized_propensity(estimate: PropensityEstimate, ref_position: int = 10) -> np.ndarray:
-    """Propensity weights rescaled so the reference rank maps to 1.
-
-    Dividing by a deep rank's weight is how relative estimates from different
-    runs become comparable; rank 1 of the rescaled vector is the headline
-    'how steep does this model think the bias is' number.
-    """
-    w = estimate.weights
-    if not 1 <= ref_position <= w.size:
-        raise ValueError(f"ref_position must lie in [1, {w.size}]")
-    return w / w[ref_position - 1]
 
 
 def propensity_error(estimate: PropensityEstimate, truth_curve, eta: float) -> float:

@@ -91,18 +91,16 @@ class PropensityEstimate:
         """All ranks weighted equally: inverse weighting degenerates to none."""
         return cls(weights=np.ones(n_positions))
 
-    @classmethod
-    def from_curve(cls, curve, eta: float) -> "PropensityEstimate":
-        """The simulator's true relative propensities rho_k**eta / rho_1**eta."""
-        return cls.from_raw(curve.examination(eta))
+    def normalized(self) -> np.ndarray:
+        """The weights over rank 10's, or over the last rank's in a shorter list; rank
+        1 of the result is the headline 'how steep is the bias' number of a run."""
+        return self.weights / self.weights[min(10, len(self)) - 1]
 
     def as_csv(self) -> str:
-        """Rows `position,weight,normalized_weight_ref10`; a list shorter than
-        10 ranks normalizes by its last rank."""
-        ref = self.weights[min(10, len(self)) - 1]
+        """Rows `position,weight,normalized_weight_ref10`, the last from ``normalized``."""
         lines = ["position,weight,normalized_weight_ref10"]
-        for i, w in enumerate(self.weights, start=1):
-            lines.append(f"{i},{float(w)!r},{float(w / ref)!r}")
+        for i, (w, n) in enumerate(zip(self.weights, self.normalized()), start=1):
+            lines.append(f"{i},{float(w)!r},{float(n)!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -112,7 +110,6 @@ class PositionPropensityModel:
     def __init__(self, n_positions: int):
         if n_positions < 1:
             raise ValueError("n_positions must be >= 1")
-        self.n_positions = n_positions
         self.logits = Parameter(np.zeros((1, n_positions)), "position_logits")
 
     def batch_scores(self, batch_rows: int) -> Tensor:
@@ -174,7 +171,6 @@ class LPPModel:
                  ffn_hidden: Sequence[int] = DEFAULT_FFN_HIDDEN):
         if feature_dim < 1 or n_positions < 1:
             raise ValueError("feature_dim and n_positions must be >= 1")
-        self.feature_dim = feature_dim
         self.n_positions = n_positions
         self.encoder_d = MLP(feature_dim, encoder_hidden, embed_dim, rng, "lpp.encoder_d")
         self.position_table = Parameter(np.zeros((n_positions, embed_dim)),

@@ -1,10 +1,12 @@
-"""The relevance scorer f(x) and its propensity-weighted listwise loss."""
+"""The relevance scorer f(x), its snapshot reader, and its propensity-weighted
+listwise loss."""
 
+import zipfile
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import MLP, Parameter, Tensor, weighted_listwise_ce
+from .autodiff import MLP, Parameter, Tensor, load_params, weighted_listwise_ce
 from .propensity import DEFAULT_TAU, PropensityEstimate, clipped_inverse_weights
 
 DEFAULT_HIDDEN = (64, 32, 16)
@@ -20,6 +22,25 @@ class RankerMLP:
             raise ValueError("feature_dim must be >= 1")
         self.feature_dim = feature_dim
         self.net = MLP(feature_dim, hidden, 1, rng, "ranker", dropout=dropout)
+
+    @classmethod
+    def from_snapshot(cls, path, feature_dim: int) -> "RankerMLP":
+        """The ranker a ``train`` snapshot holds. Each hidden width is the out side
+        of an (in, out) weight ``ranker.l{i}.W`` but the last; ``load_params``
+        refuses a missing, misshapen or non-finite parameter by name."""
+        try:
+            archive = np.load(path)
+        except (EOFError, ValueError, zipfile.BadZipFile):
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path} is not an npz archive from train")
+        hidden = []
+        with archive:
+            while f"ranker.l{len(hidden) + 1}.W" in archive.files:
+                hidden.append(archive[f"ranker.l{len(hidden)}.W"].shape[-1])
+        ranker = cls(feature_dim, np.random.default_rng(0), hidden=hidden)
+        load_params(path, ranker.parameters())
+        return ranker
 
     def _rows(self, features: np.ndarray) -> np.ndarray:
         X = np.asarray(features, dtype=np.float64)

@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import AdaGrad
 from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, sample_click_matrix
 from .data import Dataset, generate_synthetic
-from .metrics import DEFAULT_CUTOFFS, normalized_propensity, propensity_error, ranking_metrics
+from .metrics import DEFAULT_CUTOFFS, propensity_error, ranking_metrics
 from .propensity import (
     DEFAULT_EMBED_DIM,
     DEFAULT_ENCODER_HIDDEN,
@@ -51,9 +51,10 @@ from .seeding import derive_seed, rng_for
 ALGORITHMS = ("upe", "dla", "naive", "ipw_oracle")
 PARADIGMS = ("OnD", "Off")
 
-CURVE_COLUMNS = ("step", "algorithm", "seed",
-                 *(f"{metric}@{k}" for metric in ("ndcg", "err") for k in DEFAULT_CUTOFFS),
-                 "norm_prop@1", "prop_error")
+# A curve row's measurements, in column order; final_metrics holds the last row's.
+METRIC_COLUMNS = (*(f"{metric}@{k}" for metric in ("ndcg", "err") for k in DEFAULT_CUTOFFS),
+                  "norm_prop@1", "prop_error")
+CURVE_COLUMNS = ("step", "algorithm", "seed", *METRIC_COLUMNS)
 
 
 @dataclass
@@ -403,8 +404,9 @@ def _build_learner(cfg: ExperimentConfig, view: DatasetView, n_positions: int,
         return DLALearner(cfg, feature_dim, n_positions)
     if cfg.algorithm == "naive":
         return IPWLearner(cfg, feature_dim, PropensityEstimate.uniform(n_positions))
-    true_weights = PropensityEstimate.from_curve(curve, cfg.simulation.eta).weights
-    return IPWLearner(cfg, feature_dim, PropensityEstimate(weights=true_weights[:n_positions]))
+    # The simulator's true relative propensities rho_k**eta / rho_1**eta.
+    truth = curve.examination(cfg.simulation.eta)[:n_positions]
+    return IPWLearner(cfg, feature_dim, PropensityEstimate.from_raw(truth))
 
 
 def run_experiment(cfg: ExperimentConfig, data: SplitData,
@@ -443,15 +445,13 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
     batch_rng = rng_for(cfg.seed, "batch")
     click_rng = rng_for(cfg.seed, "clicks")
 
-    truth_ref = min(10, n_positions)
     curve_rows: List[dict] = []
 
     def record(step: int) -> PropensityEstimate:
         est = learner.estimate()
         row = {"step": step, "algorithm": cfg.algorithm, "seed": cfg.seed}
         row.update(evaluate_ranker(learner.ranker, test_view))
-        row["norm_prop@1"] = float(
-            normalized_propensity(est, ref_position=truth_ref)[0])
+        row["norm_prop@1"] = float(est.normalized()[0])
         row["prop_error"] = propensity_error(est, curve, cfg.simulation.eta)
         curve_rows.append(row)
         return est
@@ -470,12 +470,9 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             estimate = record(step)
 
-    final = dict(curve_rows[-1])
-    for drop in ("step", "algorithm", "seed"):
-        final.pop(drop)
     return RunResult(
         curve=curve_rows,
-        final_metrics=final,
+        final_metrics={col: curve_rows[-1][col] for col in METRIC_COLUMNS},
         final_estimate=estimate,
         duration_s=time.monotonic() - started,
         ranker=learner.ranker,

@@ -46,7 +46,7 @@ from ultrlab.causal import (
 from ultrlab.cli import main as cli_main
 from ultrlab.clicks import PositionBiasCurve, sample_click_matrix
 from ultrlab.data import generate_synthetic
-from ultrlab.metrics import normalized_propensity, ranking_metrics
+from ultrlab.metrics import ranking_metrics
 from ultrlab.propensity import PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
 from ultrlab.training import (
@@ -184,7 +184,7 @@ def test_criterion_3_ipw_unbiasedness():
 
     curve = PositionBiasCurve.inverse_rank(4)
     cfg = ExperimentConfig()
-    truth = PropensityEstimate.from_curve(curve, cfg.simulation.eta)
+    truth = PropensityEstimate.from_raw(curve.examination(cfg.simulation.eta))
     full = float(full_information_loss(scores, labels, cfg.simulation).data)
 
     per_query = 33_334  # 100_002 sessions, balanced over the three queries
@@ -205,10 +205,8 @@ def test_criterion_3_ipw_unbiasedness():
 
 
 def test_criterion_4_propensity_overestimation(ond_runs):
-    dla_np1 = [float(normalized_propensity(ond_runs[("dla", s)].final_estimate,
-                                           10)[0]) for s in SEEDS]
-    upe_np1 = [float(normalized_propensity(ond_runs[("upe", s)].final_estimate,
-                                           10)[0]) for s in SEEDS]
+    dla_np1 = [ond_runs[("dla", s)].final_metrics["norm_prop@1"] for s in SEEDS]
+    upe_np1 = [ond_runs[("upe", s)].final_metrics["norm_prop@1"] for s in SEEDS]
     dla_mean, upe_mean = float(np.mean(dla_np1)), float(np.mean(upe_np1))
     elapsed = ond_runs["elapsed_s"]
     ok = dla_mean > 13.0 and 8.5 <= upe_mean <= 11.5 and elapsed < 600.0
@@ -256,8 +254,7 @@ def test_criterion_6_target_and_freeze_ablations(ond_runs, ablation_runs):
     gap = logging_mean - nofreeze_mean
 
     def np1(runs, key):
-        return float(np.mean([normalized_propensity(
-            runs[(key, s)].final_estimate, 10)[0] for s in SEEDS]))
+        return float(np.mean([runs[(key, s)].final_metrics["norm_prop@1"] for s in SEEDS]))
 
     props = (f"normalized propensity@1: logging {np1(ond_runs, 'upe'):.2f}, "
              f"mrr {np1(ablation_runs, 'mrr'):.2f}, "

@@ -26,7 +26,6 @@ from ultrlab.autodiff import (
     INFER_BLOCK_ROWS,
     MLP,
     AdaGrad,
-    Linear,
     Parameter,
     Tensor,
     _elu,
@@ -521,10 +520,14 @@ def test_mlp_dropout_mask_scales_survivors():
     assert np.array_equal(alone.data, out.data)
 
 
-def test_linear_bias_starts_at_zero():
-    layer = Linear(3, 2, np.random.default_rng(9), "lin")
-    assert np.array_equal(layer.b.data, np.zeros(2))
-    assert layer.W.name == "lin.W" and layer.b.name == "lin.b"
+def test_mlp_names_its_layers_and_biases_start_at_zero():
+    net = MLP(3, (4,), 2, np.random.default_rng(9), "m")
+    assert [p.name for p in net.parameters()] == ["m.l0.W", "m.l0.b", "m.l1.W", "m.l1.b"]
+    rng = np.random.default_rng(9)  # Glorot-uniform, first layer drawn first
+    for layer, (fan_in, fan_out) in zip(net.layers, [(3, 4), (4, 2)]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        assert np.array_equal(layer.W.data, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        assert np.array_equal(layer.b.data, np.zeros(fan_out))
 
 
 def test_listwise_ce_uniform_over_two_is_ln2():

@@ -1,6 +1,7 @@
 """Command line interface: every subcommand exercised in-process."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -168,16 +169,45 @@ def test_train_covers_the_full_loop(data_dir, tmp_path):
     assert int(first[0]) == 1 and float(first[1]) == 1.0
 
 
-def test_eval_prints_json_metrics(run_dir, data_dir, capsys):
-    """The snapshot alone gives the ranker's shape: TINY trained hidden=[8,6]."""
-    rc = main(["eval", "--model", str(run_dir / "model_seed0.npz"),
-               "--data", str(data_dir), "--split", "test"])
-    assert rc == 0
-    metrics = json.loads(capsys.readouterr().out)
-    ranker = RankerMLP(5, np.random.default_rng(1), hidden=(8, 6))
-    load_params(run_dir / "model_seed0.npz", ranker.parameters())
+def test_eval_prints_json_metrics(run_dir, data_dir, tmp_path, capsys):
+    """The snapshot alone gives the ranker's shape: TINY trained hidden=[8,6],
+    and ranker_hidden=[] trains a linear scorer with one weight matrix."""
+    linear = tmp_path / "linear"
+    assert main(["train", "--out", str(linear), "--data", str(data_dir),
+                 "--algorithm", "naive"] + TINY + ["--set", "ranker_hidden=[]"]) == 0
     test = DatasetView(parse_svmlight((data_dir / "test.txt").read_text()))
-    assert metrics == evaluate_ranker(ranker, test)
+    for model, hidden in ((run_dir / "model_seed0.npz", (8, 6)),
+                          (linear / "model_seed0.npz", ())):
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--data", str(data_dir), "--split", "test"])
+        assert rc == 0
+        metrics = json.loads(capsys.readouterr().out)
+        ranker = RankerMLP(5, np.random.default_rng(1), hidden=hidden)
+        load_params(model, ranker.parameters())
+        assert metrics == evaluate_ranker(ranker, test)
+
+
+@pytest.mark.parametrize("docs", [5, 12])
+def test_norm_prop_at_1_is_one_number_across_run_artifacts(data_dir, tmp_path, docs):
+    """The curve's last norm_prop@1, the manifest's final_metrics value and row
+    1 of the propensity file's rank-10 column agree: the 5-doc fixture divides
+    by rank 5, and 12 docs shown 10 deep divide by rank 10."""
+    data = data_dir
+    if docs != 5:
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--train-queries", "8",
+                     "--test-queries", "4", "--docs", str(docs), "--features", "5",
+                     "--seed", "3"]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), "--data", str(data),
+                 "--algorithm", "dla"] + TINY) == 0
+    with open(out / "curves_seed0.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    final = json.loads((out / "manifest.json").read_text())["results"]["0"]["final_metrics"]
+    prop = (out / "propensity_seed0.csv").read_text().splitlines()
+    assert len(prop) == 1 + min(docs, 10)
+    assert final["norm_prop@1"] != 1.0
+    assert float(last["norm_prop@1"]) == final["norm_prop@1"] == float(prop[1].split(",")[2])
 
 
 def test_eval_rejects_mismatched_shapes(run_dir, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_err, brute_ndcg
 from ultrlab.clicks import PositionBiasCurve
-from ultrlab.metrics import normalized_propensity, propensity_error, ranking_metrics
+from ultrlab.metrics import propensity_error, ranking_metrics
 from ultrlab.propensity import PropensityEstimate
 
 
@@ -111,38 +111,37 @@ def test_ranking_metrics_keys():
 
 
 def test_normalized_propensity_headline_value():
-    est = PropensityEstimate.from_curve(PositionBiasCurve.inverse_rank(10), eta=1.0)
-    got = normalized_propensity(est, ref_position=10)
+    est = PropensityEstimate.from_raw(PositionBiasCurve.inverse_rank(10).examination(1.0))
+    got = est.normalized()
     assert got[0] == pytest.approx(10.0, abs=1e-12)
     assert got[-1] == 1.0
 
 
 def test_normalized_propensity_of_uniform_is_all_ones():
     est = PropensityEstimate.uniform(6)
-    assert np.array_equal(normalized_propensity(est, ref_position=6), np.ones(6))
+    assert np.array_equal(est.normalized(), np.ones(6))
 
 
-def test_normalized_propensity_divides_by_the_reference_and_validates_it():
+def test_normalized_propensity_divides_by_rank_10_or_the_last_rank():
     est = PropensityEstimate(weights=np.array([1.0, 0.5, 0.25]))
-    assert np.array_equal(normalized_propensity(est, ref_position=3), [4.0, 2.0, 1.0])
-    with pytest.raises(ValueError):
-        normalized_propensity(est, ref_position=4)
+    assert np.array_equal(est.normalized(), [4.0, 2.0, 1.0])
+    long = PropensityEstimate(weights=np.repeat([1.0, 0.5, 0.25], [9, 1, 2]))
+    assert np.array_equal(long.normalized(), np.repeat([2.0, 1.0, 0.5], [9, 1, 2]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8),
+@given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=14),
        st.floats(0.1, 100.0))
 def test_normalized_propensity_scale_invariance(weights, c):
     w = np.array(weights)
-    ref = len(weights)
-    a = normalized_propensity(PropensityEstimate.from_raw(w), ref_position=ref)
-    b = normalized_propensity(PropensityEstimate.from_raw(c * w), ref_position=ref)
+    a = PropensityEstimate.from_raw(w).normalized()
+    b = PropensityEstimate.from_raw(c * w).normalized()
     assert np.allclose(a, b, rtol=1e-12, atol=0)
 
 
 def test_propensity_error_zero_at_truth():
     curve = PositionBiasCurve.inverse_rank(10)
-    est = PropensityEstimate.from_curve(curve, eta=1.0)
+    est = PropensityEstimate.from_raw(curve.examination(1.0))
     assert propensity_error(est, curve, eta=1.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -150,7 +149,7 @@ def test_propensity_error_ignores_uniform_scaling():
     """An estimate is pinned to 1 at rank 1 and a curve need not be; the
     comparison rescales both, so a uniformly scaled truth scores 0."""
     curve = PositionBiasCurve.inverse_rank(5)
-    est = PropensityEstimate.from_curve(curve, eta=1.0)
+    est = PropensityEstimate.from_raw(curve.examination(1.0))
     scaled = PositionBiasCurve(0.5 * curve.values)
     assert propensity_error(est, scaled, eta=1.0) == pytest.approx(0.0, abs=1e-12)
 

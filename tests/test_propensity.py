@@ -74,9 +74,9 @@ def test_from_raw_normalizes_and_saturates():
                 PropensityEstimate.from_raw(np.array(raw))
 
 
-def test_uniform_and_from_curve():
+def test_uniform_and_true_curve():
     assert np.array_equal(PropensityEstimate.uniform(3).weights, np.ones(3))
-    est = PropensityEstimate.from_curve(PositionBiasCurve.inverse_rank(4), 2.0)
+    est = PropensityEstimate.from_raw(PositionBiasCurve.inverse_rank(4).examination(2.0))
     assert np.allclose(est.weights, [1.0, 0.25, 1 / 9, 1 / 16], atol=1e-15)
 
 

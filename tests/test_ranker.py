@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ultrlab.autodiff import Tensor
+from ultrlab.autodiff import Tensor, save_params
 from ultrlab.clicks import SimulationConfig
 from ultrlab.propensity import PropensityEstimate
 from helpers import full_information_loss
-from ultrlab.ranker import RankerMLP, ipw_ranking_loss
+from ultrlab.ranker import DEFAULT_HIDDEN, RankerMLP, ipw_ranking_loss
 
 
 def make_ranker(seed=0, feature_dim=4, hidden=(6, 5), dropout=0.1):
@@ -65,6 +65,25 @@ def test_train_scoring_uses_dropout():
     a = _scores(ranker, X, rng=np.random.default_rng(8))
     b = _scores(ranker, X, rng=np.random.default_rng(9))
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("hidden", [(), (8, 6), DEFAULT_HIDDEN])
+def test_snapshot_round_trip(tmp_path, hidden):
+    """from_snapshot reads the layer widths back from the saved weights and
+    restores every parameter bit for bit, biases included."""
+    ranker = make_ranker(seed=3, hidden=hidden)
+    rng = np.random.default_rng(4)
+    for p in ranker.parameters():
+        p.data = rng.normal(size=p.data.shape)
+    path = tmp_path / "model.npz"
+    save_params(path, ranker.parameters())
+    back = RankerMLP.from_snapshot(path, 4)
+    assert [p.name for p in back.parameters()] == [p.name for p in ranker.parameters()]
+    for got, want in zip(back.parameters(), ranker.parameters()):
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+    X = rng.normal(size=(7, 4))
+    assert np.array_equal(back.score(X), ranker.score(X))
 
 
 def test_ipw_loss_hand_values():

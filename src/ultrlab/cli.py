@@ -65,11 +65,9 @@ def _load_config(path, overrides, **flags) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _load_split(data_dir) -> SplitData:
-    """Both splits at one width: an id absent from a split is 0.0 all through it.
-    A refused split is named by its path."""
-    root = Path(data_dir)
-    paths = (root / "train.txt", root / "test.txt")
+def _parse_files(paths):
+    """Each SVMlight file, all checked to exist before any is parsed. A refused
+    file is named by its path."""
     for p in paths:
         if not p.exists():
             raise ValueError(f"missing data file {p}")
@@ -79,9 +77,22 @@ def _load_split(data_dir) -> SplitData:
             splits.append(parse_svmlight(p.read_text()))
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from None
+    return splits
+
+
+def _pad(ds, width: int) -> None:
+    """Widen ``ds`` to ``width`` with zero columns, copying its features only then."""
+    if ds.feature_dim < width:
+        ds.features = np.pad(ds.features, ((0, 0), (0, width - ds.feature_dim)))
+
+
+def _load_split(data_dir) -> SplitData:
+    """Both splits at one width: an id absent from a split is 0.0 all through it."""
+    root = Path(data_dir)
+    splits = _parse_files([root / "train.txt", root / "test.txt"])
     width = max(ds.feature_dim for ds in splits)
     for ds in splits:
-        ds.features = np.pad(ds.features, ((0, 0), (0, width - ds.feature_dim)))
+        _pad(ds, width)
     return SplitData(*splits)
 
 
@@ -173,9 +184,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    data = _load_split(args.data) if args.data else make_split_data()
-    dataset = data.test if args.split == "test" else data.train
-    ranker = RankerMLP.from_snapshot(args.model, dataset.feature_dim)
+    if args.data is None:
+        data = make_split_data()
+        dataset = data.test if args.split == "test" else data.train
+        ranker = RankerMLP.from_snapshot(args.model, dataset.feature_dim)
+    else:
+        # Only the scored split is read; the snapshot gives the width it is padded to.
+        path = Path(args.data) / f"{args.split}.txt"
+        (dataset,) = _parse_files([path])
+        ranker = RankerMLP.from_snapshot(args.model)
+        if dataset.feature_dim > ranker.feature_dim:
+            raise ValueError(f"{path}: {dataset.feature_dim} features, more than the "
+                             f"{ranker.feature_dim} rows of snapshot parameter 'ranker.l0.W'")
+        _pad(dataset, ranker.feature_dim)
     metrics = evaluate_ranker(ranker, DatasetView(dataset))
     print(json.dumps(metrics, indent=2))
     return 0

@@ -10,10 +10,15 @@ The SVMlight round trip is bulk work done BLOCK_LINES lines at a time, so
 the Python objects held at once stay one block's however long the split.
 ``serialize_svmlight`` renders each block of rows through one ``%`` template
 per dataset, writing values as ``repr`` floats, so reparsing gives back the
-same bits. ``parse_svmlight`` checks each line's label and qid as it reads it
-and converts feature tokens a block at a time; a block that fails a bulk
-check is walked token by token, so a text with several faults reports the
-first in file order.
+same bits. ``parse_svmlight`` splits the text into lines one CHUNK_CHARS
+chunk at a time, checks each line's label and qid as it reads it and
+converts feature tokens a block at a time; a block that fails a bulk check
+is walked token by token, so a text with several faults reports the first
+in file order. A parse holds at once the text, one chunk of lines, one
+block of tokens, 16 bytes per feature cell read so far (an int64 id and a
+float64 value) and the output: the cells are scattered into the dense
+matrix block by block, and lines already grouped by qid are not copied
+into query order.
 """
 
 import operator
@@ -103,6 +108,21 @@ class Dataset:
 # and line strings held at once; the whole stream in one block costs peak memory.
 BLOCK_LINES = 512
 
+# Characters of text split into lines at a time, bounding the line strings
+# held at once; a chunk runs on to the next line feed.
+CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, split one chunk at a time. Each chunk
+    ends just after a line feed, so no line and no CR LF pair spans two chunks;
+    a text without a line feed is one chunk."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + CHUNK_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
 
 def _line_head(tokens):
     """A line's label and qid; a fault raises ValueError with its message."""
@@ -122,7 +142,8 @@ def _line_head(tokens):
 
 
 class _FeatureCells:
-    """The ``<fid>:<val>`` tokens of the lines read so far, as (row, id, value) cells.
+    """The ``<fid>:<val>`` tokens of the lines read so far, kept per block as
+    its first row, its lines' token counts, and the ids and values of its cells.
 
     Tokens wait in a block of up to BLOCK_LINES lines and are then converted
     in bulk: one split of the joined block, then Python's ``int`` and
@@ -134,7 +155,7 @@ class _FeatureCells:
 
     def __init__(self):
         self.tokens, self.counts, self.line_nos = [], [], []
-        self.rows, self.ids, self.vals = [], [], []
+        self.blocks = []  # (first row, counts, ids, values) of each converted block
         self.n_rows = 0
         self.max_fid = self.max_line = 0
 
@@ -152,7 +173,8 @@ class _FeatureCells:
         n = len(self.tokens)
         joined = " ".join(self.tokens)
         fields = joined.replace(":", " ").split()
-        rows = np.repeat(np.arange(self.n_rows, self.n_rows + len(self.counts)), self.counts)
+        counts = np.array(self.counts, dtype=np.int64)
+        rows = np.repeat(np.arange(counts.size), counts)  # each cell's line in the block
         try:
             # One ':' in every token. A token with no text on one side of it
             # leaves the value column short, which fromiter's count refuses.
@@ -170,13 +192,11 @@ class _FeatureCells:
             top = max(ids, default=0)
             at = ids.index(top) if ids else 0
         if top > self.max_fid:
-            self.max_fid, self.max_line = top, self.line_nos[rows[at] - self.n_rows]
-        if top > np.iinfo(np.int64).max:  # no int64 holds it; dense() refuses the width
-            ids, vals, rows = [], [], rows[:0]
-        self.rows.append(rows)
-        self.ids.append(np.asarray(ids, dtype=np.int64))
-        self.vals.append(np.asarray(vals, dtype=np.float64))
-        self.n_rows += len(self.counts)
+            self.max_fid, self.max_line = top, self.line_nos[rows[at]]
+        if top <= np.iinfo(np.int64).max:  # else no int64 holds it, and dense() refuses the width
+            self.blocks.append((self.n_rows, counts, np.asarray(ids, dtype=np.int64),
+                                np.asarray(vals, dtype=np.float64)))
+        self.n_rows += counts.size
         self.tokens, self.counts, self.line_nos = [], [], []
 
     def _walk(self):
@@ -203,16 +223,18 @@ class _FeatureCells:
     def dense(self) -> np.ndarray:
         """The (rows, max feature id) matrix of every converted line, 0.0 where absent.
 
-        A width numpy cannot allocate is refused on the line holding the largest id."""
+        Each block's cells are scattered in turn and then dropped, so no copy of
+        all cells is made. A width numpy cannot allocate is refused on the line
+        holding the largest id."""
         self.flush()
         try:
             features = np.zeros((self.n_rows, self.max_fid), dtype=np.float64)
         except (MemoryError, ValueError):
             raise ParseError(self.max_line, f"feature id {self.max_fid} needs a {self.n_rows} x "
                              f"{self.max_fid} feature matrix, too large to allocate") from None
-        if self.rows:
-            rows, ids = np.concatenate(self.rows), np.concatenate(self.ids)
-            features[rows, ids - 1] = np.concatenate(self.vals)
+        while self.blocks:
+            start, counts, ids, vals = self.blocks.pop()
+            features[np.repeat(np.arange(start, start + counts.size), counts), ids - 1] = vals
         return features
 
 
@@ -227,7 +249,7 @@ def parse_svmlight(text: str) -> Dataset:
     """
     qids, labels, comments = [], [], []
     cells = _FeatureCells()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line, _, comment = raw.partition("#")
         comment = comment.strip()
         tokens = line.split()
@@ -254,8 +276,11 @@ def parse_svmlight(text: str) -> Dataset:
     np.cumsum(np.bincount(owner, minlength=len(first)), out=offsets[1:])
     slot = np.arange(len(qids)) - offsets[owner[order]]
     doc_ids = [comments[i] or f"q{qids[i]}_d{j}" for i, j in zip(order.tolist(), slot.tolist())]
-    return Dataset(features=features[order], labels=np.array(labels, dtype=np.int64)[order],
-                   doc_ids=doc_ids, query_ids=list(first), offsets=offsets)
+    labels = np.array(labels, dtype=np.int64)
+    if (owner[1:] < owner[:-1]).any():  # a qid's lines come apart: gather them
+        features, labels = features[order], labels[order]
+    return Dataset(features=features, labels=labels, doc_ids=doc_ids, query_ids=list(first),
+                   offsets=offsets)
 
 
 def serialize_svmlight(dataset: Dataset) -> str:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultrlab import cli
 from ultrlab.autodiff import load_params
 from ultrlab.causal import ToyCausalModel, overestimation_report
 from ultrlab.cli import main
@@ -156,6 +157,44 @@ def test_sparse_splits_of_unequal_width_train_and_eval(data_dir, tmp_path):
     assert main(["train", "--out", str(out), "--data", str(sparse)] + TINY) == 0
     assert main(["eval", "--model", str(out / "model_seed0.npz"),
                  "--data", str(sparse)]) == 0
+
+
+@pytest.mark.parametrize("train_file", ["deleted", "garbled"])
+def test_eval_reads_only_the_split_it_scores(run_dir, data_dir, tmp_path, capsys, train_file):
+    """``eval --split test`` prints the same metrics when train.txt is gone or
+    unparseable: the snapshot's ranker.l0.W, not the train split, gives the width."""
+    model = str(run_dir / "model_seed0.npz")
+    assert main(["eval", "--model", model, "--data", str(data_dir), "--split", "test"]) == 0
+    want = capsys.readouterr().out
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "test.txt").write_text((data_dir / "test.txt").read_text())
+    if train_file == "garbled":
+        (other / "train.txt").write_text("x qid:1 1:bad\n")
+    assert main(["eval", "--model", model, "--data", str(other), "--split", "test"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_load_split_copies_only_the_split_it_pads(data_dir, tmp_path, monkeypatch):
+    """Splits of one width keep the parser's feature arrays; a narrower split
+    is padded with zero columns, its own columns bit for bit."""
+    parsed = []
+
+    def parse(text):
+        ds = parse_svmlight(text)
+        parsed.append(ds.features)
+        return ds
+
+    monkeypatch.setattr(cli, "parse_svmlight", parse)
+    data = cli._load_split(data_dir)
+    assert data.train.features is parsed[0] and data.test.features is parsed[1]
+    parsed.clear()
+    sparse = _split_dir(tmp_path, data_dir, "test.txt", lambda lines: [
+        " ".join(tok for tok in line.split(" ") if not tok.startswith("5:")) for line in lines])
+    data = cli._load_split(sparse)
+    assert data.train.features is parsed[0] and parsed[1].shape[1] == 4
+    assert np.array_equal(data.test.features[:, :4].view(np.uint64), parsed[1].view(np.uint64))
+    assert not data.test.features[:, 4].any()
 
 
 def test_train_covers_the_full_loop(data_dir, tmp_path):
@@ -474,12 +513,13 @@ def _split_dir(tmp_path, data_dir, split, edit):
 @pytest.mark.parametrize("split", ["train.txt", "test.txt"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_bad_data_files_name_the_file(run_dir, data_dir, tmp_path, command, split):
+    """``train`` reads both splits; ``eval`` reads the one it scores."""
     bad = _split_dir(tmp_path, data_dir, split, lambda lines: ["1 qid:1 1:x", *lines[1:]])
     if command == "train":
         line = _train_fails_cleanly(tmp_path / "o", "--data", str(bad))
     else:
         line = _fails_cleanly("eval", "--model", str(run_dir / "model_seed0.npz"),
-                              "--data", str(bad))
+                              "--data", str(bad), "--split", split.removesuffix(".txt"))
     assert line == f"error: {bad / split}: line 1: bad feature token '1:x'"
 
 

@@ -1,5 +1,6 @@
 """SVMlight parsing, serialization round-trips, synthetic generation."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -213,6 +214,63 @@ def test_parse_matches_the_line_by_line_oracle(lines, block_lines):
     want = _parse_outcome(parse_svmlight_line_by_line, text)
     with mock.patch.object(data, "BLOCK_LINES", block_lines):
         assert _parse_outcome(parse_svmlight, text) == want
+
+
+# Every boundary str.splitlines splits on.
+_ALL_ENDINGS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029"]
+
+
+def _qid_token(line_and_end):
+    tokens = line_and_end[0].split()
+    return tokens[1] if len(tokens) > 1 else ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(_svmlight_lines(), st.sampled_from(_ALL_ENDINGS)), max_size=12),
+       grouped=st.booleans(), chunk_chars=st.integers(1, 7), block_lines=st.integers(1, 5))
+def test_chunked_line_split_matches_the_line_by_line_oracle(lines, grouped, chunk_chars,
+                                                            block_lines):
+    """Split a few characters at a time, any text gives ``str.splitlines``'s lines,
+    and parses as the oracle does, whether its qids come grouped or interleaved."""
+    if grouped:
+        lines = sorted(lines, key=_qid_token)
+    text = "".join(line + end for line, end in lines)
+    want = _parse_outcome(parse_svmlight_line_by_line, text)
+    with mock.patch.multiple(data, CHUNK_CHARS=chunk_chars, BLOCK_LINES=block_lines):
+        assert list(data._lines(text)) == text.splitlines()
+        assert _parse_outcome(parse_svmlight, text) == want
+
+
+@pytest.mark.parametrize("chunk_chars", range(1, 8))
+def test_a_crlf_pair_across_a_chunk_edge_ends_one_line(chunk_chars):
+    """The nominal chunk after line 1 ends on the CR of a CR LF pair; the chunk
+    runs on to the LF, so the pair still ends one (blank) line."""
+    first = "1 qid:1 1:0.5\n"
+    text = first + " " * (chunk_chars - 1) + "\r\n" + "2 qid:2 2:0.25\r\n3 qid:1 1:1.0\r\n"
+    assert text[len(first):len(first) + chunk_chars].endswith("\r")
+    want = _parse_outcome(parse_svmlight_line_by_line, text)
+    assert want[0] == (3, 2)
+    with mock.patch.object(data, "CHUNK_CHARS", chunk_chars):
+        assert list(data._lines(text)) == text.splitlines()
+        assert _parse_outcome(parse_svmlight, text) == want
+
+
+def test_parse_peak_memory_stays_under_two_and_a_half_texts():
+    """The parser's memory budget: on a 20,000-line, 16-feature text, the
+    tracemalloc peak of a parse stays below 2.5 times the text's length in
+    characters. Beside the text a parse holds one chunk of lines, one block
+    of tokens, 16 bytes per feature cell and its output."""
+    text = serialize_svmlight(generate_synthetic(2000, 10, 16, seed=0))
+    assert text.count("\n") == 20_000
+    tracemalloc.start()
+    try:
+        ds = parse_svmlight(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (20_000, 16)
+    assert peak < 2.5 * len(text), f"peak {peak} bytes for {len(text)} characters"
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]

@@ -6,22 +6,23 @@ benchmarks). ``Y_MAX`` is the one top grade of the package: the click model's
 gain map and the ranking metrics read it too. Sparse SVMlight feature ids are
 densified on parse.
 
-The SVMlight round trip is bulk work done BLOCK_LINES lines at a time, so
-the Python objects held at once stay one block's however long the split.
-``serialize_svmlight`` renders each block of rows through one ``%`` template
-per dataset, writing values as ``repr`` floats, so reparsing gives back the
-same bits. ``parse_svmlight`` splits the text into lines one CHUNK_CHARS
-chunk at a time, checks each line's label and qid as it reads it and
-converts feature tokens a block at a time; a block that fails a bulk check
-is walked token by token, so a text with several faults reports the first
-in file order. A parse holds at once the text, one chunk of lines, one
-block of tokens, 16 bytes per feature cell read so far (an int64 id and a
-float64 value) and the output: the cells are scattered into the dense
-matrix block by block, and lines already grouped by qid are not copied
-into query order.
+The SVMlight round trip is bulk work done a block at a time, so the Python
+objects held at once stay one block's however long the split.
+``serialize_svmlight`` renders each block of BLOCK_LINES rows through one
+``%`` template per dataset, writing values as ``repr`` floats, so reparsing
+gives back the same bits. ``parse_svmlight`` splits the text into lines one
+CHUNK_CHARS chunk at a time, checks each line's label and qid as it reads
+it and converts feature tokens a block of about BLOCK_CELLS tokens at a
+time, however wide the rows; a block that fails a bulk check is walked
+token by token, so a text with several faults reports the first in file
+order. A parse holds at once the text, one chunk of lines, one block of
+tokens, 16 bytes per feature cell read so far (an int64 id and a float64
+value) and the output: the cells are scattered into the dense matrix block
+by block, and lines already grouped by qid are not copied into query order.
 """
 
 import operator
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -104,22 +105,31 @@ class Dataset:
         return out
 
 
-# Lines parsed or rendered together. A block bounds the token strings, floats
-# and line strings held at once; the whole stream in one block costs peak memory.
+# Rows rendered together. A block bounds the floats and line strings held at
+# once; the whole split in one block costs peak memory.
 BLOCK_LINES = 512
 
+# Feature tokens parsed together (512 lines of 16 features). Counting cells,
+# not lines, bounds the token strings held at once however wide the rows.
+BLOCK_CELLS = 8192
+
 # Characters of text split into lines at a time, bounding the line strings
-# held at once; a chunk runs on to the next line feed.
+# held at once; a chunk runs on to the next line boundary.
 CHUNK_CHARS = 1 << 16
+
+# Every line boundary of str.splitlines, a CR LF pair as one.
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _lines(text: str):
     """The lines of ``text.splitlines()``, split one chunk at a time. Each chunk
-    ends just after a line feed, so no line and no CR LF pair spans two chunks;
-    a text without a line feed is one chunk."""
+    ends just after the first line boundary from its CHUNK_CHARS-th character
+    on, a CR LF pair whole, so no line spans two chunks; a text with no
+    boundary there is one chunk."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + CHUNK_CHARS - 1) + 1 or len(text)
+        cut = _LINE_END.search(text, start + CHUNK_CHARS - 1)
+        end = cut.end() if cut else len(text)
         yield from text[start:end].splitlines()
         start = end
 
@@ -145,12 +155,12 @@ class _FeatureCells:
     """The ``<fid>:<val>`` tokens of the lines read so far, kept per block as
     its first row, its lines' token counts, and the ids and values of its cells.
 
-    Tokens wait in a block of up to BLOCK_LINES lines and are then converted
-    in bulk: one split of the joined block, then Python's ``int`` and
-    ``float`` over the id and value columns. A block that fails a bulk check
-    is walked token by token instead, which raises its first fault in file
-    order or converts what the bulk route would not take (ids out of order,
-    ids past int64).
+    Tokens wait in a block of whole lines, up to the one that brings it to
+    BLOCK_CELLS tokens, and are then converted in bulk: one split of the
+    joined block, then Python's ``int`` and ``float`` over the id and value
+    columns. A block that fails a bulk check is walked token by token
+    instead, which raises its first fault in file order or converts what the
+    bulk route would not take (ids out of order, ids past int64).
     """
 
     def __init__(self):
@@ -163,7 +173,7 @@ class _FeatureCells:
         self.tokens += tokens
         self.counts.append(len(tokens))
         self.line_nos.append(line_no)
-        if len(self.counts) == BLOCK_LINES:
+        if len(self.tokens) >= BLOCK_CELLS:
             self.flush()
 
     def flush(self) -> None:

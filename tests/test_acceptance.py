@@ -19,7 +19,13 @@ Every test here carries the ``acceptance`` marker, so the fast suite is
 ``pytest -m "not acceptance"``.
 """
 
+import csv
+import hashlib
+import json
+import os
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,16 +55,19 @@ from ultrlab.data import generate_synthetic
 from ultrlab.metrics import ranking_metrics
 from ultrlab.propensity import PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
-from ultrlab.training import (
-    DatasetView,
-    ExperimentConfig,
-    make_split_data,
-    run_experiment,
-)
+from ultrlab.training import DatasetView, ExperimentConfig
 
 pytestmark = pytest.mark.acceptance
 
 SEEDS = (0, 1, 2, 3, 4)
+
+# The reference runs as (fixture, key, algorithm, paradigm, --set overrides):
+# each row is one `train --seeds 0..4` call on the default collection.
+GRID = (("ond_runs", "dla", "dla", "OnD", ()), ("ond_runs", "upe", "upe", "OnD", ()),
+        *(("off_runs", a, a, "Off", ()) for a in ("naive", "dla", "upe", "ipw_oracle")),
+        ("ablation_runs", "mrr", "upe", "OnD", ("target_variant=mrr",)),
+        ("ablation_runs", "dcg", "upe", "OnD", ("target_variant=dcg",)),
+        ("ablation_runs", "nofreeze", "upe", "OnD", ("upe_freeze=false",)))
 
 
 def report(n, ok, detail):
@@ -67,50 +76,40 @@ def report(n, ok, detail):
     return line
 
 
-@pytest.fixture(scope="module")
-def data():
-    return make_split_data()
+def _train_rows(fixture, tmp_path_factory):
+    """Train the fixture's grid rows through the CLI, each row's seeds on a pool
+    of the usable CPUs, and read back every seed's final metrics and duration
+    from the manifest and its estimate from the propensity CSV."""
+    runs = {}
+    for key, algorithm, paradigm, overrides in (row[1:] for row in GRID if row[0] == fixture):
+        out = tmp_path_factory.getbasetemp() / "grid" / fixture / key
+        sets = [arg for o in ("learning_rate=0.05", *overrides) for arg in ("--set", o)]
+        assert cli_main(["train", "--out", str(out), "--algorithm", algorithm,
+                         "--paradigm", paradigm, *sets, "--seeds", f"{SEEDS[0]}..{SEEDS[-1]}",
+                         "--workers", str(len(os.sched_getaffinity(0)))]) == 0
+        for entry in json.loads((out / "manifest.json").read_text())["results"].values():
+            with open(out / entry["propensity"]) as fh:
+                weights = np.array([float(row["weight"]) for row in csv.DictReader(fh)])
+            runs[(key, entry["seed"])] = SimpleNamespace(**entry, weights=weights)
+    return runs
 
 
 @pytest.fixture(scope="module")
-def ond_runs(data):
+def ond_runs(tmp_path_factory):
     """upe and dla, online, five seeds each, at the reference scale."""
-    started = time.monotonic()
-    runs = {}
-    for algorithm in ("dla", "upe"):
-        for seed in SEEDS:
-            cfg = ExperimentConfig(paradigm="OnD", algorithm=algorithm,
-                                   seed=seed, learning_rate=0.05)
-            runs[(algorithm, seed)] = run_experiment(cfg, data)
-    runs["elapsed_s"] = time.monotonic() - started
-    return runs
+    return _train_rows("ond_runs", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
-def off_runs(data):
+def off_runs(tmp_path_factory):
     """All four algorithms, offline on the 1%-data weak policy, five seeds."""
-    runs = {}
-    for algorithm in ("naive", "dla", "upe", "ipw_oracle"):
-        for seed in SEEDS:
-            cfg = ExperimentConfig(paradigm="Off", algorithm=algorithm,
-                                   seed=seed, learning_rate=0.05)
-            runs[(algorithm, seed)] = run_experiment(cfg, data)
-    return runs
+    return _train_rows("off_runs", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
-def ablation_runs(data):
+def ablation_runs(tmp_path_factory):
     """Target-variant and no-freeze ablations of the policy-aware model."""
-    variants = {"mrr": dict(target_variant="mrr"),
-                "dcg": dict(target_variant="dcg"),
-                "nofreeze": dict(upe_freeze=False)}
-    runs = {}
-    for name, overrides in variants.items():
-        for seed in SEEDS:
-            cfg = ExperimentConfig(paradigm="OnD", algorithm="upe", seed=seed,
-                                   learning_rate=0.05, **overrides)
-            runs[(name, seed)] = run_experiment(cfg, data)
-    return runs
+    return _train_rows("ablation_runs", tmp_path_factory)
 
 
 def _mean_ndcg(runs, key):
@@ -208,7 +207,8 @@ def test_criterion_4_propensity_overestimation(ond_runs):
     dla_np1 = [ond_runs[("dla", s)].final_metrics["norm_prop@1"] for s in SEEDS]
     upe_np1 = [ond_runs[("upe", s)].final_metrics["norm_prop@1"] for s in SEEDS]
     dla_mean, upe_mean = float(np.mean(dla_np1)), float(np.mean(upe_np1))
-    elapsed = ond_runs["elapsed_s"]
+    # The ten runs' own seconds, summed: the pool's wall time would time less work per run.
+    elapsed = sum(run.duration_s for run in ond_runs.values())
     ok = dla_mean > 13.0 and 8.5 <= upe_mean <= 11.5 and elapsed < 600.0
     detail = (f"normalized propensity@1 (truth 10): dla mean {dla_mean:.2f} "
               f"{[round(v, 2) for v in dla_np1]}, upe mean {upe_mean:.2f} "
@@ -317,8 +317,7 @@ def test_converged_estimate_is_monotone_on_average(ond_runs):
     there, so this is not a converged estimate. Single desk-scale seeds can
     carry a tail wobble above the tolerance, so the check reads the mean
     curve and prints the per-seed wobble."""
-    stack = np.stack([ond_runs[("upe", s)].final_estimate.weights
-                      for s in SEEDS])
+    stack = np.stack([ond_runs[("upe", s)].weights for s in SEEDS])
     per_seed = [float(np.diff(w).max()) for w in stack]
     mean_curve = stack.mean(axis=0)
     worst = float(np.diff(mean_curve).max())
@@ -326,3 +325,22 @@ def test_converged_estimate_is_monotone_on_average(ond_runs):
           f"(per seed {[round(v, 3) for v in per_seed]})", flush=True)
     assert worst <= 0.02
     assert mean_curve[0] == 1.0
+
+
+def test_every_reference_run_writes_its_pinned_bytes(tmp_path_factory, ond_runs, off_runs,
+                                                      ablation_runs):
+    """Every grid run's curve and final-propensity CSVs hash to the SHA-256 in
+    ``tests/data/acceptance_digests.json``, keyed by grid row and seed (the
+    manifest holds clock fields, so it is left out, as is the ranker npz).
+    The digests hold for this numpy and OpenBLAS build with BLAS on one
+    thread, the host assumption of the pinned curves. Only a change meant to
+    move curves rewrites the file, from the digests its failure lists, and
+    says why."""
+    want = json.loads((Path(__file__).parent / "data" / "acceptance_digests.json").read_text())
+    root = tmp_path_factory.getbasetemp() / "grid"
+    got = {run: hashlib.sha256((root / run).read_bytes()).hexdigest()
+           for run in (f"{fixture}/{key}/{kind}_seed{seed}.csv" for fixture, key, *_ in GRID
+                       for seed in SEEDS for kind in ("curves", "propensity"))}
+    moved = [f"{run}: {want.get(run)} -> {got.get(run)}"
+             for run in sorted(want.keys() | got.keys()) if want.get(run) != got.get(run)]
+    assert not moved, f"{len(moved)} run file(s) moved:\n" + "\n".join(moved)

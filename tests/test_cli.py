@@ -441,6 +441,13 @@ def test_bad_config_types_fail_cleanly(tmp_path, setting):
     assert setting.split("=")[0].split(".")[-1] in line
 
 
+def test_a_network_too_large_to_allocate_fails_cleanly(tmp_path):
+    """The first weight, 16 x 1e13 float64s, is 1.28 PB: past any address space,
+    so the allocation fails at once without touching memory."""
+    line = _train_fails_cleanly(tmp_path / "o", "--set", "ranker_hidden=[10000000000000]")
+    assert "allocate" in line
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", '{"simulation": 5}', "directory"],
                          ids=["top-level-list", "simulation-number", "directory"])
 def test_bad_config_files_fail_cleanly(tmp_path, content):

@@ -206,13 +206,13 @@ def _parse_outcome(parse, text):
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(st.tuples(_svmlight_lines(), st.sampled_from(_ENDINGS)), max_size=12),
-       block_lines=st.integers(1, 5))
-def test_parse_matches_the_line_by_line_oracle(lines, block_lines):
+       block_cells=st.integers(1, 40))
+def test_parse_matches_the_line_by_line_oracle(lines, block_cells):
     """Block-wise conversion parses as the line-by-line oracle does, bit for bit,
     and refuses with its message and line, whatever the block size."""
     text = "".join(line + end for line, end in lines)
     want = _parse_outcome(parse_svmlight_line_by_line, text)
-    with mock.patch.object(data, "BLOCK_LINES", block_lines):
+    with mock.patch.object(data, "BLOCK_CELLS", block_cells):
         assert _parse_outcome(parse_svmlight, text) == want
 
 
@@ -228,16 +228,16 @@ def _qid_token(line_and_end):
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(st.tuples(_svmlight_lines(), st.sampled_from(_ALL_ENDINGS)), max_size=12),
-       grouped=st.booleans(), chunk_chars=st.integers(1, 7), block_lines=st.integers(1, 5))
+       grouped=st.booleans(), chunk_chars=st.integers(1, 7), block_cells=st.integers(1, 40))
 def test_chunked_line_split_matches_the_line_by_line_oracle(lines, grouped, chunk_chars,
-                                                            block_lines):
+                                                            block_cells):
     """Split a few characters at a time, any text gives ``str.splitlines``'s lines,
     and parses as the oracle does, whether its qids come grouped or interleaved."""
     if grouped:
         lines = sorted(lines, key=_qid_token)
     text = "".join(line + end for line, end in lines)
     want = _parse_outcome(parse_svmlight_line_by_line, text)
-    with mock.patch.multiple(data, CHUNK_CHARS=chunk_chars, BLOCK_LINES=block_lines):
+    with mock.patch.multiple(data, CHUNK_CHARS=chunk_chars, BLOCK_CELLS=block_cells):
         assert list(data._lines(text)) == text.splitlines()
         assert _parse_outcome(parse_svmlight, text) == want
 
@@ -256,6 +256,17 @@ def test_a_crlf_pair_across_a_chunk_edge_ends_one_line(chunk_chars):
         assert _parse_outcome(parse_svmlight, text) == want
 
 
+def _parse_peak(text):
+    """The tracemalloc peak of parsing ``text``, in bytes, and the parsed shape."""
+    tracemalloc.start()
+    try:
+        ds = parse_svmlight(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, ds.features.shape
+
+
 def test_parse_peak_memory_stays_under_two_and_a_half_texts():
     """The parser's memory budget: on a 20,000-line, 16-feature text, the
     tracemalloc peak of a parse stays below 2.5 times the text's length in
@@ -263,14 +274,29 @@ def test_parse_peak_memory_stays_under_two_and_a_half_texts():
     of tokens, 16 bytes per feature cell and its output."""
     text = serialize_svmlight(generate_synthetic(2000, 10, 16, seed=0))
     assert text.count("\n") == 20_000
-    tracemalloc.start()
-    try:
-        ds = parse_svmlight(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ds.features.shape == (20_000, 16)
+    peak, shape = _parse_peak(text)
+    assert shape == (20_000, 16)
     assert peak < 2.5 * len(text), f"peak {peak} bytes for {len(text)} characters"
+
+
+def test_wide_rows_parse_in_blocks_of_cells():
+    """A block holds BLOCK_CELLS tokens however wide the rows, so on a 5,000-line,
+    136-feature text the parse peaks under 1.3 times the text, as narrow rows do:
+    blocks of 512 lines held about 70k token strings at once here."""
+    text = serialize_svmlight(generate_synthetic(500, 10, 136, seed=0))
+    peak, shape = _parse_peak(text)
+    assert shape == (5_000, 136)
+    assert peak < 1.3 * len(text), f"peak {peak} bytes for {len(text)} characters"
+
+
+def test_lines_ending_in_a_lone_cr_are_split_in_chunks_too():
+    """A text whose lines end in CR alone is cut into chunks as a LF text is, so
+    it parses at a peak within 0.1 of a text length of the LF text's."""
+    text = serialize_svmlight(generate_synthetic(2000, 10, 16, seed=0))
+    lf_peak, lf_shape = _parse_peak(text)
+    cr_peak, cr_shape = _parse_peak(text.replace("\n", "\r"))
+    assert cr_shape == lf_shape == (20_000, 16)
+    assert cr_peak <= lf_peak + 0.1 * len(text), (cr_peak, lf_peak, len(text))
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -355,23 +381,24 @@ def test_the_first_fault_in_file_order_is_reported(lines, want):
     {1025: "1 qid:1 4:1 2:1 2:3"},
 ])
 def test_late_faults_on_both_sides_of_a_block_boundary(faults):
-    """With BLOCK_LINES at 512, faults at and around the block edges are found
-    where the oracle finds them."""
-    assert data.BLOCK_LINES == 512
+    """With blocks of 1,024 cells, 512 of these two-feature lines, faults at and
+    around the block edges are found where the oracle finds them."""
     lines = _valid_lines(1600)
     for line_no, line in faults.items():
         lines[line_no - 1] = line
     text = "\n".join(lines)
     want = _parse_outcome(parse_svmlight_line_by_line, text)
     assert want[2] == min(faults)
-    assert _parse_outcome(parse_svmlight, text) == want
+    with mock.patch.object(data, "BLOCK_CELLS", 1024):
+        assert _parse_outcome(parse_svmlight, text) == want
 
 
 def test_many_blocks_parse_as_the_oracle_does():
     text = "\r\n".join(_valid_lines(1600)[::-1] + ["2 qid:x 3:1.0 1:2.0 # out of order"])
     want = _parse_outcome(parse_svmlight_line_by_line, text)
     assert want[0] == (1601, 3)
-    assert _parse_outcome(parse_svmlight, text) == want
+    with mock.patch.object(data, "BLOCK_CELLS", 1024):
+        assert _parse_outcome(parse_svmlight, text) == want
 
 
 def test_a_feature_id_past_int64_is_refused_as_the_oracle_refuses_it():

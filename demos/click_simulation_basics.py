@@ -17,7 +17,7 @@ from ultrlab.clicks import (
     sample_click_matrix,
 )
 from ultrlab.data import Dataset
-from ultrlab.training import DatasetView, LoggingPolicy
+from ultrlab.training import DatasetView, LoggingPolicy, rank_view_scores
 
 
 def main():
@@ -50,7 +50,7 @@ def main():
                     query_ids=["q0"], offsets=[0, labels.size])
     policy = LoggingPolicy.from_linear(np.ones(1), DatasetView(query))
     print(f"\ndisplayed order for scores {scores.tolist()} (ties by doc id):")
-    print("  ", [f"d{i}" for i in policy.order[0]])
+    print("  ", [f"d{i}" for i in rank_view_scores(policy.scores)[0]])
 
     _, shown, _ = policy.displayed(np.array([0]), config.top_n)
     print("\nthree sampled sessions over displayed labels", shown[0].tolist())

@@ -38,6 +38,11 @@ from .training import (
 )
 
 
+def _given(**flags) -> dict:
+    """The flags given; an absent one (None) keeps the called function's default."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _load_config(path, overrides, **flags) -> ExperimentConfig:
     """The config file's JSON object, with each `--set` value and each given
     flag written into it; ExperimentConfig.from_dict judges the result."""
@@ -61,7 +66,7 @@ def _load_config(path, overrides, **flags) -> ExperimentConfig:
             target[name] = json.loads(value)
         except json.JSONDecodeError:
             target[name] = value
-    raw.update({key: value for key, value in flags.items() if value is not None})
+    raw.update(_given(**flags))
     return ExperimentConfig.from_dict(raw)
 
 
@@ -98,13 +103,14 @@ def _load_split(data_dir) -> SplitData:
 
 def cmd_gen_data(args) -> int:
     # Both splits first: a size make_split_data refuses leaves no files behind.
-    data = make_split_data(args.train_queries, args.test_queries, args.docs,
-                           args.features, args.seed)
+    data = make_split_data(**_given(n_train=args.train_queries, n_test=args.test_queries,
+                                    docs_per_query=args.docs, feature_dim=args.features,
+                                    seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for filename, ds in (("train.txt", data.train), ("test.txt", data.test)):
         (out / filename).write_text(serialize_svmlight(ds))
-        print(f"wrote {out / filename} ({ds.n_queries} queries x {args.docs} docs)")
+        print(f"wrote {out / filename} ({ds.n_queries} queries x {ds.offsets[1]} docs)")
     return 0
 
 
@@ -129,23 +135,21 @@ def _train_one_seed(cfg: ExperimentConfig, data: SplitData, curve, out_dir: str)
 
 
 def _parse_seeds(seeds: str):
+    """The run seeds ``--seed`` names: one integer N, or an inclusive range A..B."""
     lo, sep, hi = seeds.partition("..")
-    if not sep:
-        raise ValueError(f"--seeds wants a range like 0..4, got {seeds!r}")
     try:
-        lo, hi = int(lo), int(hi)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
-        raise ValueError(f"--seeds bounds must be integers, got {seeds!r}") from None
+        raise ValueError(f"--seed wants N or a range like 0..4, got {seeds!r}") from None
     if hi < lo:
-        raise ValueError(f"--seeds range {seeds!r} is empty; write it low..high")
+        raise ValueError(f"--seed range {seeds!r} is empty; write it low..high")
     return list(range(lo, hi + 1))
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    cfg = _load_config(args.config, args.set, algorithm=args.algorithm,
-                       paradigm=args.paradigm, seed=args.seed)
-    seeds = [cfg.seed] if args.seeds is None else _parse_seeds(args.seeds)
+    cfg = _load_config(args.config, args.set, algorithm=args.algorithm, paradigm=args.paradigm)
+    seeds = [cfg.seed] if args.seed is None else _parse_seeds(args.seed)
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     configs = [dataclasses.replace(cfg, seed=seed) for seed in seeds]
@@ -195,7 +199,8 @@ def cmd_eval(args) -> int:
         ranker = RankerMLP.from_snapshot(args.model)
         if dataset.feature_dim > ranker.feature_dim:
             raise ValueError(f"{path}: {dataset.feature_dim} features, more than the "
-                             f"{ranker.feature_dim} rows of snapshot parameter 'ranker.l0.W'")
+                             f"{ranker.feature_dim} rows of snapshot parameter "
+                             f"{ranker.parameters()[0].name!r}")
         _pad(dataset, ranker.feature_dim)
     metrics = evaluate_ranker(ranker, DatasetView(dataset))
     print(json.dumps(metrics, indent=2))
@@ -203,7 +208,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle_demo(args) -> int:
-    model = ToyCausalModel.reference(epsilon=args.epsilon)
+    model = ToyCausalModel.reference(**_given(epsilon=args.epsilon))
     if args.preset == "weak":
         model = model.with_weak_policy()
     report = overestimation_report(model)
@@ -277,11 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write synthetic SVMlight train/test files")
     p.add_argument("--out", required=True)
-    p.add_argument("--train-queries", type=int, default=500)
-    p.add_argument("--test-queries", type=int, default=100)
-    p.add_argument("--docs", type=int, default=10)
-    p.add_argument("--features", type=int, default=16)
-    p.add_argument("--seed", type=int, default=7)
+    for flag in ("--train-queries", "--test-queries", "--docs", "--features", "--seed"):
+        p.add_argument(flag, type=int)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run one experiment over one or more seeds")
@@ -293,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="file with one examination probability per line")
     p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--paradigm", choices=PARADIGMS)
-    p.add_argument("--seed", type=int, help="run seed; overrides the config's seed")
-    p.add_argument("--seeds", help="inclusive range like 0..4; overrides --seed")
+    p.add_argument("--seed", help="run seed N, or inclusive range A..B of run seeds; "
+                                  "overrides the config's seed")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-demo", help="print the exact overestimation report")
     p.add_argument("--preset", choices=["strong", "weak"], default="strong")
-    p.add_argument("--epsilon", type=float, default=0.0,
+    p.add_argument("--epsilon", type=float,
                    help="click noise on examined documents")
     p.add_argument("--csv", help="also write the CSV here")
     p.set_defaults(func=cmd_oracle_demo)

@@ -24,7 +24,7 @@ by block, and lines already grouped by qid are not copied into query order.
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import List
 
@@ -59,6 +59,7 @@ class Dataset:
     doc_ids: np.ndarray    # (n_docs,) str, unique within a query
     query_ids: np.ndarray  # (n_queries,) str
     offsets: np.ndarray    # (n_queries + 1,) int64, from 0 to n_docs
+    id_order: np.ndarray = field(init=False)  # (n_docs,) rows by query, then doc id
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -81,8 +82,8 @@ class Dataset:
             if bad.any():
                 raise ValueError(f"doc {self.doc_ids[np.argmax(bad)]}: {what}")
         owner = np.repeat(np.arange(self.n_queries), lengths)
-        order = np.lexsort((self.doc_ids, owner))
-        ids, owner = self.doc_ids[order], owner[order]
+        self.id_order = np.lexsort((self.doc_ids, owner))
+        ids, owner = self.doc_ids[self.id_order], owner[self.id_order]
         dup = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
         if dup.any():
             raise ValueError(f"query {self.query_ids[owner[np.argmax(dup)]]}: duplicate doc ids")

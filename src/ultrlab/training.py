@@ -18,6 +18,7 @@ step that moves the position embeddings alone, the backdoor-adjusted
 estimate, then the ranker update.
 """
 
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
@@ -83,10 +84,10 @@ def make_split_data(n_train: int = 500, n_test: int = 100, docs_per_query: int =
 
 
 class DatasetView:
-    """A dataset flattened to arrays, docs pre-sorted by doc_id within groups.
+    """A dataset as (query, doc) arrays, docs in the dataset's ``id_order``.
 
-    The pre-sort makes a stable descending argsort of scores break ties by
-    doc_id, which keeps every displayed ranking a pure function of scores.
+    That doc-id order makes a stable descending argsort of scores break ties
+    by doc_id, which keeps every displayed ranking a pure function of scores.
     """
 
     def __init__(self, dataset: Dataset):
@@ -99,11 +100,9 @@ class DatasetView:
             )
         self.n_docs = int(lengths[0])
         self.n_queries = dataset.n_queries
-        owner = np.repeat(np.arange(self.n_queries), self.n_docs)
-        order = np.lexsort((dataset.doc_ids, owner))
-        self.features = dataset.features[order].reshape(
+        self.features = dataset.features[dataset.id_order].reshape(
             self.n_queries, self.n_docs, dataset.feature_dim)
-        self.labels = dataset.labels[order].reshape(self.n_queries, self.n_docs)
+        self.labels = dataset.labels[dataset.id_order].reshape(self.n_queries, self.n_docs)
 
     def flat_features(self) -> np.ndarray:
         return self.features.reshape(-1, self.features.shape[-1])
@@ -116,21 +115,19 @@ def rank_view_scores(scores: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LoggingPolicy:
-    """A frozen scorer snapshot: per-query scores and the displayed order, also as
-    ``shown_rows``, the flat view row (``q * n_docs + order[q, k]``) shown at each rank."""
+    """A frozen scorer snapshot: per-query scores and the flat view row shown at each rank."""
 
     view: DatasetView
     scores: np.ndarray
-    order: np.ndarray = field(init=False)
     shown_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (self.view.n_queries, self.view.n_docs):
             raise ValueError("scores must be (n_queries, n_docs) for the view")
-        self.order = rank_view_scores(self.scores)
-        self.shown_rows = self.order + self.view.n_docs * np.arange(self.view.n_queries)[:, None]
-        for array in (self.scores, self.order, self.shown_rows):
+        self.shown_rows = (rank_view_scores(self.scores)
+                           + self.view.n_docs * np.arange(self.view.n_queries)[:, None])
+        for array in (self.scores, self.shown_rows):
             array.setflags(write=False)
 
     @classmethod
@@ -409,6 +406,29 @@ def _build_learner(cfg: ExperimentConfig, view: DatasetView, n_positions: int,
     return IPWLearner(cfg, feature_dim, PropensityEstimate.from_raw(truth))
 
 
+def _memory_floor(cfg: ExperimentConfig, feature_dim: int, n_positions: int, rows: int) -> int:
+    """Bytes a run holds at least once it steps, in closed form: each network
+    parameter with its gradient and AdaGrad accumulator, and each layer's
+    output over one step's ``rows`` displayed documents, all float64."""
+    nets = [(feature_dim, *cfg.ranker_hidden, 1)]
+    params = 0
+    if cfg.algorithm == "upe":
+        nets += [(feature_dim, *cfg.lpp_encoder_hidden, cfg.lpp_embed_dim),
+                 (cfg.lpp_embed_dim, *cfg.lpp_ffn_hidden, 1)]
+        params = n_positions * cfg.lpp_embed_dim  # the position embedding table
+    params += sum(a * b + b for dims in nets for a, b in zip(dims, dims[1:]))
+    outputs = rows * sum(sum(dims[1:]) for dims in nets)
+    return 8 * (3 * params + outputs)
+
+
+def _physical_memory() -> float:
+    """The host's physical memory in bytes; unbounded where os.sysconf cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
 def run_experiment(cfg: ExperimentConfig, data: SplitData,
                    curve: Optional[PositionBiasCurve] = None,
                    policy: Optional[LoggingPolicy] = None) -> RunResult:
@@ -438,6 +458,13 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
         raise ValueError(f"simulation.eta={cfg.simulation.eta!r} underflows the examination "
                          f"probability at rank {np.argmax(underflow) + 1}")
     test_view = DatasetView(data.test)
+    # Refused before any allocation: a run past physical memory is killed, not failed.
+    need = _memory_floor(cfg, train_view.dataset.feature_dim, n_positions,
+                         min(cfg.batch_queries, train_view.n_queries) * n_positions)
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"the run would allocate at least {need / 2**30:.3g} GiB, more than "
+                         f"the {have / 2**30:.3g} GiB of physical memory")
 
     learner = _build_learner(cfg, train_view, n_positions, curve)
     if policy is None:

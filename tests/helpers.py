@@ -28,6 +28,7 @@ from ultrlab.clicks import PositionBiasCurve, SimulationConfig, perceived_releva
 from ultrlab.data import Y_MAX, Dataset, ParseError
 from ultrlab.propensity import LPPModel, PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
+from ultrlab.training import rank_view_scores
 
 FD_H = 1e-4
 FD_TOL = 1e-4
@@ -189,7 +190,7 @@ def displayed_take_along_axis(policy, query_rows, top_n: int):
     gathers over copies of the queries' rows: the version the flat-row gather
     replaced, kept as the reference for its bits."""
     n = min(top_n, policy.view.n_docs)
-    order = policy.order[query_rows, :n]
+    order = rank_view_scores(policy.scores)[query_rows, :n]
     feats = np.take_along_axis(policy.view.features[query_rows], order[:, :, None], axis=1)
     labels = np.take_along_axis(policy.view.labels[query_rows], order, axis=1)
     scores = np.take_along_axis(policy.scores[query_rows], order, axis=1)

@@ -62,7 +62,7 @@ pytestmark = pytest.mark.acceptance
 SEEDS = (0, 1, 2, 3, 4)
 
 # The reference runs as (fixture, key, algorithm, paradigm, --set overrides):
-# each row is one `train --seeds 0..4` call on the default collection.
+# each row is one `train --seed 0..4` call on the default collection.
 GRID = (("ond_runs", "dla", "dla", "OnD", ()), ("ond_runs", "upe", "upe", "OnD", ()),
         *(("off_runs", a, a, "Off", ()) for a in ("naive", "dla", "upe", "ipw_oracle")),
         ("ablation_runs", "mrr", "upe", "OnD", ("target_variant=mrr",)),
@@ -85,7 +85,7 @@ def _train_rows(fixture, tmp_path_factory):
         out = tmp_path_factory.getbasetemp() / "grid" / fixture / key
         sets = [arg for o in ("learning_rate=0.05", *overrides) for arg in ("--set", o)]
         assert cli_main(["train", "--out", str(out), "--algorithm", algorithm,
-                         "--paradigm", paradigm, *sets, "--seeds", f"{SEEDS[0]}..{SEEDS[-1]}",
+                         "--paradigm", paradigm, *sets, "--seed", f"{SEEDS[0]}..{SEEDS[-1]}",
                          "--workers", str(len(os.sched_getaffinity(0)))]) == 0
         for entry in json.loads((out / "manifest.json").read_text())["results"].values():
             with open(out / entry["propensity"]) as fh:
@@ -292,7 +292,7 @@ def test_criterion_8_training_determinism(tmp_path):
                      "--test-queries", "4", "--docs", "5", "--features", "5",
                      "--seed", "3"]) == 0
     args = ["--data", str(data_dir), "--algorithm", "upe", "--paradigm", "OnD",
-            "--seeds", "0..1", "--set", "total_steps=50",
+            "--seed", "0..1", "--set", "total_steps=50",
             "--set", "eval_every=25", "--set", "refresh_interval=25",
             "--set", "batch_queries=4", "--set", "weak_fraction=0.5",
             "--set", "probe_docs=20", "--set", "ranker_hidden=[8,6]",

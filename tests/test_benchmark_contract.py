@@ -2,10 +2,12 @@
 
 ``perfbench/tracer.py`` wraps public functions and methods by name in the
 module or class that calls them, and ``perfbench/run.py``'s step clock
-replaces ``step`` in the learner class body. A refactor that moves one of
-those names breaks the benchmark; these checks make it break here first.
+replaces ``step`` in the learner class body; its workloads call
+``ultrlab.cli.main`` with fixed argument lists. A refactor that moves one of
+those names or options breaks the benchmark; these checks make it break here first.
 """
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ultrlab import training
+from ultrlab import cli, training
 from ultrlab.autodiff import Tensor
 from ultrlab.ranker import RankerMLP
 
@@ -48,6 +50,25 @@ def test_every_tracer_target_installs_and_uninstalls(tracer_module):
         tracer.uninstall()
     for path, attr, _ in tracer_module.TARGETS:
         assert _owner(path).__dict__[attr] is before[(path, attr)]
+
+
+def _perfbench_train_args():
+    """``TRAIN_ARGS`` of perfbench/run.py, read from its source without running it."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRAIN_ARGS"]]
+    return ast.literal_eval(value)
+
+
+@pytest.mark.parametrize("workload", sorted(_perfbench_train_args()))
+def test_perfbench_argv_parses_to_a_single_seed_run(workload):
+    parser = cli.build_parser()
+    args = parser.parse_args(["train", *_perfbench_train_args()[workload], "--data", "D",
+                              "--seed", "3", "--out", "O"])
+    assert args.func is cli.cmd_train and (args.data, args.out) == ("D", "O")
+    assert cli._parse_seeds(args.seed) == [3]
+    args = parser.parse_args(["gen-data", "--out", "D", "--seed", "3"])
+    assert args.func is cli.cmd_gen_data and (args.out, args.seed) == ("D", 3)
 
 
 def test_step_clock_learners_define_their_own_step():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrlab import cli
+from ultrlab import cli, training
 from ultrlab.autodiff import load_params
 from ultrlab.causal import ToyCausalModel, overestimation_report
 from ultrlab.cli import main
@@ -53,7 +53,7 @@ def run_dir(tmp_path_factory, data_dir):
     out = tmp_path_factory.mktemp("run")
     rc = main(["train", "--out", str(out), "--data", str(data_dir),
                "--algorithm", "naive", "--paradigm", "Off",
-               "--seeds", "0..1"] + TINY)
+               "--seed", "0..1"] + TINY)
     assert rc == 0
     return out
 
@@ -72,6 +72,14 @@ def test_gen_data_files_parse_and_repeat(data_dir, tmp_path):
     split = make_split_data(8, 4, 5, 5, 3)
     for name, ds in (("train.txt", split.train), ("test.txt", split.test)):
         assert (data_dir / name).read_bytes() == serialize_svmlight(ds).encode()
+
+
+def test_gen_data_without_size_flags_writes_make_split_data_defaults(tmp_path):
+    """gen-data restates none of make_split_data's sizes or its seed."""
+    assert main(["gen-data", "--out", str(tmp_path)]) == 0
+    split = make_split_data()
+    for name, ds in (("train.txt", split.train), ("test.txt", split.test)):
+        assert (tmp_path / name).read_bytes() == serialize_svmlight(ds).encode()
 
 
 def test_train_writes_manifest_and_artifacts(run_dir):
@@ -100,7 +108,7 @@ def test_train_rerun_is_byte_identical(run_dir, data_dir, tmp_path):
     again = tmp_path / "again"
     assert main(["train", "--out", str(again), "--data", str(data_dir),
                  "--algorithm", "naive", "--paradigm", "Off",
-                 "--seeds", "0..1"] + TINY) == 0
+                 "--seed", "0..1"] + TINY) == 0
     for seed in (0, 1):
         name = f"curves_seed{seed}.csv"
         assert (again / name).read_bytes() == (run_dir / name).read_bytes()
@@ -404,7 +412,7 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
 
 
 def test_bad_seed_range_fails_cleanly(tmp_path, capsys):
-    rc = main(["train", "--out", str(tmp_path / "o"), "--seeds", "3"])
+    rc = main(["train", "--out", str(tmp_path / "o"), "--seed", "3.."])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
@@ -593,13 +601,13 @@ def test_readout_overflow_fails_cleanly_without_warnings(data_dir, tmp_path):
 
 @pytest.mark.parametrize("seeds", ["4..0", "", "..", "0..", "a..2", "0..1.5"])
 def test_reversed_empty_and_non_integer_seed_ranges_fail_cleanly(tmp_path, seeds):
-    line = _train_fails_cleanly(tmp_path / "o", "--seeds", seeds)
-    assert "--seeds" in line
+    line = _train_fails_cleanly(tmp_path / "o", "--seed", seeds)
+    assert "--seed" in line
 
 
 @pytest.mark.parametrize("source", ["set", "file"])
 def test_config_seed_picks_the_run(data_dir, tmp_path, source):
-    """Without --seed or --seeds the config's seed is the run's seed."""
+    """Without --seed the config's seed is the run's seed."""
     out = tmp_path / "run"
     args = ["train", "--out", str(out), "--data", str(data_dir),
             "--algorithm", "naive", "--paradigm", "Off"] + TINY
@@ -631,7 +639,7 @@ def test_worker_pool_writes_the_serial_bytes(run_dir, data_dir, tmp_path):
     pooled = tmp_path / "pooled"
     assert main(["train", "--out", str(pooled), "--data", str(data_dir),
                  "--algorithm", "naive", "--paradigm", "Off",
-                 "--seeds", "0..1", "--workers", "2"] + TINY) == 0
+                 "--seed", "0..1", "--workers", "2"] + TINY) == 0
     for seed in (0, 1):
         name = f"curves_seed{seed}.csv"
         assert (pooled / name).read_bytes() == (run_dir / name).read_bytes()
@@ -652,8 +660,37 @@ def test_single_seed_range(data_dir, tmp_path):
     out = tmp_path / "one"
     assert main(["train", "--out", str(out), "--data", str(data_dir),
                  "--algorithm", "naive", "--paradigm", "Off",
-                 "--seeds", "3..3"] + TINY) == 0
+                 "--seed", "3..3"] + TINY) == 0
     assert json.loads((out / "manifest.json").read_text())["seeds"] == [3]
+
+
+def test_seed_and_its_one_seed_range_write_the_same_bytes(data_dir, tmp_path):
+    for seed in ("3", "3..3"):
+        assert main(["train", "--out", str(tmp_path / seed), "--data", str(data_dir),
+                     "--algorithm", "upe", "--seed", seed] + TINY) == 0
+    for name in ("curves_seed3.csv", "propensity_seed3.csv"):
+        assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "3..3" / name).read_bytes()
+
+
+def test_a_run_past_physical_memory_is_refused_before_it_allocates(data_dir, tmp_path,
+                                                                   monkeypatch):
+    """The memory figure is patched down, so the refusal is tested on a tiny run."""
+    def build(*args):
+        raise AssertionError("a refused run built its learner")
+
+    monkeypatch.setattr(training, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(training, "_build_learner", build)
+    line = _train_fails_cleanly(tmp_path / "o", "--data", str(data_dir),
+                                "--algorithm", "upe", *TINY)
+    assert line.endswith("GiB of physical memory")
+
+
+def _parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _decodes_to_int(text):
@@ -668,7 +705,7 @@ def _decodes_to_int(text):
 _bad_seeds = st.one_of(
     st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)).map(
         lambda t: f"{t[0] + t[1]}..{t[0]}"),
-    st.text().filter(lambda s: ".." not in s),
+    st.text().filter(lambda s: ".." not in s and not _parses_as_int(s)),
     st.tuples(st.integers(0, 9), st.sampled_from(["x", "1.0", "", "-", "e3"])).map(
         lambda t: f"{t[0]}..{t[1]}"),
 )
@@ -685,7 +722,7 @@ _bad_steps = st.one_of(
 def test_fuzzed_bad_seeds_and_steps_fail_cleanly(tmp_path_factory, seeds, steps):
     if seeds is None and steps is None:
         steps = "abc"
-    args = [] if seeds is None else [f"--seeds={seeds}"]  # a value may start with "-"
+    args = [] if seeds is None else [f"--seed={seeds}"]  # a value may start with "-"
     args += [] if steps is None else ["--set", f"total_steps={steps}"]
     _train_fails_cleanly(tmp_path_factory.getbasetemp() / "never-written", *args)
 

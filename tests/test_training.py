@@ -27,6 +27,7 @@ from ultrlab.training import (
     UPELearner,
     evaluate_ranker,
     make_split_data,
+    rank_view_scores,
     run_experiment,
     train_weak_policy,
 )
@@ -75,7 +76,7 @@ def _one_query(doc_ids, features, labels):
 
 def _policy_metrics(policy):
     """Mean metrics of a frozen policy's own displayed ordering on its dataset."""
-    ranked = np.take_along_axis(policy.view.labels, policy.order, axis=1)
+    ranked = np.take_along_axis(policy.view.labels, rank_view_scores(policy.scores), axis=1)
     return {key: float(v.mean()) for key, v in ranking_metrics(ranked).items()}
 
 
@@ -100,6 +101,23 @@ def test_dataset_view_sorts_docs_by_id():
     view = DatasetView(two)
     assert np.array_equal(view.labels, np.array([[2, 1], [4, 3]]))
     assert np.array_equal(view.features[1, 0], np.array([6.0, 7.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dataset_view_does_not_depend_on_row_order_within_queries(seed):
+    """The view reads the dataset's own doc-id sort, so rows shuffled within
+    each query give the arrays of the sorted dataset."""
+    ds = generate_synthetic(7, 12, 4, seed=4)
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([a + rng.permutation(b - a)
+                           for a, b in zip(ds.offsets[:-1], ds.offsets[1:])])
+    shuffled = Dataset(features=ds.features[rows], labels=ds.labels[rows],
+                       doc_ids=ds.doc_ids[rows], query_ids=ds.query_ids, offsets=ds.offsets)
+    view, again = DatasetView(ds), DatasetView(shuffled)
+    assert np.array_equal(again.features, view.features)
+    assert np.array_equal(again.labels, view.labels)
+    assert (again.n_queries, again.n_docs) == (view.n_queries, view.n_docs)
 
 
 def test_dataset_view_requires_equal_list_lengths():
@@ -131,8 +149,6 @@ def test_logging_policy_arrays_are_frozen():
     policy = LoggingPolicy.from_linear(np.ones(4), view)
     with pytest.raises(ValueError):
         policy.scores[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        policy.order[0, 0] = 0
     with pytest.raises(ValueError):
         policy.shown_rows[0, 0] = 0
 
@@ -416,7 +432,7 @@ def test_online_refresh_reshuffles_displayed_orders(small_data, monkeypatch):
 
     def spy(cls, ranker, view):
         policy = original(cls, ranker, view)
-        snapshots.append(policy.order.copy())
+        snapshots.append(rank_view_scores(policy.scores))
         return policy
 
     monkeypatch.setattr(LoggingPolicy, "from_ranker", classmethod(spy))
@@ -496,6 +512,37 @@ def test_learner_steps_leave_nothing_for_the_cycle_collector(small_data):
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("algorithm", ["upe", "dla", "naive"])
+def test_memory_floor_counts_every_network_parameter_three_times(small_data, algorithm):
+    """Value, gradient and AdaGrad accumulator of each parameter of the ranker
+    and the LPP model: with no activation rows the floor is exactly that."""
+    cfg = _small_cfg(algorithm=algorithm)
+    view = DatasetView(small_data.train)
+    learner = training._build_learner(cfg, view, 6, PositionBiasCurve.inverse_rank(6))
+    params = [*learner.ranker.parameters(), *(learner.lpp.parameters() if algorithm == "upe"
+                                              else ())]
+    floor = training._memory_floor(cfg, view.dataset.feature_dim, 6, rows=0)
+    assert floor == 24 * sum(p.data.size for p in params)
+
+
+def test_run_is_refused_exactly_when_its_floor_passes_physical_memory(small_data, monkeypatch):
+    cfg = _small_cfg(algorithm="upe", total_steps=10, eval_every=10)
+    floor = training._memory_floor(cfg, small_data.train.feature_dim, 6, rows=8 * 6)
+    monkeypatch.setattr(training, "_physical_memory", lambda: floor)
+    run_experiment(cfg, small_data)
+    monkeypatch.setattr(training, "_physical_memory", lambda: floor - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        run_experiment(cfg, small_data)
+
+
+def test_memory_floor_of_the_embedding_that_was_oom_killed_is_hundreds_of_gib():
+    """lpp_embed_dim=1e8 was killed by the kernel on an 8 GB host; its floor at
+    the reference shapes is hundreds of GiB. Arithmetic only: nothing is built."""
+    huge = ExperimentConfig(lpp_embed_dim=100_000_000)
+    assert training._memory_floor(huge, 16, 10, rows=32 * 10) > 100 * 2**30
+    assert training._memory_floor(ExperimentConfig(), 16, 10, rows=32 * 10) < 2**20
 
 
 def test_shorter_curve_than_display_raises(small_data):

@@ -32,7 +32,9 @@ An ``MLP`` call is one node whose inputs are x and the MLP's parameters. It
 runs the layers on plain arrays with in-place bias, ELU and dropout kernels,
 keeps each layer's input, ELU output and dropout mask, and its backward
 writes the ELU and dropout gradients into those cached buffers; per layer
-that replaces four nodes and their copies. The primitives stay: perfbench's
+that replaces four nodes and their copies. Its dropout mask is the kept cells
+cast to 0.0 or 1.0 and scaled by the rounded 1/(1-p), an exact product, so it
+has the bits of ``Tensor.dropout``'s divide. The primitives stay: perfbench's
 tracer wraps ``Tensor.matmul``, ``.elu``, ``.log_softmax`` and ``backward``
 by name, and the gradient suite checks ``+``, ``matmul``, ``elu`` and
 ``dropout`` one by one, which ``tests/helpers.py`` also composes into the
@@ -294,9 +296,12 @@ class MLP:
         Each layer is ``h @ W``, the bias added in place, then on hidden layers
         ELU in place and inverted dropout: the operation order of the primitive
         chain ``x.matmul(W) + b``, ``.elu()``, ``.dropout(p, rng)``, so output
-        and gradients keep its bits and the rng its stream. Backward walks the
-        layers down only as far as the lowest live leaf, and feeds only the
-        live ones.
+        and gradients keep its bits and the rng its stream. The mask is the
+        kept cells cast to 0.0 and 1.0, then scaled in place by 1/(1-p): 1.0
+        times the rounded quotient is that quotient and 0.0 times it is +0.0,
+        the bits of ``Tensor.dropout``'s divide without its bool-to-float loop.
+        Backward walks the layers down only as far as the lowest live leaf,
+        and feeds only the live ones.
         """
         if x.data.ndim != 2:
             raise ValueError("matmul expects 2-D operands")
@@ -312,11 +317,9 @@ class MLP:
             h += layer.b.data
             if i < last:
                 acts.append(_elu(h))
-                mask = None
-                if p > 0.0:
-                    mask = rng.random(h.shape)
-                    np.divide(mask >= p, 1.0 - p, out=mask)
-                    h = h * mask
+                mask = (rng.random(h.shape) >= p).astype(np.float64) if p > 0.0 else None
+                if mask is not None:
+                    h = h * np.multiply(mask, 1.0 / (1.0 - p), out=mask)
                 masks.append(mask)
         out = Tensor(h, (x, *self.parameters()))
 

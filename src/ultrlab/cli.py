@@ -247,13 +247,18 @@ def cmd_export_curves(args) -> int:
                 if None in row or None in row.values():
                     raise ValueError(f"{path}:{reader.line_num}: row does not match "
                                      f"the {len(reader.fieldnames)}-column header")
+                for col, kind in (("step", int), *((c, float) for c in METRIC_COLUMNS)):
+                    try:
+                        row[col] = kind(row[col])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{reader.line_num}: {col}: {exc}") from None
                 rows.append(row)
     if not rows:
         raise ValueError(f"curve CSVs under {run_dir} hold no rows")
 
     grouped = {}
     for row in rows:
-        grouped.setdefault((row["algorithm"], int(row["step"])), []).append(row)
+        grouped.setdefault((row["algorithm"], row["step"]), []).append(row)
 
     out_path = Path(args.out)
     header = ["step", "algorithm", "n_seeds"]
@@ -264,7 +269,7 @@ def cmd_export_curves(args) -> int:
         bucket = grouped[(algorithm, step)]
         cells = [str(step), algorithm, str(len(bucket))]
         for col in METRIC_COLUMNS:
-            vals = np.array([float(r[col]) for r in bucket])
+            vals = np.array([r[col] for r in bucket])
             std = vals.std(ddof=1) if vals.size > 1 else 0.0
             cells += [repr(float(vals.mean())), repr(float(std))]
         lines.append(",".join(cells))

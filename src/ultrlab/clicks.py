@@ -112,7 +112,7 @@ class PositionBiasCurve:
 def perceived_relevance_probability(labels, config: SimulationConfig) -> np.ndarray:
     """P(r=1 | y) for graded labels, the epsilon-floored exponential gain map."""
     y = np.asarray(labels, dtype=np.float64)
-    if np.any(y < 0) or np.any(y > Y_MAX):
+    if y.size and not 0 <= y.min() <= y.max() <= Y_MAX:
         raise ValueError(f"labels must lie in [0, {Y_MAX}]")
     gain = (np.power(2.0, y) - 1.0) / (2.0 ** Y_MAX - 1.0)
     return config.epsilon + (1.0 - config.epsilon) * gain

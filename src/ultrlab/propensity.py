@@ -47,9 +47,9 @@ def clipped_inverse_weights(weights: np.ndarray, tau: float = DEFAULT_TAU) -> np
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    if np.any(w[..., 0] <= 0.0):
+    if np.fmin.reduce(w[..., 0], axis=None) <= 0.0:
         raise ValueError("degenerate weights: a row's first entry must be positive")
-    if np.any(w < 0.0):
+    if np.fmin.reduce(w, axis=None) < 0.0:
         raise ValueError("weights must be nonnegative")
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
@@ -63,14 +63,15 @@ class PropensityEstimate:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 1 or self.weights.size == 0:
+        w = self.weights = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError(f"weights must be finite, got {self.weights.tolist()}")
-        if self.weights[0] != 1.0:
+        lo, hi = w.min(), w.max()
+        if not -np.inf < lo <= hi < np.inf:
+            raise ValueError(f"weights must be finite, got {w.tolist()}")
+        if w[0] != 1.0:
             raise ValueError("weights must be normalized to 1 at position 1")
-        if np.any(self.weights <= 0.0) or np.any(self.weights > 1.0):
+        if lo <= 0.0 or hi > 1.0:
             raise ValueError("weights must lie in (0, 1]")
 
     def __len__(self) -> int:
@@ -80,9 +81,10 @@ class PropensityEstimate:
     def from_raw(cls, raw) -> "PropensityEstimate":
         """Normalize positives by the first entry; anything above 1 saturates."""
         raw = np.asarray(raw, dtype=np.float64)
-        if not np.all(np.isfinite(raw)):
+        lo, hi = (raw.min(), raw.max()) if raw.size else (0.0, 0.0)
+        if not -np.inf < lo <= hi < np.inf:
             raise ValueError(f"raw weights must be finite, got {raw.tolist()}")
-        if raw.size == 0 or np.any(raw <= 0.0):
+        if lo <= 0.0:
             raise ValueError("raw weights must be positive")
         return cls(weights=np.minimum(raw / raw[0], 1.0))
 
@@ -199,7 +201,7 @@ class LPPModel:
         pos = np.asarray(positions, dtype=np.int64)
         if pos.shape != (X.shape[0],):
             raise ValueError("positions must give one 0-based rank per feature row")
-        if np.any(pos < 0) or np.any(pos >= self.n_positions):
+        if pos.size and not 0 <= pos.min() <= pos.max() < self.n_positions:
             raise ValueError(f"positions must lie in [0, {self.n_positions})")
         m = self.encoder_d(Tensor(X))
         p = self.position_table.take_rows(pos)

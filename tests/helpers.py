@@ -13,8 +13,11 @@ primitive layer chain behind the one-node ``MLP`` call and the block-wise
 ``MLP.infer``, the ``np.add.at`` scatter behind ``take_rows``'s backward, the
 per-query gathers behind ``LoggingPolicy.displayed``, and the line-by-line
 SVMlight parser and f-string serializer behind the block-wise
-``parse_svmlight`` and ``serialize_svmlight``. It also reads OpenBLAS's
-thread count, for the checks that BLAS threads change no byte.
+``parse_svmlight`` and ``serialize_svmlight``, and the mask-per-condition
+input checks behind the bound checks of ``PropensityEstimate``,
+``clipped_inverse_weights``, ``perceived_relevance_probability`` and
+``LPPModel.forward_joint``. It also reads OpenBLAS's thread count, for the
+checks that BLAS threads change no byte.
 """
 
 import ctypes
@@ -26,7 +29,7 @@ from ultrlab.autodiff import MLP, Tensor, weighted_listwise_ce
 from ultrlab.causal import ToyCausalModel, enumerate_joint, interventional_joint
 from ultrlab.clicks import PositionBiasCurve, SimulationConfig, perceived_relevance_probability
 from ultrlab.data import Y_MAX, Dataset, ParseError
-from ultrlab.propensity import LPPModel, PropensityEstimate
+from ultrlab.propensity import DEFAULT_TAU, LPPModel, PropensityEstimate
 from ultrlab.ranker import RankerMLP, ipw_ranking_loss
 from ultrlab.training import rank_view_scores
 
@@ -456,6 +459,70 @@ def serialize_svmlight_fstring(dataset: Dataset) -> str:
         feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(vec, start=1))
         lines.append(f"{label} qid:{qid} {feats} # {doc_id}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def propensity_weights_mask_checks(weights):
+    """``PropensityEstimate.__post_init__``'s checks as they stood before each
+    array's bounds were read once: a mask and an ``np.any`` or ``np.all`` per
+    condition. Kept, with the four below, as the reference for which inputs
+    are refused, in which order and with which message; returns the weights."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError("weights must be a non-empty vector")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must be finite, got {weights.tolist()}")
+    if weights[0] != 1.0:
+        raise ValueError("weights must be normalized to 1 at position 1")
+    if np.any(weights <= 0.0) or np.any(weights > 1.0):
+        raise ValueError("weights must lie in (0, 1]")
+    return weights
+
+
+def propensity_from_raw_mask_checks(raw):
+    """``PropensityEstimate.from_raw`` with the mask checks, its own and the
+    estimate's; returns the estimate's weights."""
+    raw = np.asarray(raw, dtype=np.float64)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"raw weights must be finite, got {raw.tolist()}")
+    if raw.size == 0 or np.any(raw <= 0.0):
+        raise ValueError("raw weights must be positive")
+    return propensity_weights_mask_checks(np.minimum(raw / raw[0], 1.0))
+
+
+def clipped_inverse_weights_mask_checks(weights, tau=DEFAULT_TAU):
+    """``clipped_inverse_weights`` with the mask checks, which let NaN pass."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.size == 0:
+        raise ValueError("empty weight vector")
+    if np.any(w[..., 0] <= 0.0):
+        raise ValueError("degenerate weights: a row's first entry must be positive")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("tau must lie in (0, 1]")
+    return w[..., :1] / np.maximum(w, tau)
+
+
+def perceived_relevance_mask_checks(labels, config: SimulationConfig):
+    """``perceived_relevance_probability`` with the mask check, which let NaN
+    labels pass."""
+    y = np.asarray(labels, dtype=np.float64)
+    if np.any(y < 0) or np.any(y > Y_MAX):
+        raise ValueError(f"labels must lie in [0, {Y_MAX}]")
+    gain = (np.power(2.0, y) - 1.0) / (2.0 ** Y_MAX - 1.0)
+    return config.epsilon + (1.0 - config.epsilon) * gain
+
+
+def joint_positions_mask_checks(n_positions: int, features, positions):
+    """``LPPModel.forward_joint``'s checks on its positions with the mask
+    rank-range check; returns the positions."""
+    X = np.asarray(features, dtype=np.float64)
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.shape != (X.shape[0],):
+        raise ValueError("positions must give one 0-based rank per feature row")
+    if np.any(pos < 0) or np.any(pos >= n_positions):
+        raise ValueError(f"positions must lie in [0, {n_positions})")
+    return pos
 
 
 def openblas_threads():

@@ -47,6 +47,7 @@ def _batch32_run(threads: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+@pytest.mark.bytegate
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the cores")
 def test_batch32_bytes_do_not_depend_on_blas_threads():
     one, two = _batch32_run(1), _batch32_run(2)

@@ -315,6 +315,7 @@ def test_oracle_demo_prints_reference_numbers(capsys, tmp_path):
     assert csv_path.read_text() in out
 
 
+@pytest.mark.bytegate
 @pytest.mark.parametrize("preset, args", [
     ("strong", ["--preset", "strong"]),
     ("weak", ["--preset", "weak"]),
@@ -383,15 +384,27 @@ def test_export_curves_empty_dir_fails(tmp_path, capsys):
 FULL_HEADER = ",".join(CURVE_COLUMNS)
 
 
-@pytest.mark.parametrize("files", [
-    {"curves_seed0.csv": "step,algorithm,seed,ndcg@1\n0,upe,0\n"},
-    {"curves_seed0.csv": f"{FULL_HEADER}\n0,upe,0\n"},
-    {"curves_seed0.csv": FULL_HEADER + "\n",
-     "curves_seed1.csv": FULL_HEADER + "\n"},
-    {"manifest.json": '{"results": ["curves_seed0.csv"]}',
-     "curves_seed0.csv": FULL_HEADER + "\n"},
-], ids=["short-header", "ragged-row", "header-only", "manifest-results-list"])
-def test_export_curves_bad_inputs_fail_with_one_line(tmp_path, capsys, files):
+FULL_ROW = ",".join(["0", "upe", "0", *["0.5"] * (len(CURVE_COLUMNS) - 3)])
+
+
+@pytest.mark.parametrize("files, names", [
+    ({"curves_seed0.csv": "step,algorithm,seed,ndcg@1\n0,upe,0\n"},
+     "curves_seed0.csv: header lacks columns"),
+    ({"curves_seed0.csv": f"{FULL_HEADER}\n0,upe,0\n"},
+     "curves_seed0.csv:2: row does not match"),
+    ({"curves_seed0.csv": FULL_HEADER + "\n",
+      "curves_seed1.csv": FULL_HEADER + "\n"}, "hold no rows"),
+    ({"manifest.json": '{"results": ["curves_seed0.csv"]}',
+      "curves_seed0.csv": FULL_HEADER + "\n"}, "manifest.json: results must map"),
+    ({"curves_seed0.csv": f"{FULL_HEADER}\n{FULL_ROW}\nabc{FULL_ROW[1:]}\n"},
+     "curves_seed0.csv:3: step: invalid literal for int() with base 10: 'abc'"),
+    ({"curves_seed0.csv": f"{FULL_HEADER}\n{FULL_ROW[:-3]}x\n"},
+     f"curves_seed0.csv:2: {CURVE_COLUMNS[-1]}: could not convert string to float: 'x'"),
+], ids=["short-header", "ragged-row", "header-only", "manifest-results-list",
+        "step-not-int", "metric-not-float"])
+def test_export_curves_bad_inputs_fail_with_one_line(tmp_path, capsys, files, names):
+    """Each bad input exits 1 with one error line; a cell that is not a number
+    names its file, line and column."""
     runs = tmp_path / "runs"
     runs.mkdir()
     for name, text in files.items():
@@ -401,6 +414,7 @@ def test_export_curves_bad_inputs_fail_with_one_line(tmp_path, capsys, files):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    assert names in err
     assert not out.exists()
 
 

@@ -136,6 +136,20 @@ def test_click_matrix_validates_shape_and_curve_length():
         sample_click_matrix(np.zeros((2, 4)), curve, cfg, np.random.default_rng(0))
 
 
+def test_click_matrix_refuses_nan_labels_and_keeps_empty_ones():
+    """A NaN grade is no label: it is refused like one out of range, where it
+    used to pass and give no click; a matrix with no sessions gives no clicks."""
+    curve = PositionBiasCurve.inverse_rank(3)
+    cfg = SimulationConfig(epsilon=1.0)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\]"):
+        sample_click_matrix(np.full((4, 3), np.nan), curve, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\]"):
+        perceived_relevance_probability(np.array([1.0, np.nan]), cfg)
+    clicks = sample_click_matrix(np.zeros((0, 3)), curve, cfg, np.random.default_rng(0))
+    assert clicks.shape == (0, 3) and clicks.dtype == np.int8
+    assert perceived_relevance_probability(np.zeros((0, 3)), cfg).shape == (0, 3)
+
+
 def test_click_rate_matches_noise_floor_over_positions():
     """All labels zero: the click rate at rank k is the floor times the bias."""
     n = 100_000

@@ -16,6 +16,8 @@ from ultrlab.training import ExperimentConfig, make_split_data, run_experiment
 
 DATA = Path(__file__).parent / "data"
 
+pytestmark = pytest.mark.bytegate
+
 
 @pytest.fixture(scope="module")
 def result():

@@ -2,13 +2,25 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ultrlab.autodiff import AdaGrad, Tensor, weighted_listwise_ce
-from helpers import backdoor_adjust
-from ultrlab.clicks import PositionBiasCurve
+from helpers import (
+    backdoor_adjust,
+    clipped_inverse_weights_mask_checks,
+    joint_positions_mask_checks,
+    perceived_relevance_mask_checks,
+    propensity_from_raw_mask_checks,
+    propensity_weights_mask_checks,
+)
+from ultrlab.clicks import PositionBiasCurve, SimulationConfig, perceived_relevance_probability
+from ultrlab.data import Y_MAX
 from ultrlab.propensity import (
     TARGET_VARIANTS,
     FreezeContractError,
@@ -110,6 +122,65 @@ def test_clipped_inverse_weights():
         clipped_inverse_weights(np.array([1.0]), tau=0.0)
     with pytest.raises(ValueError):
         clipped_inverse_weights(np.array([1.0]), tau=1.5)
+
+
+# Finite edges alone, so that checks past the finiteness check are reached too.
+_FINITE_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0),
+                                 float(Y_MAX), np.nextafter(Y_MAX, np.inf), 1e308, -1e308])
+_BOUND_VALUES = st.one_of(_FINITE_EDGES, st.sampled_from([np.nan, np.inf, -np.inf]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+_SHAPES = array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+
+
+def _outcome(check, *args):
+    """The bits a check returns, or the type and message of its refusal."""
+    try:
+        return "ok", np.asarray(check(*args)).tobytes()
+    except (ValueError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("name", ["estimate", "from_raw", "clipped", "labels", "positions"])
+def test_bound_checks_refuse_what_the_mask_checks_refused(name, data):
+    """Each check that reads an array's bounds once accepts and refuses the
+    inputs its mask-per-condition oracle does, with the same message first and
+    the same bits out: NaN, infinities, signed zeros, negatives, values just
+    above 1 and above Y_MAX, empty, 0-d and 2-D arrays. The one deliberate
+    difference: a NaN label, which the oracle let through, is refused."""
+    if name == "positions":
+        model = small_lpp(n_positions=3)
+        pos = data.draw(arrays(np.int64, _SHAPES, elements=st.integers(-2, 4)), label="pos")
+        rows = pos.shape[0] if pos.ndim == 1 and data.draw(st.booleans()) else (
+            data.draw(st.integers(0, 3), label="rows"))
+        args = (np.zeros((rows, 3)), pos)
+
+        def new(features, positions):
+            model.forward_joint(features, positions)
+            return np.asarray(positions, dtype=np.int64)
+        oracle = partial(joint_positions_mask_checks, 3)
+    else:
+        values = data.draw(st.sampled_from([_FINITE_EDGES, _BOUND_VALUES]), label="values")
+        a = data.draw(arrays(np.float64, _SHAPES, elements=values), label="a")
+        if a.size and data.draw(st.booleans(), label="first is 1"):
+            a.flat[0] = 1.0
+        cfg = SimulationConfig()
+        new, oracle = {
+            "estimate": (lambda w: PropensityEstimate(weights=w).weights,
+                         propensity_weights_mask_checks),
+            "from_raw": (lambda w: PropensityEstimate.from_raw(w).weights,
+                         propensity_from_raw_mask_checks),
+            "clipped": (clipped_inverse_weights, clipped_inverse_weights_mask_checks),
+            "labels": (lambda y: perceived_relevance_probability(y, cfg),
+                       lambda y: perceived_relevance_mask_checks(y, cfg)),
+        }[name]
+        args = (a,)
+    with np.errstate(all="ignore"):
+        want, got = _outcome(oracle, *args), _outcome(new, *args)
+    if name == "labels" and want[0] == "ok" and np.isnan(args[0]).any():
+        want = ("ValueError", f"labels must lie in [0, {Y_MAX}]")
+    assert got == want
 
 
 # ------------------------------------------------------- position-only model

@@ -3,9 +3,9 @@
 A Tensor wraps a float64 ndarray and remembers the tensors it was computed
 from; calling ``backward(leaves)`` on a scalar result accumulates gradients
 into the named leaves and no others. Just enough ops for
-feedforward scorers with listwise losses: add (broadcasting a bias row over
-leading axes), matmul, ELU, inverted dropout, row-wise log-softmax, reshape,
-embedding lookup, and the weighted listwise cross-entropy as one loss node.
+feedforward scorers with listwise losses: add of equal shapes, matmul, ELU,
+row-wise log-softmax, reshape, embedding lookup, the MLP call as one node, and
+the weighted listwise cross-entropy as one loss node.
 
 An op's inputs exist before its output, so creation order is a topological
 order: backward walks the reachable nodes once, sorts them by creation number
@@ -20,9 +20,9 @@ Gradient buffers are handed over, not copied: the first gradient a tensor
 receives becomes its ``.grad``, and later ones are added into it in place.
 That is safe under one invariant: a gradient buffer is handed to at most one
 tensor whose backward has not yet run. Only two ops pass a buffer on: ``+``
-(an operand with the output's shape gets ``out.grad`` itself) and ``reshape``
-(a view of it), both reached only after ``out`` is finished; ``+`` copies for
-its second operand when the first already took the buffer. Every other
+(an operand gets ``out.grad`` itself) and ``reshape`` (a view of it), both
+reached only after ``out`` is finished; ``+`` copies for its second operand
+when the first already took the buffer. Every other
 closure, the loss node's and ``take_rows``'s scatter included, builds a fresh
 array and hands it to ``_accumulate``. An inner tensor's
 ``.grad`` may thus change after its own backward ran; only the leaves'
@@ -34,13 +34,14 @@ keeps each layer's input, ELU output and dropout mask, and its backward
 writes the ELU and dropout gradients into those cached buffers; per layer
 that replaces four nodes and their copies. Its dropout mask is the kept cells
 cast to 0.0 or 1.0 and scaled by the rounded 1/(1-p), an exact product, so it
-has the bits of ``Tensor.dropout``'s divide. The primitives stay: perfbench's
-tracer wraps ``Tensor.matmul``, ``.elu``, ``.log_softmax`` and ``backward``
-by name, and the gradient suite checks ``+``, ``matmul``, ``elu`` and
-``dropout`` one by one, which ``tests/helpers.py`` also composes into the
-op-by-op chain the MLP node must match bit for bit. The MLP node shares
-the ELU kernel ``_elu`` with ``Tensor.elu`` and ``MLP.infer``, and its
-gradient kernel ``_elu_grad`` with ``Tensor.elu``.
+has the bits of the divide-built mask of ``tests/helpers.py::dropout``, the
+reference for them. ``Tensor.matmul`` and ``.elu`` stay because perfbench's
+tracer wraps them by name, as it does ``.log_softmax`` and ``backward``. The
+gradient suite checks them one by one, and ``tests/helpers.py`` composes them
+with its bias-row ``add_row`` and ``dropout`` nodes into the op-by-op chain
+the MLP node must match bit for bit. The MLP node shares the ELU kernel
+``_elu`` with ``Tensor.elu`` and ``MLP.infer``, and its gradient kernel
+``_elu_grad`` with ``Tensor.elu``.
 
 Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
 the tape: ``MLP.infer`` runs the same layers on plain arrays, so its output
@@ -59,17 +60,6 @@ _CREATED = itertools.count()
 
 # Rows MLP.infer scores at once, so a full split's temporaries stay one block wide.
 INFER_BLOCK_ROWS = 512
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the leading axes its operand was broadcast along.
-
-    ``+`` only broadcasts over leading axes (a bias row); any other broadcast
-    fails in the final reshape.
-    """
-    if grad.shape == shape:
-        return grad
-    return grad.sum(axis=tuple(range(grad.ndim - len(shape)))).reshape(shape)
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -103,19 +93,21 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
-            # Ops on 0-d tensors return numpy scalars; keep .grad an ndarray.
-            self.grad = grad if isinstance(grad, np.ndarray) else np.array(grad)
+            self.grad = grad
         else:
             self.grad += grad
 
     def __add__(self, other: "Tensor") -> "Tensor":
+        if self.data.shape != other.data.shape:
+            raise ValueError(f"+ adds tensors of one shape, got {self.data.shape} "
+                             f"and {other.data.shape}")
         out = Tensor(self.data + other.data, (self, other))
 
         def _backward(live):
+            g = out.grad
             if self in live:
-                self._accumulate(_unbroadcast(out.grad, self.data.shape))
+                self._accumulate(g)
             if other in live:
-                g = _unbroadcast(out.grad, other.data.shape)
                 # Never hand one buffer to both operands (m + p, x + x).
                 other._accumulate(g.copy() if g is self.grad else g)
         out._backward = _backward
@@ -140,26 +132,6 @@ class Tensor:
 
         def _backward(live):
             self._accumulate(_elu_grad(y, out.grad, np.empty_like(y)))
-        out._backward = _backward
-        return out
-
-    def dropout(self, p: float, rng: Optional[np.random.Generator] = None) -> "Tensor":
-        """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-
-        The multiplier is drawn from ``rng``; a freshly seeded generator
-        repeats the draw, which is how finite-difference checks pin it.
-        """
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
-        if p == 0.0:
-            return self
-        if rng is None:
-            raise ValueError("dropout needs an rng")
-        mask = (rng.random(self.data.shape) >= p) / (1.0 - p)
-        out = Tensor(self.data * mask, (self,))
-
-        def _backward(live):
-            self._accumulate(out.grad * mask)
         out._backward = _backward
         return out
 
@@ -232,9 +204,6 @@ class Parameter(Tensor):
         super().__init__(data)
         self.name = name
 
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape})"
-
 
 class AdaGrad:
     """Per-coordinate AdaGrad: G += g^2, then theta -= lr * g / sqrt(G + 1e-6).
@@ -295,11 +264,12 @@ class MLP:
 
         Each layer is ``h @ W``, the bias added in place, then on hidden layers
         ELU in place and inverted dropout: the operation order of the primitive
-        chain ``x.matmul(W) + b``, ``.elu()``, ``.dropout(p, rng)``, so output
-        and gradients keep its bits and the rng its stream. The mask is the
-        kept cells cast to 0.0 and 1.0, then scaled in place by 1/(1-p): 1.0
-        times the rounded quotient is that quotient and 0.0 times it is +0.0,
-        the bits of ``Tensor.dropout``'s divide without its bool-to-float loop.
+        chain ``tests/helpers.py::mlp_op_by_op`` builds, so output and gradients
+        keep its bits and the rng its stream. The mask is the kept cells cast to
+        0.0 and 1.0, then scaled in place by 1/(1-p): 1.0 times the rounded
+        quotient is that quotient and 0.0 times it is +0.0, the bits of the
+        divide-built mask of ``tests/helpers.py::dropout``, which is the
+        reference for them, without its bool-to-float loop.
         Backward walks the layers down only as far as the lowest live leaf,
         and feeds only the live ones.
         """

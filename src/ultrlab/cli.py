@@ -167,7 +167,8 @@ def cmd_train(args) -> int:
         # Imported here: the pool module loads multiprocessing, socket and logging,
         # which a one-process run never uses.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # A pool forks all its workers at the first submit: no more than there are seeds.
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
             entries = list(pool.map(_train_one_seed, *zip(*jobs)))
     else:
         entries = [_train_one_seed(*job) for job in jobs]
@@ -175,7 +176,6 @@ def cmd_train(args) -> int:
     manifest = {
         "artifact_version": __version__,
         "config": dataclasses.asdict(configs[0]),
-        "master_seed": seeds[0],
         "seeds": seeds,
         "data": os.path.relpath(args.data, out) if args.data else "synthetic-default",
         "curve": os.path.relpath(args.curve, out) if args.curve else None,
@@ -188,20 +188,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # A --data directory gives only the scored split; the snapshot gives the width.
     if args.data is None:
-        data = make_split_data()
-        dataset = data.test if args.split == "test" else data.train
-        ranker = RankerMLP.from_snapshot(args.model, dataset.feature_dim)
+        source = f"default {args.split} split"
+        dataset = getattr(make_split_data(), args.split)
     else:
-        # Only the scored split is read; the snapshot gives the width it is padded to.
-        path = Path(args.data) / f"{args.split}.txt"
-        (dataset,) = _parse_files([path])
-        ranker = RankerMLP.from_snapshot(args.model)
-        if dataset.feature_dim > ranker.feature_dim:
-            raise ValueError(f"{path}: {dataset.feature_dim} features, more than the "
-                             f"{ranker.feature_dim} rows of snapshot parameter "
-                             f"{ranker.parameters()[0].name!r}")
-        _pad(dataset, ranker.feature_dim)
+        source = Path(args.data) / f"{args.split}.txt"
+        (dataset,) = _parse_files([source])
+    ranker = RankerMLP.from_snapshot(args.model)
+    if dataset.feature_dim > ranker.feature_dim:
+        raise ValueError(f"{source}: {dataset.feature_dim} features, more than the "
+                         f"{ranker.feature_dim} rows of snapshot parameter "
+                         f"{ranker.parameters()[0].name!r}")
+    _pad(dataset, ranker.feature_dim)
     metrics = evaluate_ranker(ranker, DatasetView(dataset))
     print(json.dumps(metrics, indent=2))
     return 0

@@ -24,11 +24,11 @@ class RankerMLP:
         self.net = MLP(feature_dim, hidden, 1, rng, "ranker", dropout=dropout)
 
     @classmethod
-    def from_snapshot(cls, path, feature_dim: Optional[int] = None) -> "RankerMLP":
+    def from_snapshot(cls, path) -> "RankerMLP":
         """The ranker a ``train`` snapshot holds. Each hidden width is the out side
         of an (in, out) weight ``ranker.l{i}.W`` but the last, and the input width
-        not given is the in side of ``ranker.l0.W``; ``load_params`` refuses a
-        missing, misshapen or non-finite parameter by name."""
+        is the in side of ``ranker.l0.W``; ``load_params`` refuses a missing,
+        misshapen or non-finite parameter by name."""
         try:
             archive = np.load(path)
         except (EOFError, ValueError, zipfile.BadZipFile):
@@ -39,11 +39,9 @@ class RankerMLP:
         with archive:
             while f"ranker.l{len(hidden) + 1}.W" in archive.files:
                 hidden.append(archive[f"ranker.l{len(hidden)}.W"].shape[-1])
-            if feature_dim is None:
-                # Any width will do for a missing or 0-d ranker.l0.W: load_params refuses it.
-                shape = archive["ranker.l0.W"].shape if "ranker.l0.W" in archive.files else ()
-                feature_dim = shape[0] if shape else 1
-        ranker = cls(feature_dim, np.random.default_rng(0), hidden=hidden)
+            # Any width will do for a missing or 0-d ranker.l0.W: load_params refuses it.
+            shape = archive["ranker.l0.W"].shape if "ranker.l0.W" in archive.files else ()
+        ranker = cls(shape[0] if shape else 1, np.random.default_rng(0), hidden=hidden)
         load_params(path, ranker.parameters())
         return ranker
 

@@ -10,8 +10,10 @@ IPW click loss estimates, and the one-rank-at-a-time backdoor readout
 behind ``backdoor_estimate``, the four-pass ELU behind ``_elu``, the
 op-by-op listwise cross-entropy behind ``weighted_listwise_ce``, the
 primitive layer chain behind the one-node ``MLP`` call and the block-wise
-``MLP.infer``, the ``np.add.at`` scatter behind ``take_rows``'s backward, the
-per-query gathers behind ``LoggingPolicy.displayed``, and the line-by-line
+``MLP.infer`` (with its bias-row ``add_row`` and divide-built ``dropout`` tape
+nodes, the references for the node's bias gradient and mask bits), the
+``np.add.at`` scatter behind ``take_rows``'s backward, the per-query gathers
+behind ``LoggingPolicy.displayed``, and the line-by-line
 SVMlight parser and f-string serializer behind the block-wise
 ``parse_svmlight`` and ``serialize_svmlight``, and the mask-per-condition
 input checks behind the bound checks of ``PropensityEstimate``,
@@ -165,18 +167,49 @@ def listwise_ce_op_by_op(logits: np.ndarray, weights: np.ndarray):
     return loss, g - np.exp(ls) * g.sum(axis=-1, keepdims=True)
 
 
+def add_row(t: Tensor, row: Tensor) -> Tensor:
+    """``t + row`` as a tape node, the bias row broadcast over t's rows: t gets
+    the output gradient itself, the row its sum over rows."""
+    out = Tensor(t.data + row.data, (t, row))
+
+    def _backward(live):
+        if t in live:
+            t._accumulate(out.grad)
+        if row in live:
+            row._accumulate(out.grad.sum(axis=0))
+    out._backward = _backward
+    return out
+
+
+def dropout(t: Tensor, p: float, rng) -> Tensor:
+    """Inverted dropout as a tape node: the mask is the cells that ``rng`` keeps
+    (draw >= p) divided by 1-p, so survivors are scaled by 1/(1-p). A rate of
+    0 returns t and draws nothing. A freshly seeded generator repeats the mask,
+    which is how finite-difference checks pin it; its bits are the reference
+    for the MLP node's cast-built mask."""
+    if p == 0.0:
+        return t
+    mask = (rng.random(t.data.shape) >= p) / (1.0 - p)
+    out = Tensor(t.data * mask, (t,))
+
+    def _backward(live):
+        t._accumulate(out.grad * mask)
+    out._backward = _backward
+    return out
+
+
 def mlp_op_by_op(net: MLP, x: Tensor, rng=None) -> Tensor:
-    """``net(x, rng)`` as the chain of tape primitives the one-node call replaced:
-    per layer ``x.matmul(W) + b``, then on hidden layers ``.elu()`` and, given
-    an rng, ``.dropout(p, rng)``. Four tape nodes a layer, each with its own
-    backward."""
+    """``net(x, rng)`` as the chain of tape nodes the one-node call replaced:
+    per layer ``add_row(x.matmul(W), b)``, then on hidden layers ``.elu()``
+    and, given an rng, ``dropout(h, p, rng)``. Four tape nodes a layer, each
+    with its own backward."""
     h = x
     for i, layer in enumerate(net.layers):
-        h = h.matmul(layer.W) + layer.b
+        h = add_row(h.matmul(layer.W), layer.b)
         if i < len(net.layers) - 1:
             h = h.elu()
             if rng is not None:
-                h = h.dropout(net.dropout, rng=rng)
+                h = dropout(h, net.dropout, rng)
     return h
 
 
@@ -222,7 +255,7 @@ def gradient_case(name, rng):
     W34 = rng.normal(size=(3, 4))
     if name == "add_broadcast":
         arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4,))]
-        return arrays, lambda ts: linear_readout(ts[0] + ts[1], W34)
+        return arrays, lambda ts: linear_readout(add_row(ts[0], ts[1]), W34)
     if name == "matmul":
         arrays = [rng.normal(size=(3, 5)), rng.normal(size=(5, 4))]
         return arrays, lambda ts: linear_readout(ts[0].matmul(ts[1]), W34)
@@ -231,8 +264,7 @@ def gradient_case(name, rng):
     if name == "dropout":
         seed = int(rng.integers(2**32))
         return [rng.normal(size=(3, 4))], (
-            lambda ts: linear_readout(ts[0].dropout(0.4, rng=np.random.default_rng(seed)),
-                                      W34))
+            lambda ts: linear_readout(dropout(ts[0], 0.4, np.random.default_rng(seed)), W34))
     if name == "log_softmax":
         return [rng.normal(size=(3, 4))], (
             lambda ts: linear_readout(ts[0].log_softmax(), W34))

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 from functools import partial
 
@@ -14,6 +15,7 @@ from helpers import (
     GRADIENT_PRIMITIVES,
     check_gradients,
     check_parameter_gradients,
+    dropout,
     elu_four_pass,
     gradient_case,
     linear_readout,
@@ -90,17 +92,21 @@ def test_parameter_feeding_two_branches_of_an_equal_shape_add():
     _assert_own_writeable_grads([p.grad, q.grad])
 
 
-def test_zero_dim_leaf_gets_an_ndarray_gradient():
-    """``+`` broadcasts over leading axes only: a 0-d leaf's gradient sums
-    down to a numpy scalar, and a size-1 inner axis is refused in backward."""
-    s = Tensor(np.array(2.0))
+def test_add_refuses_operands_of_unequal_shape():
+    """``+`` adds equal shapes only, so it never broadcasts: a 0-d, row,
+    column or transposed operand is refused on either side, naming both
+    shapes. Two 0-d losses still add, each leaf getting its own ndarray."""
     x = Tensor(np.zeros((2, 3)))
-    linear_readout(s + x, np.arange(6.0).reshape(2, 3)).backward([s, x])
-    assert s.grad == 15.0
-    _assert_own_writeable_grads([s.grad, x.grad])
-    column = Tensor(np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        linear_readout(column + x, np.ones((2, 3))).backward([column, x])
+    for shape in [(), (3,), (2, 1), (3, 2), (1, 2, 3)]:
+        other = Tensor(np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(f"one shape, got (2, 3) and {shape}")):
+            x + other
+        with pytest.raises(ValueError, match=re.escape(f"one shape, got {shape} and (2, 3)")):
+            other + x
+    s, t = Tensor(np.array(2.0)), Tensor(np.array(-1.0))
+    (s + t).backward([s, t])
+    assert s.grad == 1.0 and t.grad == 1.0
+    _assert_own_writeable_grads([s.grad, t.grad])
 
 
 def test_elu_scalar_values():
@@ -204,6 +210,32 @@ def test_mlp_node_keeps_the_op_by_op_bits(data):
     assert results[0] == results[1]
     for name, grad in results[0][1].items():
         assert (grad is None) == (name not in named), name
+
+
+MLP_FD_LEAVES = {
+    "x": lambda x, net: [x],
+    "W": lambda x, net: [net.layers[0].W],
+    "b": lambda x, net: [net.layers[len(net.layers) // 2].b],
+    "all": lambda x, net: [x, *net.parameters()],
+}
+
+
+@pytest.mark.parametrize("leaves", MLP_FD_LEAVES)
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("hidden", [(4,), (4, 3), (4, 3, 5)])
+def test_mlp_node_gradients_match_finite_differences(hidden, p, leaves):
+    """The one-node call's own backward against central differences, with the
+    input, the first weight, a middle bias or every leaf named. Each call gets
+    a freshly seeded rng, so dropout draws the same mask every time."""
+    rng = np.random.default_rng(40 + len(hidden))
+    net = MLP(3, hidden, 2, rng, "net", dropout=p)
+    for q in net.parameters():
+        q.data += 0.5 * rng.normal(size=q.data.shape)
+    x = Parameter(rng.normal(size=(5, 3)), "x")
+    W = rng.normal(size=(5, 2))
+    check_parameter_gradients(
+        MLP_FD_LEAVES[leaves](x, net),
+        lambda: linear_readout(net(x, rng=np.random.default_rng(7)), W))
 
 
 def _elu_sweep():
@@ -485,10 +517,6 @@ def test_dropout_zero_rate_train_equals_eval():
 
 
 def test_dropout_requires_rng_and_a_rate_below_one():
-    with pytest.raises(ValueError):
-        Tensor(np.ones((2, 2))).dropout(0.5)
-    with pytest.raises(ValueError):
-        Tensor(np.ones((2, 2))).dropout(1.0, rng=np.random.default_rng(0))
     net = MLP(2, (3,), 1, np.random.default_rng(0), "r", dropout=1.0)
     with pytest.raises(ValueError, match="dropout rate"):
         net(Tensor(np.ones((2, 2))), rng=np.random.default_rng(0))
@@ -496,18 +524,18 @@ def test_dropout_requires_rng_and_a_rate_below_one():
 
 
 def test_dropout_mask_scales_survivors():
-    """Each entry is zeroed or scaled by 1/(1-p), and a generator seeded
-    afresh draws the same mask again."""
+    """The reference node: each entry is zeroed or scaled by 1/(1-p), and a
+    generator seeded afresh draws the same mask again."""
     x = Tensor(np.ones((4, 5)))
-    out = x.dropout(0.5, rng=np.random.default_rng(3))
+    out = dropout(x, 0.5, np.random.default_rng(3))
     assert set(np.unique(out.data)) == {0.0, 2.0}
-    again = x.dropout(0.5, rng=np.random.default_rng(3))
+    again = dropout(x, 0.5, np.random.default_rng(3))
     assert np.array_equal(again.data, out.data)
 
 
 def test_mlp_dropout_mask_scales_survivors():
     """Inside the one-node call, each hidden unit is zeroed or scaled by
-    1/(1-p), by the mask ``Tensor.dropout`` draws from the same generator,
+    1/(1-p), by the mask the reference node draws from the same generator,
     and a generator seeded afresh draws the same mask again."""
     net = MLP(3, (5,), 5, np.random.default_rng(4), "m", dropout=0.5)
     first, head = net.layers
@@ -519,7 +547,7 @@ def test_mlp_dropout_mask_scales_survivors():
     assert set(np.unique(out.data)) == {0.0, 2.0}
     again = net(x, rng=np.random.default_rng(3))
     assert np.array_equal(again.data, out.data)
-    alone = Tensor(np.ones((4, 5))).dropout(0.5, rng=np.random.default_rng(3))
+    alone = dropout(Tensor(np.ones((4, 5))), 0.5, np.random.default_rng(3))
     assert np.array_equal(alone.data, out.data)
 
 

@@ -84,6 +84,9 @@ def test_gen_data_without_size_flags_writes_make_split_data_defaults(tmp_path):
 
 def test_train_writes_manifest_and_artifacts(run_dir):
     manifest = json.loads((run_dir / "manifest.json").read_text())
+    # Each value has one owner: the run seeds are config.seed and seeds, nothing else.
+    assert set(manifest) == {"artifact_version", "config", "seeds", "data", "curve",
+                             "results", "wall_clock_s"}
     assert manifest["seeds"] == [0, 1]
     assert manifest["config"]["algorithm"] == "naive"
     assert manifest["config"]["total_steps"] == 10
@@ -270,6 +273,25 @@ def test_eval_rejects_mismatched_shapes(run_dir, tmp_path):
     np.savez(other, foo=np.ones(3))
     line = _fails_cleanly("eval", "--model", str(other), "--data", str(wide))
     assert line == "error: snapshot missing parameter 'ranker.l0.W'"
+
+
+def test_eval_without_data_pads_or_refuses_the_default_split(run_dir, tmp_path, capsys):
+    """Without --data the default split meets the rule of a --data split: one
+    wider than the snapshot is refused, a narrower one is padded with zeros."""
+    line = _fails_cleanly("eval", "--model", str(run_dir / "model_seed0.npz"))
+    assert line == ("error: default test split: 16 features, more than the 5 rows "
+                    "of snapshot parameter 'ranker.l0.W'")
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-data", "--out", str(data), "--train-queries", "8",
+                 "--test-queries", "4", "--docs", "5", "--features", "18"]) == 0
+    assert main(["train", "--out", str(run), "--data", str(data),
+                 "--algorithm", "naive", "--paradigm", "Off"] + TINY) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(run / "model_seed0.npz"), "--split", "train"]) == 0
+    split = make_split_data().train
+    split.features = np.pad(split.features, ((0, 0), (0, 2)))
+    ranker = RankerMLP.from_snapshot(run / "model_seed0.npz")
+    assert json.loads(capsys.readouterr().out) == evaluate_ranker(ranker, DatasetView(split))
 
 
 @pytest.mark.parametrize("content", ["npy", "empty", "text", "truncated"])
@@ -657,6 +679,39 @@ def test_worker_pool_writes_the_serial_bytes(run_dir, data_dir, tmp_path):
     for seed in (0, 1):
         name = f"curves_seed{seed}.csv"
         assert (pooled / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_worker_pool_is_no_larger_than_the_seed_count(run_dir, data_dir, tmp_path,
+                                                      monkeypatch):
+    """A pool forks all its workers at the first submit, so ``--workers 1000``
+    over two seeds asks for two. A fake pool records the request and maps the
+    jobs in this process; no process is started."""
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "wide"
+    assert main(["train", "--out", str(out), "--data", str(data_dir),
+                 "--algorithm", "naive", "--paradigm", "Off",
+                 "--seed", "0..1", "--workers", "1000"] + TINY) == 0
+    assert requested == [2]
+    for seed in (0, 1):
+        name = f"curves_seed{seed}.csv"
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 def test_importing_the_cli_loads_no_process_pool():

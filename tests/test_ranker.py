@@ -77,7 +77,7 @@ def test_snapshot_round_trip(tmp_path, hidden):
         p.data = rng.normal(size=p.data.shape)
     path = tmp_path / "model.npz"
     save_params(path, ranker.parameters())
-    back = RankerMLP.from_snapshot(path, 4)
+    back = RankerMLP.from_snapshot(path)
     assert [p.name for p in back.parameters()] == [p.name for p in ranker.parameters()]
     for got, want in zip(back.parameters(), ranker.parameters()):
         assert got.data.shape == want.data.shape
@@ -120,7 +120,7 @@ def test_ipw_loss_is_shift_invariant():
     clicks = (rng.random((2, 4)) < 0.5).astype(float)
     est = PropensityEstimate(weights=np.array([1.0, 0.6, 0.3, 0.2]))
     base = ipw_ranking_loss(ranker.forward(X).reshape(2, 4), clicks, est)
-    shifted = ipw_ranking_loss(ranker.forward(X).reshape(2, 4) + Tensor(np.full(4, 41.5)),
+    shifted = ipw_ranking_loss(ranker.forward(X).reshape(2, 4) + Tensor(np.full((2, 4), 41.5)),
                                clicks, est)
     assert float(shifted.data) == pytest.approx(float(base.data), abs=1e-9)
 

@@ -45,9 +45,8 @@ def main():
         print(f"  grade {y}: {p:.4f}")
 
     scores = np.array([0.3, 0.9, 0.1, 0.5, 0.9])
-    query = Dataset(features=scores[:, None], labels=labels,
-                    doc_ids=[f"d{i}" for i in range(labels.size)],
-                    query_ids=["q0"], offsets=[0, labels.size])
+    query = Dataset(features=scores[None, :, None], labels=labels[None],
+                    doc_ids=[[f"d{i}" for i in range(labels.size)]], query_ids=["q0"])
     policy = LoggingPolicy.from_linear(np.ones(1), DatasetView(query))
     print(f"\ndisplayed order for scores {scores.tolist()} (ties by doc id):")
     print("  ", [f"d{i}" for i in rank_view_scores(policy.scores)[0]])

@@ -51,6 +51,7 @@ block's activations, not the split's, and gets the one-shot chain's bits.
 """
 
 import itertools
+import re
 from collections import namedtuple
 from typing import Callable, List, Optional, Sequence
 
@@ -227,7 +228,13 @@ class AdaGrad:
             p.data -= self.lr * p.grad / np.sqrt(G + 1e-6)
 
     def minimize(self, loss: Tensor, params: Sequence[Parameter]) -> float:
-        """Clear, backpropagate into and update ``params``; refuse one the loss misses."""
+        """Clear, backpropagate into and update ``params``; refuse one the loss
+        misses, a non-finite loss before the update (naming what it would move)
+        and a parameter the update left non-finite."""
+        value = float(loss.data)
+        if not np.isfinite(value):
+            moved = dict.fromkeys(re.sub(r"\.l\d+\.[Wb]$", ".*", p.name) for p in params)
+            raise ValueError(f"loss is {value} in the update of {', '.join(moved)}")
         for p in params:
             p.grad = None
         loss.backward(params)
@@ -235,7 +242,10 @@ class AdaGrad:
             if p.grad is None:
                 raise ValueError(f"loss does not reach parameter {p.name!r}")
         self.step(params)
-        return float(loss.data)
+        for p in params:
+            if not np.isfinite(p.data).all():
+                raise ValueError(f"parameter {p.name!r} is not finite after its update")
+        return value
 
 
 _Layer = namedtuple("_Layer", "W b")
@@ -274,7 +284,7 @@ class MLP:
         and feeds only the live ones.
         """
         if x.data.ndim != 2:
-            raise ValueError("matmul expects 2-D operands")
+            raise ValueError(f"MLP input must be 2-D (rows, features), got shape {x.data.shape}")
         p = self.dropout if rng is not None else 0.0
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")

@@ -88,7 +88,7 @@ def _parse_files(paths):
 def _pad(ds, width: int) -> None:
     """Widen ``ds`` to ``width`` with zero columns, copying its features only then."""
     if ds.feature_dim < width:
-        ds.features = np.pad(ds.features, ((0, 0), (0, width - ds.feature_dim)))
+        ds.features = np.pad(ds.features, ((0, 0), (0, 0), (0, width - ds.feature_dim)))
 
 
 def _load_split(data_dir) -> SplitData:
@@ -110,7 +110,7 @@ def cmd_gen_data(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for filename, ds in (("train.txt", data.train), ("test.txt", data.test)):
         (out / filename).write_text(serialize_svmlight(ds))
-        print(f"wrote {out / filename} ({ds.n_queries} queries x {ds.offsets[1]} docs)")
+        print(f"wrote {out / filename} ({ds.n_queries} queries x {ds.lengths[0]} docs)")
     return 0
 
 

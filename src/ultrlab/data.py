@@ -4,27 +4,28 @@ Documents carry dense float64 feature vectors and integer relevance grades in
 ``[0, Y_MAX]`` (``Y_MAX = 4``, the five-grade convention of the large LETOR
 benchmarks). ``Y_MAX`` is the one top grade of the package: the click model's
 gain map and the ranking metrics read it too. Sparse SVMlight feature ids are
-densified on parse.
+densified on parse. A ``Dataset`` is padded (queries, docs) arrays, each
+query's documents in doc-id order, so LETOR lists of unequal length fit it.
 
 The SVMlight round trip is bulk work done a block at a time, so the Python
 objects held at once stay one block's however long the split.
-``serialize_svmlight`` renders each block of BLOCK_LINES rows through one
-``%`` template per dataset, writing values as ``repr`` floats, so reparsing
-gives back the same bits. ``parse_svmlight`` splits the text into lines one
-CHUNK_CHARS chunk at a time, checks each line's label and qid as it reads
-it and converts feature tokens a block of about BLOCK_CELLS tokens at a
-time, however wide the rows; a block that fails a bulk check is walked
-token by token, so a text with several faults reports the first in file
-order. A parse holds at once the text, one chunk of lines, one block of
-tokens, 16 bytes per feature cell read so far (an int64 id and a float64
-value) and the output: the cells are scattered into the dense matrix block
-by block, and lines already grouped by qid are not copied into query order.
+``serialize_svmlight`` copies out the documents BLOCK_LINES at a time and
+renders each block through one ``%`` template per dataset, writing values as
+``repr`` floats, so reparsing gives back the same bits. ``parse_svmlight``
+splits the text into lines one CHUNK_CHARS chunk at a time, checks each
+line's label and qid as it reads it and converts feature tokens a block of
+about BLOCK_CELLS tokens at a time, however wide the rows; a block that fails
+a bulk check is walked token by token, so a text with several faults reports
+the first in file order. A parse holds at once the text, one chunk of lines,
+one block of tokens, 16 bytes per feature cell read so far (an int64 id and a
+float64 value) and the output: each block's cells are scattered straight into
+their query's row of the padded array, so no line is copied twice.
 """
 
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import List
 
@@ -48,45 +49,45 @@ class ParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Query-grouped documents as flat arrays, one row per document.
+    """Query-grouped documents as padded (queries, docs) arrays.
 
-    Query ``q`` owns rows ``offsets[q]:offsets[q + 1]`` of ``features``,
-    ``labels`` and ``doc_ids``, in file (or generation) order.
-    """
+    Row ``q`` holds query ``q``'s documents, sorted by doc id so that a stable
+    argsort of scores breaks ties by doc id, then padding (the empty doc id)."""
 
-    features: np.ndarray   # (n_docs, feature_dim) float64
-    labels: np.ndarray     # (n_docs,) int64 grades in [0, Y_MAX]
-    doc_ids: np.ndarray    # (n_docs,) str, unique within a query
+    features: np.ndarray   # (n_queries, max_docs, feature_dim) float64
+    labels: np.ndarray     # (n_queries, max_docs) int64 grades in [0, Y_MAX]
+    doc_ids: np.ndarray    # (n_queries, max_docs) str, unique within a row; "" pads
     query_ids: np.ndarray  # (n_queries,) str
-    offsets: np.ndarray    # (n_queries + 1,) int64, from 0 to n_docs
-    id_order: np.ndarray = field(init=False)  # (n_docs,) rows by query, then doc id
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.doc_ids = np.asarray(self.doc_ids, dtype=str)
         self.query_ids = np.asarray(self.query_ids, dtype=str)
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        n = self.labels.shape[0] if self.labels.ndim == 1 else -1
-        if self.features.ndim != 2 or self.features.shape[0] != n or self.doc_ids.shape != (n,):
-            raise ValueError("features must be (n_docs, d) with one label and doc id per row")
-        if (self.query_ids.ndim != 1 or self.offsets.shape != (self.n_queries + 1,)
-                or self.offsets[0] != 0 or self.offsets[-1] != n):
-            raise ValueError("offsets must run from 0 to n_docs, one entry per query plus one")
-        lengths = np.diff(self.offsets)
-        if np.any(lengths <= 0):
-            raise ValueError(f"query {self.query_ids[np.argmax(lengths <= 0)]}: empty document list")
-        for bad, what in ((~np.isfinite(self.features).all(axis=1), "non-finite feature value"),
+        shape = self.labels.shape
+        if (len(shape) != 2 or self.features.ndim != 3 or self.features.shape[:2] != shape
+                or self.doc_ids.shape != shape or self.query_ids.shape != shape[:1]):
+            raise ValueError("features must be (n_queries, max_docs, d) with one label and doc "
+                             "id per document and one query id per row")
+        real = self.doc_ids != ""
+        lengths = real.sum(axis=1)
+        if (lengths.min(initial=1) == 0 or lengths.max(initial=0) != shape[1]
+                or (real[:, 1:] > real[:, :-1]).any()):
+            raise ValueError("each row must hold documents, then padding (the empty doc id), "
+                             "and the longest row no padding")
+        order = np.lexsort((self.doc_ids, ~real), axis=1)
+        if (order != np.arange(shape[1])).any():
+            self.features = np.take_along_axis(self.features, order[..., None], axis=1)
+            self.labels = np.take_along_axis(self.labels, order, axis=1)
+            self.doc_ids = np.take_along_axis(self.doc_ids, order, axis=1)
+        for bad, what in ((~np.isfinite(self.features).all(axis=2), "non-finite feature value"),
                           ((self.labels < 0) | (self.labels > Y_MAX),
                            f"relevance outside [0, {Y_MAX}]")):
             if bad.any():
-                raise ValueError(f"doc {self.doc_ids[np.argmax(bad)]}: {what}")
-        owner = np.repeat(np.arange(self.n_queries), lengths)
-        self.id_order = np.lexsort((self.doc_ids, owner))
-        ids, owner = self.doc_ids[self.id_order], owner[self.id_order]
-        dup = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
+                raise ValueError(f"doc {self.doc_ids[bad][0]}: {what}")
+        dup = (self.doc_ids[:, 1:] == self.doc_ids[:, :-1]) & real[:, 1:]
         if dup.any():
-            raise ValueError(f"query {self.query_ids[owner[np.argmax(dup)]]}: duplicate doc ids")
+            raise ValueError(f"query {self.query_ids[dup.any(axis=1).argmax()]}: duplicate doc ids")
 
     @property
     def n_queries(self) -> int:
@@ -94,15 +95,20 @@ class Dataset:
 
     @property
     def feature_dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[2]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each query's document count: the cells before its row's padding."""
+        return (self.doc_ids != "").sum(axis=1)
 
     @property
     def groups(self) -> List[QueryView]:
-        """Per-query views of the arrays, built on each access."""
+        """Per-query views of the arrays' documents, built on each access."""
         out = []
-        for qid, a, b in zip(self.query_ids, self.offsets[:-1], self.offsets[1:]):
-            docs = [DocView(self.doc_ids[i], self.features[i], self.labels[i]) for i in range(a, b)]
-            out.append(QueryView(qid, self.labels[a:b], docs))
+        for q, (qid, n) in enumerate(zip(self.query_ids, self.lengths.tolist())):
+            docs = list(map(DocView, self.doc_ids[q, :n], self.features[q, :n], self.labels[q, :n]))
+            out.append(QueryView(qid, self.labels[q, :n], docs))
         return out
 
 
@@ -231,21 +237,20 @@ class _FeatureCells:
                 vals.append(val)
         return ids, vals
 
-    def dense(self) -> np.ndarray:
-        """The (rows, max feature id) matrix of every converted line, 0.0 where absent.
-
-        Each block's cells are scattered in turn and then dropped, so no copy of
-        all cells is made. A width numpy cannot allocate is refused on the line
-        holding the largest id."""
+    def dense(self, n_cells: int, cell: np.ndarray) -> np.ndarray:
+        """The (n_cells, max feature id) matrix with line i's features in row
+        ``cell[i]`` and 0.0 elsewhere. Each block's cells are scattered in turn
+        and then dropped, so no copy of all cells is made. A width numpy cannot
+        allocate is refused on the line holding the largest id."""
         self.flush()
         try:
-            features = np.zeros((self.n_rows, self.max_fid), dtype=np.float64)
+            features = np.zeros((n_cells, self.max_fid), dtype=np.float64)
         except (MemoryError, ValueError):
             raise ParseError(self.max_line, f"feature id {self.max_fid} needs a {self.n_rows} x "
                              f"{self.max_fid} feature matrix, too large to allocate") from None
         while self.blocks:
             start, counts, ids, vals = self.blocks.pop()
-            features[np.repeat(np.arange(start, start + counts.size), counts), ids - 1] = vals
+            features[cell[np.repeat(np.arange(start, start + counts.size), counts)], ids - 1] = vals
         return features
 
 
@@ -278,20 +283,20 @@ def parse_svmlight(text: str) -> Dataset:
         labels.append(label)
         comments.append(comment)
 
-    features = cells.dense()
-    # Group lines by qid in first-appearance order, keeping line order within a group.
+    # Line i fills slot[i] of row owner[i]: qids by first appearance, lines in file order.
     first: dict = {}
     owner = np.array([first.setdefault(qid, len(first)) for qid in qids], dtype=np.int64)
+    counts = np.bincount(owner, minlength=len(first))
     order = np.argsort(owner, kind="stable")
-    offsets = np.zeros(len(first) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=len(first)), out=offsets[1:])
-    slot = np.arange(len(qids)) - offsets[owner[order]]
-    doc_ids = [comments[i] or f"q{qids[i]}_d{j}" for i, j in zip(order.tolist(), slot.tolist())]
-    labels = np.array(labels, dtype=np.int64)
-    if (owner[1:] < owner[:-1]).any():  # a qid's lines come apart: gather them
-        features, labels = features[order], labels[order]
-    return Dataset(features=features, labels=labels, doc_ids=doc_ids, query_ids=list(first),
-                   offsets=offsets)
+    slot = np.empty_like(owner)
+    slot[order] = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = (len(first), int(counts.max(initial=0)))
+    features = cells.dense(shape[0] * shape[1], owner * shape[1] + slot)
+    ids = np.array([c or f"q{qid}_d{j}" for c, qid, j in zip(comments, qids, slot.tolist())])
+    grades, doc_ids = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=ids.dtype)
+    grades[owner, slot], doc_ids[owner, slot] = labels, ids
+    return Dataset(features=features.reshape(*shape, features.shape[1]), labels=grades,
+                   doc_ids=doc_ids, query_ids=list(first))
 
 
 def serialize_svmlight(dataset: Dataset) -> str:
@@ -300,12 +305,12 @@ def serialize_svmlight(dataset: Dataset) -> str:
     at a time, so the Python floats and line strings held at once stay one block's."""
     fids = range(1, dataset.feature_dim + 1)
     template = "%d qid:%s " + " ".join(f"{fid}:%r" for fid in fids) + " # %s\n"
-    qids = np.repeat(dataset.query_ids, np.diff(dataset.offsets))
+    cells = np.nonzero(dataset.doc_ids != "")  # each document's row and slot, row by row
     blocks = []
-    for start in range(0, qids.size, BLOCK_LINES):
-        block = slice(start, start + BLOCK_LINES)
-        rows = zip(dataset.labels[block].tolist(), qids[block].tolist(),
-                   *dataset.features[block].T.tolist(), dataset.doc_ids[block].tolist())
+    for start in range(0, cells[0].size, BLOCK_LINES):
+        q, i = (c[start:start + BLOCK_LINES] for c in cells)
+        rows = zip(dataset.labels[q, i].tolist(), dataset.query_ids[q].tolist(),
+                   *dataset.features[q, i].T.tolist(), dataset.doc_ids[q, i].tolist())
         blocks.append("".join(map(template.__mod__, rows)))
     return "".join(blocks)
 
@@ -335,9 +340,8 @@ def generate_synthetic(
     grades = np.searchsorted(edges, t, side="right")
 
     return Dataset(
-        features=X,
-        labels=grades,
-        doc_ids=[f"q{q}_d{d}" for q in range(n_queries) for d in range(docs_per_query)],
+        features=X.reshape(n_queries, docs_per_query, feature_dim),
+        labels=grades.reshape(n_queries, docs_per_query),
+        doc_ids=[[f"q{q}_d{d}" for d in range(docs_per_query)] for q in range(n_queries)],
         query_ids=[str(q) for q in range(n_queries)],
-        offsets=np.arange(n_queries + 1) * docs_per_query,
     )

@@ -123,8 +123,11 @@ class PositionPropensityModel:
 
 
 def dla_propensity(model: PositionPropensityModel) -> PropensityEstimate:
-    """Softmax over the position logits, renormalized to rank 1."""
-    return PropensityEstimate.from_raw(_softmax(model.logits.data.reshape(-1)))
+    """Softmax over the position logits, renormalized to rank 1; a refusal names them."""
+    try:
+        return PropensityEstimate.from_raw(_softmax(model.logits.data.reshape(-1)))
+    except ValueError as exc:
+        raise ValueError(f"estimate from {model.logits.name!r}: {exc}") from None
 
 
 def irw_propensity_loss(position_scores: Tensor, clicks: np.ndarray,

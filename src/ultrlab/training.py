@@ -84,32 +84,26 @@ def make_split_data(n_train: int = 500, n_test: int = 100, docs_per_query: int =
 
 
 class DatasetView:
-    """A dataset as (query, doc) arrays, docs in the dataset's ``id_order``.
-
-    That doc-id order makes a stable descending argsort of scores break ties
-    by doc_id, which keeps every displayed ranking a pure function of scores.
-    """
+    """A dataset whose lists all have one length, so that its own arrays,
+    held here without a copy, hold no padding."""
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        lengths = np.unique(np.diff(dataset.offsets))
+        lengths = np.unique(dataset.lengths)
         if lengths.size != 1:
             raise ValueError(
                 "training views need equal-length candidate lists per query; "
                 f"got lengths {lengths.tolist()}"
             )
-        self.n_docs = int(lengths[0])
-        self.n_queries = dataset.n_queries
-        self.features = dataset.features[dataset.id_order].reshape(
-            self.n_queries, self.n_docs, dataset.feature_dim)
-        self.labels = dataset.labels[dataset.id_order].reshape(self.n_queries, self.n_docs)
+        self.n_queries, self.n_docs = dataset.labels.shape
+        self.features, self.labels = dataset.features, dataset.labels
 
     def flat_features(self) -> np.ndarray:
         return self.features.reshape(-1, self.features.shape[-1])
 
 
 def rank_view_scores(scores: np.ndarray) -> np.ndarray:
-    """Per-row descending order; stable, so view pre-sorting settles ties."""
+    """Per-row descending order; stable, so the dataset's doc-id order settles ties."""
     return np.argsort(-scores, axis=1, kind="stable")
 
 
@@ -285,6 +279,8 @@ class RunResult:
 def evaluate_ranker(ranker: RankerMLP, view: DatasetView) -> Dict[str, float]:
     """Mean test metrics: rank every query by eval-mode score, true labels."""
     scores = ranker.score(view.flat_features()).reshape(view.n_queries, view.n_docs)
+    if not np.isfinite(scores).all():
+        raise ValueError("ranker scores are not finite")
     ranked = np.take_along_axis(view.labels, rank_view_scores(scores), axis=1)
     return {key: float(v.mean()) for key, v in ranking_metrics(ranked).items()}
 
@@ -483,19 +479,25 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
         curve_rows.append(row)
         return est
 
-    estimate = record(0)
     refresh = cfg.paradigm == "OnD"
-    for step in range(1, cfg.total_steps + 1):
-        if refresh and step > 1 and (step - 1) % cfg.refresh_interval == 0:
-            policy = LoggingPolicy.from_ranker(learner.ranker, train_view)
-        n_q = train_view.n_queries
-        size = min(cfg.batch_queries, n_q)
-        rows = batch_rng.choice(n_q, size=size, replace=False)
-        feats, labels, log_scores = policy.displayed(rows, n_positions)
-        clicks = sample_click_matrix(labels, curve, cfg.simulation, click_rng)
-        learner.step(StepBatch(features=feats, clicks=clicks, logging_scores=log_scores))
-        if step % cfg.eval_every == 0 or step == cfg.total_steps:
-            estimate = record(step)
+    step = 0
+    # Numpy's warnings are off: a value gone non-finite is refused with its step instead.
+    try:
+        with np.errstate(all="ignore"):
+            estimate = record(0)
+            for step in range(1, cfg.total_steps + 1):
+                if refresh and step > 1 and (step - 1) % cfg.refresh_interval == 0:
+                    policy = LoggingPolicy.from_ranker(learner.ranker, train_view)
+                n_q = train_view.n_queries
+                size = min(cfg.batch_queries, n_q)
+                rows = batch_rng.choice(n_q, size=size, replace=False)
+                feats, labels, log_scores = policy.displayed(rows, n_positions)
+                clicks = sample_click_matrix(labels, curve, cfg.simulation, click_rng)
+                learner.step(StepBatch(features=feats, clicks=clicks, logging_scores=log_scores))
+                if step % cfg.eval_every == 0 or step == cfg.total_steps:
+                    estimate = record(step)
+    except ValueError as exc:
+        raise ValueError(f"step {step}: {exc}") from None
 
     return RunResult(
         curve=curve_rows,

@@ -414,10 +414,11 @@ def backdoor_adjustment_terms(model: ToyCausalModel, k: int, c: slice) -> np.nda
 
 def parse_svmlight_line_by_line(text: str) -> Dataset:
     """``parse_svmlight`` one token at a time: every check on a line runs before
-    the next line is read, so the first fault in file order is the one raised."""
-    qids, labels, comments = [], [], []
-    cells_row, cells_fid, cells_val = [], [], []
-    max_fid = max_line = 0
+    the next line is read, so the first fault in file order is the one raised.
+    The padded arrays are filled by plain loops, each query's documents sorted
+    by doc id."""
+    groups = {}  # qid -> [(doc id, label, {fid: value})], qids in first-appearance order
+    n_lines = max_fid = max_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
         comment = comment.strip()
@@ -457,39 +458,36 @@ def parse_svmlight_line_by_line(text: str) -> Dataset:
             feats[fid] = val
             if fid > max_fid:
                 max_fid, max_line = fid, line_no
-        cells_row.extend([len(qids)] * len(feats))
-        cells_fid.extend(feats)
-        cells_val.extend(feats.values())
-        qids.append(qid)
-        labels.append(label)
-        comments.append(comment)
+        docs = groups.setdefault(qid, [])
+        docs.append((comment or f"q{qid}_d{len(docs)}", label, feats))
+        n_lines += 1
 
+    width = max(map(len, groups.values()), default=0)
     try:
-        features = np.zeros((len(qids), max_fid), dtype=np.float64)
+        features = np.zeros((len(groups), width, max_fid), dtype=np.float64)
     except (MemoryError, ValueError):
-        raise ParseError(max_line, f"feature id {max_fid} needs a {len(qids)} x {max_fid} "
+        raise ParseError(max_line, f"feature id {max_fid} needs a {n_lines} x {max_fid} "
                          "feature matrix, too large to allocate") from None
-    features[np.array(cells_row, dtype=np.int64),
-             np.array(cells_fid, dtype=np.int64) - 1] = cells_val
-    first: dict = {}
-    owner = np.array([first.setdefault(qid, len(first)) for qid in qids], dtype=np.int64)
-    order = np.argsort(owner, kind="stable")
-    offsets = np.zeros(len(first) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=len(first)), out=offsets[1:])
-    slot = np.arange(len(qids)) - offsets[owner[order]]
-    doc_ids = [comments[i] or f"q{qids[i]}_d{j}" for i, j in zip(order.tolist(), slot.tolist())]
-    return Dataset(features=features[order], labels=np.array(labels, dtype=np.int64)[order],
-                   doc_ids=doc_ids, query_ids=list(first), offsets=offsets)
+    labels = np.zeros((len(groups), width), dtype=np.int64)
+    doc_ids = np.full((len(groups), width), "", dtype=object)
+    for q, docs in enumerate(groups.values()):
+        for i, (doc_id, label, feats) in enumerate(sorted(docs, key=lambda doc: doc[0])):
+            doc_ids[q, i], labels[q, i] = doc_id, label
+            for fid, val in feats.items():
+                features[q, i, fid - 1] = val
+    return Dataset(features=features, labels=labels, doc_ids=doc_ids, query_ids=list(groups))
 
 
 def serialize_svmlight_fstring(dataset: Dataset) -> str:
-    """``serialize_svmlight`` one f-string and one ``repr`` per feature token."""
-    qids = np.repeat(dataset.query_ids, np.diff(dataset.offsets))
+    """``serialize_svmlight`` one f-string and one ``repr`` per feature token,
+    walking every cell of the padded arrays and skipping the padding."""
     lines = []
-    for qid, label, doc_id, vec in zip(qids.tolist(), dataset.labels.tolist(),
-                                       dataset.doc_ids.tolist(), dataset.features.tolist()):
-        feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(vec, start=1))
-        lines.append(f"{label} qid:{qid} {feats} # {doc_id}")
+    for qid, labels, doc_ids, rows in zip(dataset.query_ids.tolist(), dataset.labels.tolist(),
+                                          dataset.doc_ids.tolist(), dataset.features.tolist()):
+        for label, doc_id, vec in zip(labels, doc_ids, rows):
+            if doc_id:
+                feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(vec, start=1))
+                lines.append(f"{label} qid:{qid} {feats} # {doc_id}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -416,6 +416,15 @@ def test_minimize_refuses_a_parameter_the_loss_does_not_reach():
     assert q.data[0, 0] < 2.0 and q.data[0, 1] > 0.0
 
 
+def test_minimize_refuses_a_parameter_its_update_leaves_non_finite():
+    """Both logits are at the float64 top, so the loss is log 2, and a step of
+    1e308 carries the second past it: the refusal names the parameter."""
+    q = Parameter(np.array([[1.7e308, 1.7e308]]), "q")
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^parameter 'q' is not finite after its update$"):
+        AdaGrad(lr=1e308).minimize(weighted_listwise_ce(q, np.array([[0.0, 1.0]])), [q])
+
+
 def test_adagrad_single_step_magnitude():
     p = Parameter(np.array([0.0]), "p")
     opt = AdaGrad(lr=0.1)

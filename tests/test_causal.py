@@ -46,29 +46,31 @@ def test_position_marginal_matches_hand_sum():
 
 
 def test_model_validates_cpts():
-    with pytest.raises(ValueError):
-        ToyCausalModel(
-            px=np.array([0.7, 0.7]),
-            pr_given_x=np.array([0.5, 0.5]),
-            pk_given_x=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            pe_given_k=np.array([1.0, 0.5]),
-        )
-    with pytest.raises(ValueError):
-        ToyCausalModel(
-            px=np.array([0.5, 0.5]),
-            pr_given_x=np.array([0.5, 1.5]),
-            pk_given_x=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            pe_given_k=np.array([1.0, 0.5]),
-        )
-    # A 2-D examination table would broadcast into a joint that sums to 1
-    # but pairs each position with the wrong examination probability.
-    with pytest.raises(ValueError):
-        ToyCausalModel(
-            px=np.array([0.5, 0.5]),
-            pr_given_x=np.array([0.9, 0.2]),
-            pk_given_x=np.full((2, 4), 0.25),
-            pe_given_k=np.array([[1.0, 0.5], [0.2, 0.1]]),
-        )
+    valid = dict(px=np.array([0.5, 0.5]), pr_given_x=np.array([0.5, 0.5]),
+                 pk_given_x=np.array([[0.5, 0.5], [0.5, 0.5]]), pe_given_k=np.array([1.0, 0.5]))
+    ToyCausalModel(**valid)
+    bad = [
+        (dict(px=np.array([0.7, 0.7])), "px must sum to 1"),
+        (dict(pr_given_x=np.array([0.5, 1.5])), r"pr_given_x must lie in \[0, 1\]"),
+        # A 2-D examination table would broadcast into a joint that sums to 1
+        # but pairs each position with the wrong examination probability.
+        (dict(pr_given_x=np.array([0.9, 0.2]), pk_given_x=np.full((2, 4), 0.25),
+              pe_given_k=np.array([[1.0, 0.5], [0.2, 0.1]])), "pk_given_x must be"),
+        (dict(px=np.full(17, 1 / 17), pr_given_x=np.full(17, 0.5),
+              pk_given_x=np.full((17, 2), 0.5)), "capped at 16 types x 8 positions"),
+        (dict(pk_given_x=np.full((2, 9), 1 / 9), pe_given_k=np.full(9, 0.5)),
+         "capped at 16 types x 8 positions"),
+        (dict(pr_given_x=np.array([0.5, 0.5, 0.5])), "px and pr_given_x must be 1-D"),
+        (dict(pc_given_er=np.full(3, 0.5)), r"pc_given_er must be \(2, 2\)"),
+        (dict(pk_given_x=np.array([[0.5, 0.4], [0.5, 0.5]])),
+         "every row of pk_given_x must sum to 1"),
+    ]
+    for override, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ToyCausalModel(**{**valid, **override})
+    for epsilon in (-0.1, 1.0):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+            ToyCausalModel.reference(epsilon=epsilon)
 
 
 def test_click_forces_examination_under_noiseless_rule():

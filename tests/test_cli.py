@@ -203,9 +203,9 @@ def test_load_split_copies_only_the_split_it_pads(data_dir, tmp_path, monkeypatc
     sparse = _split_dir(tmp_path, data_dir, "test.txt", lambda lines: [
         " ".join(tok for tok in line.split(" ") if not tok.startswith("5:")) for line in lines])
     data = cli._load_split(sparse)
-    assert data.train.features is parsed[0] and parsed[1].shape[1] == 4
-    assert np.array_equal(data.test.features[:, :4].view(np.uint64), parsed[1].view(np.uint64))
-    assert not data.test.features[:, 4].any()
+    assert data.train.features is parsed[0] and parsed[1].shape[2] == 4
+    assert np.array_equal(data.test.features[..., :4].view(np.uint64), parsed[1].view(np.uint64))
+    assert not data.test.features[..., 4].any()
 
 
 def test_train_covers_the_full_loop(data_dir, tmp_path):
@@ -289,7 +289,7 @@ def test_eval_without_data_pads_or_refuses_the_default_split(run_dir, tmp_path, 
     capsys.readouterr()
     assert main(["eval", "--model", str(run / "model_seed0.npz"), "--split", "train"]) == 0
     split = make_split_data().train
-    split.features = np.pad(split.features, ((0, 0), (0, 2)))
+    split.features = np.pad(split.features, ((0, 0), (0, 0), (0, 2)))
     ranker = RankerMLP.from_snapshot(run / "model_seed0.npz")
     assert json.loads(capsys.readouterr().out) == evaluate_ranker(ranker, DatasetView(split))
 
@@ -479,9 +479,12 @@ def _train_fails_cleanly(out, *args):
                                      "learning_rate=NaN", "learning_rate=Infinity",
                                      "tau=0", "tau=1.5", "dropout=1.0", "dropout=-0.1",
                                      "target_variant=bogus", "lpp_embed_dim=0",
-                                     "lpp_embed_dim=-1", "simulation.y_max=4"])
+                                     "lpp_embed_dim=-1", "simulation.y_max=4", "foo",
+                                     "simulation=3 simulation.eta=2"])
 def test_bad_config_types_fail_cleanly(tmp_path, setting):
-    line = _train_fails_cleanly(tmp_path / "o", "--set", setting)
+    """Each space-separated item is one `--set`; the line names the first key."""
+    line = _train_fails_cleanly(tmp_path / "o", *(arg for item in setting.split()
+                                                   for arg in ("--set", item)))
     assert setting.split("=")[0].split(".")[-1] in line
 
 
@@ -632,7 +635,38 @@ def test_readout_overflow_fails_cleanly_without_warnings(data_dir, tmp_path):
         warnings.simplefilter("error")
         line = _train_fails_cleanly(tmp_path / "o", "--data", str(data_dir),
                                     "--algorithm", "upe", *TINY, "--set", "learning_rate=2.5")
-    assert line.startswith("error: backdoor readout: ") and line.endswith("is not finite")
+    assert line.startswith("error: step 2: backdoor readout: ") and line.endswith("is not finite")
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["gen-data", "--out", str(out), "--train-queries", "12",
+                 "--test-queries", "4", "--docs", "5", "--features", "4"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("algorithm, steps, line", [
+    ("naive", 10, "step 2: loss is nan in the update of ranker.*"),
+    ("ipw_oracle", 10, "step 2: loss is nan in the update of ranker.*"),
+    ("dla", 10, "step 2: estimate from 'position_logits': raw weights must be positive"),
+    ("upe", 10, "step 1: loss is nan in the update of lpp.encoder_p"),
+    ("naive", 1, "step 1: ranker scores are not finite"),
+])
+def test_a_diverged_run_fails_naming_its_step_and_parameters(tiny_dir, tmp_path, algorithm,
+                                                             steps, line):
+    """A step size of 1e300 overflows every learner within two steps: one
+    error line naming the step and what went non-finite, no numpy warning,
+    no output directory and so no snapshot of NaN parameters. A run whose
+    last update left its ranker finite but overflowing fails at its eval."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _train_fails_cleanly(tmp_path / "o", "--data", str(tiny_dir),
+                                   "--algorithm", algorithm, "--set", "learning_rate=1e300",
+                                   "--set", f"total_steps={steps}",
+                                   "--set", f"refresh_interval={min(steps, 5)}",
+                                   "--set", "eval_every=5", "--set", "batch_queries=4")
+    assert got == f"error: {line}"
 
 
 @pytest.mark.parametrize("seeds", ["4..0", "", "..", "0..", "a..2", "0..1.5"])

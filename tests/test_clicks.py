@@ -17,10 +17,9 @@ from ultrlab.training import DatasetView, LoggingPolicy
 def _policy(doc_ids, first_features, labels):
     """A one-query linear policy that scores each document by its first feature."""
     n = len(doc_ids)
-    features = np.zeros((n, 2))
-    features[:, 0] = first_features
-    ds = Dataset(features=features, labels=labels, doc_ids=doc_ids,
-                 query_ids=["q0"], offsets=[0, n])
+    features = np.zeros((1, n, 2))
+    features[0, :, 0] = first_features
+    ds = Dataset(features=features, labels=[labels], doc_ids=[doc_ids], query_ids=["q0"])
     return LoggingPolicy.from_linear(np.array([1.0, 0.0]), DatasetView(ds))
 
 
@@ -55,6 +54,8 @@ def test_curve_validation():
         PositionBiasCurve(values=np.array([[1.0]]))
     with pytest.raises(ValueError):
         PositionBiasCurve(values=np.array([np.nan]))
+    with pytest.raises(ValueError, match="n_positions must be >= 1"):
+        PositionBiasCurve.inverse_rank(0)
 
 
 def test_curve_from_file_skips_comments(tmp_path):

@@ -19,17 +19,26 @@ from ultrlab.data import (
 )
 
 
-def _query_rows(ds, q):
-    return slice(ds.offsets[q], ds.offsets[q + 1])
+def _padded(groups, d, doc_id, query_id):
+    """A Dataset of per-query lists of (label, features), padded by plain loops."""
+    width = max(map(len, groups), default=0)
+    features = np.zeros((len(groups), width, d))
+    labels = np.zeros((len(groups), width), dtype=np.int64)
+    doc_ids = np.full((len(groups), width), "", dtype=object)
+    for q, group in enumerate(groups):
+        for i, (label, feats) in enumerate(group):
+            features[q, i], labels[q, i], doc_ids[q, i] = feats, label, doc_id(q, i)
+    return Dataset(features=features, labels=labels, doc_ids=doc_ids,
+                   query_ids=[query_id(q) for q in range(len(groups))])
 
 
 def test_single_line_parse():
     ds = parse_svmlight("2 qid:7 1:0.5 3:1.0")
     assert ds.n_queries == 1
     assert list(ds.query_ids) == ["7"]
-    assert list(ds.offsets) == [0, 1]
-    assert ds.labels.tolist() == [2]
-    assert np.array_equal(ds.features, np.array([[0.5, 0.0, 1.0]]))
+    assert ds.lengths.tolist() == [1]
+    assert ds.labels.tolist() == [[2]]
+    assert np.array_equal(ds.features, np.array([[[0.5, 0.0, 1.0]]]))
     assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
     assert ds.feature_dim == 3
 
@@ -43,22 +52,34 @@ def test_empty_stream():
 def test_lines_group_by_qid():
     ds = parse_svmlight("0 qid:1 1:1.0\n4 qid:1 1:2.0")
     assert ds.n_queries == 1
-    assert np.array_equal(ds.labels[_query_rows(ds, 0)], np.array([0, 4]))
+    assert ds.labels.tolist() == [[0, 4]]
 
 
 def test_interleaved_qids_group_in_first_appearance_order():
     text = "1 qid:b 1:1.0\n2 qid:a 1:2.0\n3 qid:b 1:3.0"
     ds = parse_svmlight(text)
     assert list(ds.query_ids) == ["b", "a"]
-    assert list(ds.offsets) == [0, 2, 3]
-    assert np.array_equal(ds.labels, np.array([1, 3, 2]))
-    assert np.array_equal(ds.features[:, 0], np.array([1.0, 3.0, 2.0]))
-    assert list(ds.doc_ids) == ["qb_d0", "qb_d1", "qa_d0"]
+    assert ds.lengths.tolist() == [2, 1]
+    assert ds.labels.tolist() == [[1, 3], [2, 0]]
+    assert ds.features[:, :, 0].tolist() == [[1.0, 3.0], [2.0, 0.0]]
+    assert ds.doc_ids.tolist() == [["qb_d0", "qb_d1"], ["qa_d0", ""]]
 
 
 def test_comment_becomes_doc_id_and_default_ids_count_up():
     ds = parse_svmlight("1 qid:3 1:0.1 # doc-alpha\n2 qid:3 1:0.2")
-    assert list(ds.doc_ids) == ["doc-alpha", "q3_d1"]
+    assert ds.doc_ids.tolist() == [["doc-alpha", "q3_d1"]]
+
+
+def test_a_query_holds_its_documents_in_doc_id_order():
+    """Not file order: lines and their features and grades move together."""
+    ds = parse_svmlight("1 qid:3 1:0.1 # z\n2 qid:3 1:0.2 # a\n0 qid:4 1:0.3 # m")
+    assert ds.doc_ids.tolist() == [["a", "z"], ["m", ""]]
+    assert ds.labels.tolist() == [[2, 1], [0, 0]]
+    assert ds.features[:, :, 0].tolist() == [[0.2, 0.1], [0.3, 0.0]]
+    generated = generate_synthetic(2, 12, 4, seed=0)
+    assert generated.doc_ids[0, :4].tolist() == ["q0_d0", "q0_d1", "q0_d10", "q0_d11"]
+    lines = serialize_svmlight(generated).splitlines()
+    assert [line.rsplit("# ", 1)[1] for line in lines[:4]] == generated.doc_ids[0, :4].tolist()
 
 
 def test_parse_errors_carry_line_numbers():
@@ -93,38 +114,49 @@ def test_duplicate_doc_ids_rejected():
 
 
 def _valid_arrays(**overrides):
-    arrays = dict(features=np.zeros((3, 2)), labels=[0, 4, 1], doc_ids=["a", "b", "a"],
-                  query_ids=["q", "r"], offsets=[0, 2, 3])
+    arrays = dict(features=np.zeros((2, 2, 2)), labels=[[0, 4], [1, 0]],
+                  doc_ids=[["a", "b"], ["a", ""]], query_ids=["q", "r"])
     arrays.update(overrides)
     return arrays
 
 
 def test_dataset_validates_its_arrays():
     ds = Dataset(**_valid_arrays())
-    assert ds.n_queries == 2 and ds.feature_dim == 2
+    assert ds.n_queries == 2 and ds.feature_dim == 2 and ds.lengths.tolist() == [2, 1]
     bad = [
-        dict(features=np.zeros((2, 2))),                   # a row short
-        dict(features=np.zeros(3)),                        # not (n_docs, d)
-        dict(features=np.array([[0.0, np.inf], [0, 0], [0, 0]])),
-        dict(labels=[0, 5, 1]),
-        dict(labels=[0, -1, 1]),
-        dict(doc_ids=["a", "a", "b"]),                     # duplicate within query q
-        dict(offsets=[0, 0, 3]),                           # empty query
-        dict(offsets=[0, 2]),                              # one offset short
-        dict(offsets=[0, 2, 4]),                           # past the last row
+        dict(features=np.zeros((2, 1, 2))),                # a document short
+        dict(features=np.zeros((4, 2))),                   # not (queries, docs, d)
+        dict(features=np.array([[[0.0, np.inf], [0, 0]], [[0, 0], [0, 0]]])),
+        dict(labels=[[0, 5], [1, 0]]),
+        dict(labels=[[0, -1], [1, 0]]),
+        dict(doc_ids=[["a", "a"], ["a", ""]]),             # duplicate within query q
+        dict(doc_ids=[["a", "b"], ["", ""]], labels=[[0, 4], [0, 0]]),  # empty query
+        dict(doc_ids=[["a", "b"], ["", "a"]], labels=[[0, 4], [0, 1]]),  # padding first
+        dict(features=np.zeros((2, 3, 2)), labels=[[0, 4, 0], [1, 0, 0]],
+             doc_ids=[["a", "b", ""], ["a", "", ""]]),    # no row fills the width
+        dict(query_ids=["q"]),                             # a query id short
     ]
     for override in bad:
         with pytest.raises(ValueError):
             Dataset(**_valid_arrays(**override))
 
 
+def test_dataset_sorts_each_row_by_doc_id():
+    """Within each query, even where ids interleave across queries."""
+    ds = Dataset(features=np.arange(8.0).reshape(2, 2, 2), labels=[[1, 2], [3, 4]],
+                 doc_ids=[["b", "a"], ["c", "a"]], query_ids=["q", "r"])
+    assert ds.doc_ids.tolist() == [["a", "b"], ["a", "c"]]
+    assert ds.labels.tolist() == [[2, 1], [4, 3]]
+    assert ds.features.tolist() == [[[2.0, 3.0], [0.0, 1.0]], [[6.0, 7.0], [4.0, 5.0]]]
+
+
 def test_groups_view_matches_the_arrays():
     ds = parse_svmlight("1 qid:b 1:1.0 # x\n2 qid:a 2:2.0\n3 qid:b 1:3.0")
     groups = ds.groups
     assert [g.query_id for g in groups] == ["b", "a"]
-    assert [[d.doc_id for d in g.docs] for g in groups] == [["x", "qb_d1"], ["qa_d0"]]
-    assert np.array_equal(groups[0].labels, np.array([1, 3]))
-    assert [d.relevance for d in groups[0].docs] == [1, 3]
+    assert [[d.doc_id for d in g.docs] for g in groups] == [["qb_d1", "x"], ["qa_d0"]]
+    assert np.array_equal(groups[0].labels, np.array([3, 1]))
+    assert [d.relevance for d in groups[0].docs] == [3, 1]
     assert np.array_equal(groups[1].docs[0].features, np.array([0.0, 2.0]))
 
 
@@ -138,19 +170,11 @@ def _dataset_strategy():
 @settings(max_examples=40, deadline=None)
 @given(_dataset_strategy())
 def test_serialize_parse_round_trip(raw_groups):
-    docs = [(qi, di, lab, feats) for qi, group in enumerate(raw_groups)
-            for di, (lab, feats) in enumerate(group)]
-    ds = Dataset(
-        features=np.array([d[3] for d in docs]).reshape(len(docs), 3 if docs else 0),
-        labels=[d[2] for d in docs],
-        doc_ids=[f"q{qi}_d{di}" for qi, di, _, _ in docs],
-        query_ids=[str(qi) for qi in range(len(raw_groups))],
-        offsets=np.cumsum([0] + [len(g) for g in raw_groups]),
-    )
+    ds = _padded(raw_groups, 3 if raw_groups else 0, lambda q, i: f"q{q}_d{i}", str)
     back = parse_svmlight(serialize_svmlight(ds))
     assert back.n_queries == ds.n_queries
     assert np.array_equal(back.query_ids, ds.query_ids)
-    assert np.array_equal(back.offsets, ds.offsets)
+    assert np.array_equal(back.lengths, ds.lengths)
     assert np.array_equal(back.doc_ids, ds.doc_ids)
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
@@ -201,7 +225,7 @@ def _parse_outcome(parse, text):
     except ValueError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "line_no", None)
     return (ds.features.shape, ds.features.view(np.uint64).tolist(), ds.labels.tolist(),
-            ds.doc_ids.tolist(), ds.query_ids.tolist(), ds.offsets.tolist())
+            ds.doc_ids.tolist(), ds.query_ids.tolist())
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,7 +274,7 @@ def test_a_crlf_pair_across_a_chunk_edge_ends_one_line(chunk_chars):
     text = first + " " * (chunk_chars - 1) + "\r\n" + "2 qid:2 2:0.25\r\n3 qid:1 1:1.0\r\n"
     assert text[len(first):len(first) + chunk_chars].endswith("\r")
     want = _parse_outcome(parse_svmlight_line_by_line, text)
-    assert want[0] == (3, 2)
+    assert want[0] == (2, 2, 2)
     with mock.patch.object(data, "CHUNK_CHARS", chunk_chars):
         assert list(data._lines(text)) == text.splitlines()
         assert _parse_outcome(parse_svmlight, text) == want
@@ -275,7 +299,7 @@ def test_parse_peak_memory_stays_under_two_and_a_half_texts():
     text = serialize_svmlight(generate_synthetic(2000, 10, 16, seed=0))
     assert text.count("\n") == 20_000
     peak, shape = _parse_peak(text)
-    assert shape == (20_000, 16)
+    assert shape == (2000, 10, 16)
     assert peak < 2.5 * len(text), f"peak {peak} bytes for {len(text)} characters"
 
 
@@ -285,7 +309,7 @@ def test_wide_rows_parse_in_blocks_of_cells():
     blocks of 512 lines held about 70k token strings at once here."""
     text = serialize_svmlight(generate_synthetic(500, 10, 136, seed=0))
     peak, shape = _parse_peak(text)
-    assert shape == (5_000, 136)
+    assert shape == (500, 10, 136)
     assert peak < 1.3 * len(text), f"peak {peak} bytes for {len(text)} characters"
 
 
@@ -295,7 +319,7 @@ def test_lines_ending_in_a_lone_cr_are_split_in_chunks_too():
     text = serialize_svmlight(generate_synthetic(2000, 10, 16, seed=0))
     lf_peak, lf_shape = _parse_peak(text)
     cr_peak, cr_shape = _parse_peak(text.replace("\n", "\r"))
-    assert cr_shape == lf_shape == (20_000, 16)
+    assert cr_shape == lf_shape == (2000, 10, 16)
     assert cr_peak <= lf_peak + 0.1 * len(text), (cr_peak, lf_peak, len(text))
 
 
@@ -310,12 +334,7 @@ def _edge_datasets(draw):
                       st.floats(allow_nan=False, allow_infinity=False))
     doc = st.tuples(st.integers(0, 4), st.lists(value, min_size=d, max_size=d))
     groups = draw(st.lists(st.lists(doc, min_size=1, max_size=3), max_size=4))
-    docs = [doc for group in groups for doc in group]
-    return Dataset(features=np.array([feats for _, feats in docs]).reshape(len(docs), d),
-                   labels=[label for label, _ in docs],
-                   doc_ids=[f"%d{i} %s" for i in range(len(docs))],
-                   query_ids=[f"q%{q}" for q in range(len(groups))],
-                   offsets=np.cumsum([0] + [len(group) for group in groups]))
+    return _padded(groups, d, lambda q, i: f"%d{i} %s", lambda q: f"q%{q}")
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,8 +358,8 @@ def test_serialize_matches_the_fstring_oracle_across_blocks(block_lines):
     cells = X.reshape(-1)[::37]
     X.reshape(-1)[::37] = np.resize(_EDGE_FLOATS, cells.size)
     ds = Dataset(features=X, labels=base.labels,
-                 doc_ids=[f"%d{i} %s" for i in range(X.shape[0])],
-                 query_ids=[f"q%{q}" for q in range(base.n_queries)], offsets=base.offsets)
+                 doc_ids=[[f"%d{q * 10 + i} %s" for i in range(10)] for q in range(115)],
+                 query_ids=[f"q%{q}" for q in range(base.n_queries)])
     with mock.patch.object(data, "BLOCK_LINES", block_lines):
         assert serialize_svmlight(ds) == serialize_svmlight_fstring(ds)
 
@@ -396,7 +415,7 @@ def test_late_faults_on_both_sides_of_a_block_boundary(faults):
 def test_many_blocks_parse_as_the_oracle_does():
     text = "\r\n".join(_valid_lines(1600)[::-1] + ["2 qid:x 3:1.0 1:2.0 # out of order"])
     want = _parse_outcome(parse_svmlight_line_by_line, text)
-    assert want[0] == (1601, 3)
+    assert want[0] == (161, 10, 3)
     with mock.patch.object(data, "BLOCK_CELLS", 1024):
         assert _parse_outcome(parse_svmlight, text) == want
 
@@ -433,8 +452,8 @@ def test_round_trip_of_generated_data():
 def test_generate_minimal_dataset():
     ds = generate_synthetic(1, 1, 4, seed=42)
     assert ds.n_queries == 1
-    assert list(ds.offsets) == [0, 1]
-    assert 0 <= ds.labels[0] <= 4
+    assert ds.lengths.tolist() == [1]
+    assert 0 <= ds.labels[0, 0] <= 4
 
 
 def test_generate_is_deterministic():
@@ -451,7 +470,7 @@ def test_generate_differs_across_seeds():
 
 def test_generated_grades_cover_all_five_levels():
     ds = generate_synthetic(500, 10, 16, seed=1)
-    assert set(ds.labels.tolist()) == {0, 1, 2, 3, 4}
+    assert set(ds.labels.ravel().tolist()) == {0, 1, 2, 3, 4}
 
 
 def test_generated_grades_stay_in_range():

@@ -23,38 +23,34 @@ DATA = Path(__file__).parent / "data"
 pytestmark = pytest.mark.bytegate
 
 
+# The four short runs by test id: (algorithm, paradigm, config overrides).
+RUNS = {
+    "upe-OnD": ("upe", "OnD", {}),
+    "dla-Off": ("dla", "Off", {}),
+    "upe-OnD-nofreeze": ("upe", "OnD", {"upe_freeze": False}),
+    "upe-Off": ("upe", "Off", {}),
+}
+
+
 @pytest.fixture(scope="module")
-def split():
-    return make_split_data(n_train=40, n_test=20, seed=7)
+def results():
+    """Each run trained once, for both its curve and its final-propensity check."""
+    split = make_split_data(n_train=40, n_test=20, seed=7)
+    return {key: run_experiment(ExperimentConfig(paradigm=paradigm, algorithm=algorithm,
+                                                 total_steps=40, refresh_interval=20,
+                                                 eval_every=20, batch_queries=8,
+                                                 weak_fraction=0.1, **overrides), split)
+            for key, (algorithm, paradigm, overrides) in RUNS.items()}
 
 
-@pytest.mark.parametrize("algorithm, paradigm, overrides, stored", [
-    pytest.param("upe", "OnD", {}, "curves_upe_OnD.csv", id="upe-OnD"),
-    pytest.param("dla", "Off", {}, "curves_dla_Off.csv", id="dla-Off"),
-    pytest.param("upe", "OnD", {"upe_freeze": False}, "curves_upe_OnD_nofreeze.csv",
-                 id="upe-OnD-nofreeze"),
-    pytest.param("upe", "Off", {}, "curves_upe_Off.csv", id="upe-Off"),
-])
-def test_short_run_curves_match_stored_bytes(split, algorithm, paradigm, overrides, stored):
-    cfg = ExperimentConfig(paradigm=paradigm, algorithm=algorithm, total_steps=40,
-                           refresh_interval=20, eval_every=20, batch_queries=8,
-                           weak_fraction=0.1, **overrides)
-    got = run_experiment(cfg, split).curves_csv().encode()
-    assert got == (DATA / stored).read_bytes()
+@pytest.mark.parametrize("key", RUNS)
+def test_short_run_curves_match_stored_bytes(results, key):
+    got = results[key].curves_csv().encode()
+    assert got == (DATA / f"curves_{key.replace('-', '_')}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("algorithm, paradigm, overrides, stored", [
-    pytest.param("upe", "OnD", {}, "propensity_upe-OnD.csv", id="upe-OnD"),
-    pytest.param("dla", "Off", {}, "propensity_dla-Off.csv", id="dla-Off"),
-    pytest.param("upe", "OnD", {"upe_freeze": False}, "propensity_upe-OnD-nofreeze.csv",
-                 id="upe-OnD-nofreeze"),
-    pytest.param("upe", "Off", {}, "propensity_upe-Off.csv", id="upe-Off"),
-])
-def test_short_run_final_propensity_matches_stored_bytes(split, algorithm, paradigm,
-                                                         overrides, stored):
+@pytest.mark.parametrize("key", RUNS)
+def test_short_run_final_propensity_matches_stored_bytes(results, key):
     """The final estimate of the same runs, as ``train`` writes it."""
-    cfg = ExperimentConfig(paradigm=paradigm, algorithm=algorithm, total_steps=40,
-                           refresh_interval=20, eval_every=20, batch_queries=8,
-                           weak_fraction=0.1, **overrides)
-    got = run_experiment(cfg, split).final_estimate.as_csv().encode()
-    assert got == (DATA / stored).read_bytes()
+    got = results[key].final_estimate.as_csv().encode()
+    assert got == (DATA / f"propensity_{key}.csv").read_bytes()

@@ -1,6 +1,7 @@
 """Propensity estimation: both estimators, the two-step contract, adjustment."""
 
 import math
+import re
 import warnings
 from functools import partial
 
@@ -330,6 +331,9 @@ def test_lpp_forward_validation():
         model.forward_joint(X, np.array([0, -1]))
     with pytest.raises(ValueError):
         model.forward_joint(X, np.array([0]))
+    with pytest.raises(ValueError, match=re.escape(
+            "MLP input must be 2-D (rows, features), got shape (3,)")):
+        model.forward_confounder(X[0])
     with pytest.raises(ValueError):
         LPPModel(0, 3, np.random.default_rng(0))
 
@@ -402,17 +406,19 @@ def test_joint_step_detects_a_pathway_update(monkeypatch):
         joint_propensity_step(model, opt, X, targets)
 
 
-def test_joint_step_accepts_a_pathway_holding_nan():
-    """A NaN the step leaves alone keeps its bits, so it is no change."""
+def test_joint_step_on_a_pathway_holding_nan_moves_nothing():
+    """The NaN reaches the loss, so the update is refused before it runs,
+    naming the parameter it would move; every parameter keeps its bits."""
     model = small_lpp(seed=9)
     model.encoder_d.layers[0].W.data[0, 0] = np.nan
-    pathway_before = [p.data.tobytes() for p in model.g_pt]
+    before = [p.data.tobytes() for p in model.parameters()]
     X = np.random.default_rng(10).normal(size=(2, 4, 3))
     targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        joint_propensity_step(model, AdaGrad(lr=0.05), X, targets)
-    assert [p.data.tobytes() for p in model.g_pt] == pathway_before
+        with pytest.raises(ValueError, match=r"^loss is nan in the update of lpp\.encoder_p$"):
+            joint_propensity_step(model, AdaGrad(lr=0.05), X, targets)
+    assert [p.data.tobytes() for p in model.parameters()] == before
 
 
 def test_joint_step_detects_a_sign_flip_of_zero(monkeypatch):

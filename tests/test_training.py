@@ -70,8 +70,7 @@ def sample_click_matrix(labels, curve, sim, rng):
 
 
 def _one_query(doc_ids, features, labels):
-    return Dataset(features=features, labels=labels, doc_ids=doc_ids,
-                   query_ids=["q"], offsets=[0, len(doc_ids)])
+    return Dataset(features=[features], labels=[labels], doc_ids=[doc_ids], query_ids=["q"])
 
 
 def _policy_metrics(policy):
@@ -90,30 +89,26 @@ def test_make_split_data_shares_one_teacher():
                           DatasetView(again.train).features)
 
 
-def test_dataset_view_sorts_docs_by_id():
+def test_dataset_view_holds_the_datasets_arrays():
     ds = _one_query(["b", "a"], np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 2])
     view = DatasetView(ds)
+    assert view.features is ds.features and view.labels is ds.labels
     assert np.array_equal(view.labels, np.array([[2, 1]]))
     assert np.array_equal(view.features[0, 0], np.array([0.0, 1.0]))
-    # Sorting stays within each query even where ids interleave across queries.
-    two = Dataset(features=np.arange(8.0).reshape(4, 2), labels=[1, 2, 3, 4],
-                  doc_ids=["b", "a", "c", "a"], query_ids=["q", "r"], offsets=[0, 2, 4])
-    view = DatasetView(two)
-    assert np.array_equal(view.labels, np.array([[2, 1], [4, 3]]))
-    assert np.array_equal(view.features[1, 0], np.array([6.0, 7.0]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_dataset_view_does_not_depend_on_row_order_within_queries(seed):
-    """The view reads the dataset's own doc-id sort, so rows shuffled within
-    each query give the arrays of the sorted dataset."""
+    """The dataset sorts each row by doc id, so documents shuffled within each
+    query give the view of the sorted dataset."""
     ds = generate_synthetic(7, 12, 4, seed=4)
     rng = np.random.default_rng(seed)
-    rows = np.concatenate([a + rng.permutation(b - a)
-                           for a, b in zip(ds.offsets[:-1], ds.offsets[1:])])
-    shuffled = Dataset(features=ds.features[rows], labels=ds.labels[rows],
-                       doc_ids=ds.doc_ids[rows], query_ids=ds.query_ids, offsets=ds.offsets)
+    perm = np.argsort(rng.random(ds.labels.shape), axis=1)
+    shuffled = Dataset(features=np.take_along_axis(ds.features, perm[..., None], axis=1),
+                       labels=np.take_along_axis(ds.labels, perm, axis=1),
+                       doc_ids=np.take_along_axis(ds.doc_ids, perm, axis=1),
+                       query_ids=ds.query_ids)
     view, again = DatasetView(ds), DatasetView(shuffled)
     assert np.array_equal(again.features, view.features)
     assert np.array_equal(again.labels, view.labels)
@@ -121,8 +116,8 @@ def test_dataset_view_does_not_depend_on_row_order_within_queries(seed):
 
 
 def test_dataset_view_requires_equal_list_lengths():
-    ds = Dataset(features=np.zeros((3, 2)), labels=[0, 0, 1],
-                 doc_ids=["d0", "d0", "d1"], query_ids=["a", "b"], offsets=[0, 1, 3])
+    ds = Dataset(features=np.zeros((2, 2, 2)), labels=[[0, 0], [1, 0]],
+                 doc_ids=[["d0", "d1"], ["d0", ""]], query_ids=["a", "b"])
     with pytest.raises(ValueError, match=r"got lengths \[1, 2\]"):
         DatasetView(ds)
 
@@ -162,11 +157,10 @@ def test_displayed_keeps_the_take_along_axis_bits(data):
     n_queries, n_docs = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
     d = data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    ds = Dataset(features=rng.normal(size=(n_queries * n_docs, d)),
-                 labels=rng.integers(0, 5, size=n_queries * n_docs),
-                 doc_ids=[f"d{j}" for _ in range(n_queries) for j in rng.permutation(n_docs)],
-                 query_ids=[str(q) for q in range(n_queries)],
-                 offsets=np.arange(n_queries + 1) * n_docs)
+    ds = Dataset(features=rng.normal(size=(n_queries, n_docs, d)),
+                 labels=rng.integers(0, 5, size=(n_queries, n_docs)),
+                 doc_ids=[[f"d{j}" for j in rng.permutation(n_docs)] for _ in range(n_queries)],
+                 query_ids=[str(q) for q in range(n_queries)])
     scores = rng.integers(-2, 3, size=(n_queries, n_docs)) * 0.5
     policy = LoggingPolicy(view=DatasetView(ds), scores=scores)
     query_rows = np.array(data.draw(st.lists(st.integers(0, n_queries - 1),
@@ -464,6 +458,22 @@ def test_curve_csv_schema(small_data):
         float(cell)
     assert result.final_metrics["ndcg@10"] == pytest.approx(
         float(lines[-1].split(",")[6]))
+
+
+def test_a_run_ends_on_a_curve_row_for_its_last_step(small_data):
+    """total_steps=10 is no multiple of eval_every=4: the curve still ends on
+    step 10, and the final metrics and estimate are step 10's, as a run that
+    evaluates every step reads them. Evaluating draws on no training stream."""
+    cfg = _small_cfg(algorithm="dla", total_steps=10, refresh_interval=10, eval_every=4)
+    result = run_experiment(cfg, small_data)
+    every = run_experiment(dataclasses.replace(cfg, eval_every=1), small_data)
+    assert [row["step"] for row in result.curve] == [0, 4, 8, 10]
+    assert result.curve == [every.curve[step] for step in (0, 4, 8, 10)]
+    last = every.curve[10]
+    assert result.final_metrics == {col: last[col] for col in training.METRIC_COLUMNS}
+    assert result.final_estimate.weights.tobytes() == every.final_estimate.weights.tobytes()
+    assert result.final_estimate.normalized()[0] == last["norm_prop@1"]
+    assert every.curve[8]["norm_prop@1"] != last["norm_prop@1"]
 
 
 def test_evaluate_ranker_agrees_with_policy_route(small_data):

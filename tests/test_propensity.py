@@ -406,6 +406,28 @@ def test_joint_step_detects_a_pathway_update(monkeypatch):
         joint_propensity_step(model, opt, X, targets)
 
 
+def test_joint_step_accepts_a_pathway_holding_nan(monkeypatch):
+    """A NaN the step leaves alone keeps its bits, so it is no change. The
+    optimizer's non-finite-loss refusal is bypassed so the update runs and
+    the freeze check alone decides."""
+    def minimize_without_refusal(self, loss, params):
+        for p in params:
+            p.grad = None
+        loss.backward(params)
+        self.step(params)
+        return float(loss.data)
+    monkeypatch.setattr(AdaGrad, "minimize", minimize_without_refusal)
+    model = small_lpp(seed=9)
+    model.encoder_d.layers[0].W.data[0, 0] = np.nan
+    pathway_before = [p.data.tobytes() for p in model.g_pt]
+    X = np.random.default_rng(10).normal(size=(2, 4, 3))
+    targets = np.log(softmax(np.array([1.0, 0.5, 0.2, 0.1])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        joint_propensity_step(model, AdaGrad(lr=0.05), X, targets)
+    assert [p.data.tobytes() for p in model.g_pt] == pathway_before
+
+
 def test_joint_step_on_a_pathway_holding_nan_moves_nothing():
     """The NaN reaches the loss, so the update is refused before it runs,
     naming the parameter it would move; every parameter keeps its bits."""

@@ -9,10 +9,9 @@ contract is visible rather than implied.
 
 import numpy as np
 
-from ultrlab.autodiff import AdaGrad
+from ultrlab.autodiff import AdaGrad, Parameter
 from ultrlab.propensity import (
     LPPModel,
-    PositionPropensityModel,
     backdoor_estimate,
     confounding_effect_step,
     joint_propensity_step,
@@ -43,8 +42,7 @@ def main():
     print(np.round(target_weights("logging_scores", logging_scores, 2,
                                   n_positions), 4))
 
-    base = PositionPropensityModel(n_positions)
-    base.logits.data[:] = np.log([0.4, 0.3, 0.2, 0.1]).reshape(1, -1)
+    base = Parameter(np.log([[0.4, 0.3, 0.2, 0.1]]), "position_logits")
     targets = position_targets_from_base(base)
     print("\nposition targets from the base model (log scale):",
           np.round(targets, 4))

@@ -32,7 +32,6 @@ from .metrics import propensity_error, ranking_metrics
 from .propensity import (
     FreezeContractError,
     LPPModel,
-    PositionPropensityModel,
     PropensityEstimate,
     backdoor_estimate,
     confounding_effect_step,

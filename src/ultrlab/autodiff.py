@@ -45,9 +45,9 @@ the MLP node must match bit for bit. The MLP node shares the ELU kernel
 
 Forward-only passes (evaluation, policy refresh, the backdoor readout) skip
 the tape: ``MLP.infer`` runs the same layers on plain arrays, so its output
-has the same bits as the eval-mode taped forward. It scores a whole split
-INFER_BLOCK_ROWS rows at a time, so a refresh or an evaluation holds one
-block's activations, not the split's, and gets the one-shot chain's bits.
+has the same bits as the eval-mode taped forward. It scores a split or each
+row set of a stack INFER_BLOCK_ROWS rows at a time: a refresh or an eval
+holds one block's activations, not the split's, with the one-shot bits.
 """
 
 import itertools
@@ -233,8 +233,7 @@ class AdaGrad:
         and a parameter the update left non-finite."""
         value = float(loss.data)
         if not np.isfinite(value):
-            moved = dict.fromkeys(re.sub(r"\.l\d+\.[Wb]$", ".*", p.name) for p in params)
-            raise ValueError(f"loss is {value} in the update of {', '.join(moved)}")
+            raise ValueError(f"loss is {value} in the update of {group_names(params)}")
         for p in params:
             p.grad = None
         loss.backward(params)
@@ -246,6 +245,11 @@ class AdaGrad:
             if not np.isfinite(p.data).all():
                 raise ValueError(f"parameter {p.name!r} is not finite after its update")
         return value
+
+
+def group_names(params: Sequence[Parameter]) -> str:
+    """The parameters' names, each MLP's layers folded into one ``{name}.*``."""
+    return ", ".join(dict.fromkeys(re.sub(r"\.l\d+\.[Wb]$", ".*", p.name) for p in params))
 
 
 _Layer = namedtuple("_Layer", "W b")
@@ -329,28 +333,26 @@ class MLP:
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode forward on plain arrays: no tape, no dropout, x left unchanged.
 
-        More rows go through in blocks of INFER_BLOCK_ROWS written into one
-        result. Blocks start at multiples of the block size, so each row meets
-        the BLAS kernel's row tiling where the one-shot chain puts it and keeps
-        its bits. A last row left alone joins the block before it: numpy
-        multiplies a 1-row matrix as a vector, which rounds differently.
+        ``x`` is (rows, in) or a stack (..., rows, in) of row sets, each
+        scored as if alone, INFER_BLOCK_ROWS rows at a time. Blocks start at
+        multiples of the block size, so each row meets the BLAS kernel's row
+        tiling where the one-shot chain puts it and keeps its bits. A last row
+        left alone joins the block before it: numpy multiplies a 1-row matrix
+        as a vector, which rounds differently.
         """
-        n = x.shape[0]
-        if n <= INFER_BLOCK_ROWS + 1:
-            return self._infer_block(x)
-        out = np.empty((n, self.layers[-1].b.data.size))
-        for start in range(0, n - 1, INFER_BLOCK_ROWS):
-            stop = n if n - start <= INFER_BLOCK_ROWS + 1 else start + INFER_BLOCK_ROWS
-            out[start:stop] = self._infer_block(x[start:stop])
+        n, last = x.shape[-2], len(self.layers) - 1
+        out = np.empty((*x.shape[:-1], self.layers[-1].b.data.size))
+        for rows in np.ndindex(x.shape[:-2]):
+            for start in range(0, max(n - 1, 1), INFER_BLOCK_ROWS):
+                stop = n if n - start <= INFER_BLOCK_ROWS + 1 else start + INFER_BLOCK_ROWS
+                h = x[rows][start:stop]
+                for i, layer in enumerate(self.layers):
+                    h = h @ layer.W.data
+                    h += layer.b.data
+                    if i < last:
+                        _elu(h)
+                out[rows][start:stop] = h
         return out
-
-    def _infer_block(self, h: np.ndarray) -> np.ndarray:
-        for i, layer in enumerate(self.layers):
-            h = h @ layer.W.data
-            h += layer.b.data
-            if i < len(self.layers) - 1:
-                _elu(h)
-        return h
 
     def parameters(self) -> List[Parameter]:
         return [p for layer in self.layers for p in layer]

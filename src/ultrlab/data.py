@@ -52,7 +52,8 @@ class Dataset:
     """Query-grouped documents as padded (queries, docs) arrays.
 
     Row ``q`` holds query ``q``'s documents, sorted by doc id so that a stable
-    argsort of scores breaks ties by doc id, then padding (the empty doc id)."""
+    argsort of scores breaks ties by doc id, then padding: the empty doc id,
+    zero features and grade 0."""
 
     features: np.ndarray   # (n_queries, max_docs, feature_dim) float64
     labels: np.ndarray     # (n_queries, max_docs) int64 grades in [0, Y_MAX]
@@ -80,6 +81,12 @@ class Dataset:
             self.features = np.take_along_axis(self.features, order[..., None], axis=1)
             self.labels = np.take_along_axis(self.labels, order, axis=1)
             self.doc_ids = np.take_along_axis(self.doc_ids, order, axis=1)
+        # Zero padding first, so the checks below can fault only real documents.
+        pad = ~real
+        bad = (self.features[pad] != 0.0).any(axis=1) | (self.labels[pad] != 0)
+        if bad.any():
+            raise ValueError(f"query {self.query_ids[np.nonzero(pad)[0][bad][0]]}: padding "
+                             "must hold zero features and grade 0")
         for bad, what in ((~np.isfinite(self.features).all(axis=2), "non-finite feature value"),
                           ((self.labels < 0) | (self.labels > Y_MAX),
                            f"relevance outside [0, {Y_MAX}]")):

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import MLP, AdaGrad, Parameter, Tensor, weighted_listwise_ce
+from .autodiff import MLP, AdaGrad, Parameter, Tensor, group_names, weighted_listwise_ce
 
 DEFAULT_TAU = 0.05
 # LPPModel's sizes: position embedding width, encoder and head hidden layers.
@@ -31,7 +31,7 @@ class FreezeContractError(RuntimeError):
     """The document pathway changed while only position embeddings may move."""
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the maximum so exp cannot overflow."""
     p = np.exp(z - z.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
@@ -106,28 +106,12 @@ class PropensityEstimate:
         return "\n".join(lines) + "\n"
 
 
-class PositionPropensityModel:
-    """One trainable logit per rank; softmax turns them into relative weights."""
-
-    def __init__(self, n_positions: int):
-        if n_positions < 1:
-            raise ValueError("n_positions must be >= 1")
-        self.logits = Parameter(np.zeros((1, n_positions)), "position_logits")
-
-    def batch_scores(self, batch_rows: int) -> Tensor:
-        """The logits repeated per session row, so listwise losses apply rowwise."""
-        return self.logits.take_rows(np.zeros(batch_rows, dtype=np.int64))
-
-    def parameters(self) -> List[Parameter]:
-        return [self.logits]
-
-
-def dla_propensity(model: PositionPropensityModel) -> PropensityEstimate:
-    """Softmax over the position logits, renormalized to rank 1; a refusal names them."""
+def dla_propensity(logits: Parameter) -> PropensityEstimate:
+    """Softmax over DLA's position logits, renormalized to rank 1; a refusal names them."""
     try:
-        return PropensityEstimate.from_raw(_softmax(model.logits.data.reshape(-1)))
+        return PropensityEstimate.from_raw(softmax(logits.data.reshape(-1)))
     except ValueError as exc:
-        raise ValueError(f"estimate from {model.logits.name!r}: {exc}") from None
+        raise ValueError(f"estimate from {logits.name!r}: {exc}") from None
 
 
 def irw_propensity_loss(position_scores: Tensor, clicks: np.ndarray,
@@ -138,25 +122,18 @@ def irw_propensity_loss(position_scores: Tensor, clicks: np.ndarray,
     clicked rank contributes -log softmax(position logits) weighted by
     rel_1 / max(rel_k, tau), where the relevance weights are the ranker's
     raw softmax values over the displayed list.
+
+    The relevance weights stay on the probability scale (each row sums to 1)
+    rather than rescaled to 1 at rank 1, so the variance floor tau bites at
+    an absolute probability. With a list of n documents the floor sits at
+    half of uniform (tau = 0.05, uniform 0.1 for n = 10), which caps how much
+    relevance decay the dual loss can divide out of the click signal.
     """
     c = np.asarray(clicks, dtype=np.float64)
     rel = np.asarray(relevance_weights, dtype=np.float64)
     if c.shape != position_scores.data.shape or rel.shape != c.shape:
         raise ValueError("scores, clicks and relevance weights must share a shape")
     return weighted_listwise_ce(position_scores, c * clipped_inverse_weights(rel, tau))
-
-
-def relevance_weights_from_scores(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of ranker scores, as raw probabilities.
-
-    The values are kept on the probability scale (each row sums to 1) rather
-    than rescaled to 1 at rank 1, so the variance floor tau inside the
-    inverse-relevance loss bites at an absolute probability. With a list of
-    n documents the floor sits at half of uniform (tau = 0.05, uniform 0.1
-    for n = 10), which caps how much relevance decay the dual loss can
-    divide out of the click signal.
-    """
-    return _softmax(np.asarray(scores, dtype=np.float64))
 
 
 class LPPModel:
@@ -233,7 +210,7 @@ def target_weights(variant: str, logging_scores: Optional[np.ndarray],
         z = np.asarray(logging_scores, dtype=np.float64)
         if z.shape != (batch_rows, n_positions):
             raise ValueError("logging_scores must be (batch_rows, n_positions)")
-        scores = _softmax(z)
+        scores = softmax(z)
     else:
         ranks = np.arange(1, n_positions + 1, dtype=np.float64)
         if variant == "mrr":
@@ -243,7 +220,7 @@ def target_weights(variant: str, logging_scores: Optional[np.ndarray],
         else:
             raise ValueError(f"target variant must be one of {TARGET_VARIANTS}")
         scores = np.tile(profile, (batch_rows, 1))
-    return _softmax(scores)
+    return softmax(scores)
 
 
 def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
@@ -264,9 +241,9 @@ def confounding_effect_step(model: LPPModel, optimizer: AdaGrad,
     return optimizer.minimize(weighted_listwise_ce(logits.reshape(B, N), weights), model.g_pt)
 
 
-def position_targets_from_base(base: PositionPropensityModel) -> np.ndarray:
-    """Log of the base model's softmax per rank: targets for the joint step."""
-    z = base.logits.data.reshape(-1)
+def position_targets_from_base(logits: Parameter) -> np.ndarray:
+    """Log-softmax of the base (DLA) position logits: targets for the joint step."""
+    z = logits.data.reshape(-1)
     z = z - z.max()
     return z - np.log(np.exp(z).sum())
 
@@ -289,7 +266,7 @@ def joint_propensity_step(model: LPPModel, optimizer: AdaGrad,
     y = np.asarray(position_targets, dtype=np.float64)
     if y.shape != (N,):
         raise ValueError("position_targets must be (n_positions,)")
-    weights = _softmax(np.tile(y, (B, 1)))
+    weights = softmax(np.tile(y, (B, 1)))
 
     snapshot = [p.data.tobytes() for p in model.g_pt] if enforce_freeze else None
     positions = np.tile(np.arange(N, dtype=np.int64), B)
@@ -315,21 +292,24 @@ def backdoor_estimate(model: LPPModel, features: np.ndarray) -> PropensityEstima
     both training losses are softmax cross-entropies, blind to a per-list
     shift of the head, and ratios of log-averaged rates cancel that floating
     level exactly, where a squashed arithmetic mean would flatten them
-    toward 1. The documents are encoded once; each rank's embedding is then
-    added to that block and the head scored one rank at a time, so the
-    working set is one docs x width block, not positions times that. The
-    test oracle ``backdoor_adjust(k)`` in ``tests/helpers.py`` scores one
-    rank through the taped forward and must agree. The readout needs no
-    gradient, so it runs on plain arrays through ``MLP.infer`` and builds no
-    tape. A log-rate whose exp is not finite is refused with a ValueError.
+    toward 1. The documents are encoded once, each rank's embedding is added
+    to that block, and the head scores the (ranks, docs, width) stack in one
+    ``MLP.infer`` call, each rank's row set as if alone; the working set is
+    that stack, then one block of head activations at a time. The test
+    oracle ``backdoor_adjust(k)`` in ``tests/helpers.py`` scores one rank
+    through the taped forward and must agree. The readout needs no gradient,
+    so it builds no tape. Rates that ``PropensityEstimate.from_raw`` refuses,
+    such as an exp that overflows or underflows to 0, are refused with a
+    ValueError naming the log-rates and the parameters the readout reads.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("features must be a non-empty (docs, feature_dim) matrix")
     m = model.encoder_d.infer(X)
-    log_rates = np.array([model.ffn.infer(m + p).mean() for p in model.position_table.data])
-    with np.errstate(over="ignore"):
-        raw = np.exp(log_rates)
-    if not np.all(np.isfinite(raw)):
-        raise ValueError(f"backdoor readout: exp of log-rates {log_rates.tolist()} is not finite")
-    return PropensityEstimate.from_raw(raw)
+    log_rates = model.ffn.infer(m[None] + model.position_table.data[:, None]).mean(axis=(1, 2))
+    try:
+        with np.errstate(over="ignore"):
+            return PropensityEstimate.from_raw(np.exp(log_rates))
+    except ValueError as exc:
+        raise ValueError(f"backdoor readout: exp of log-rates {log_rates.tolist()} read from "
+                         f"{group_names(model.parameters())}: {exc}") from None

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .autodiff import AdaGrad
+from .autodiff import AdaGrad, Parameter
 from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, sample_click_matrix
 from .data import Dataset, generate_synthetic
 from .metrics import DEFAULT_CUTOFFS, propensity_error, ranking_metrics
@@ -36,7 +36,6 @@ from .propensity import (
     DEFAULT_TAU,
     TARGET_VARIANTS,
     LPPModel,
-    PositionPropensityModel,
     PropensityEstimate,
     backdoor_estimate,
     confounding_effect_step,
@@ -44,7 +43,7 @@ from .propensity import (
     irw_propensity_loss,
     joint_propensity_step,
     position_targets_from_base,
-    relevance_weights_from_scores,
+    softmax,
 )
 from .ranker import DEFAULT_DROPOUT, DEFAULT_HIDDEN, RankerMLP, ipw_ranking_loss
 from .seeding import derive_seed, rng_for
@@ -326,14 +325,14 @@ class DLALearner(IPWLearner):
     def __init__(self, cfg, feature_dim, n_positions):
         # Zero logits give the uniform estimate; estimate() reads the logits.
         super().__init__(cfg, feature_dim, PropensityEstimate.uniform(n_positions))
-        self.position_model = PositionPropensityModel(n_positions)
+        self.position_logits = Parameter(np.zeros((1, n_positions)), "position_logits")
 
     def _position_update(self, scores, batch: StepBatch) -> float:
-        """The IRW step on the position logits against the ranker's softmax."""
-        rel = relevance_weights_from_scores(scores.data)
-        pos_scores = self.position_model.batch_scores(batch.clicks.shape[0])
-        loss = irw_propensity_loss(pos_scores, batch.clicks, rel, tau=self.cfg.tau)
-        return self.opt.minimize(loss, self.position_model.parameters())
+        """The IRW step on the position logits, repeated per session, against
+        the ranker's softmax."""
+        pos_scores = self.position_logits.take_rows(np.zeros(len(batch.clicks), dtype=np.int64))
+        loss = irw_propensity_loss(pos_scores, batch.clicks, softmax(scores.data), tau=self.cfg.tau)
+        return self.opt.minimize(loss, [self.position_logits])
 
     def step(self, batch: StepBatch) -> float:
         scores = self._scores(batch)
@@ -342,13 +341,13 @@ class DLALearner(IPWLearner):
         return self._ranker_update(scores, batch, estimate)
 
     def estimate(self) -> PropensityEstimate:
-        return dla_propensity(self.position_model)
+        return dla_propensity(self.position_logits)
 
 
 class UPELearner(DLALearner):
     """DLA plus the two-step policy-aware model and its backdoor readout.
 
-    The dual IRW update still trains ``position_model``; its softmax becomes
+    The dual IRW update still trains ``position_logits``; their softmax becomes
     the target of the position-only step, and the ranker is weighted
     by the backdoor-adjusted estimate instead of the position logits.
     """
@@ -363,14 +362,14 @@ class UPELearner(DLALearner):
         self.probe_features = probe_features
 
     def step(self, batch: StepBatch) -> float:
-        """One loop body, in order: the dual IRW update of ``position_model``,
-        document-pathway fit, position-only fit to that model's softmax,
+        """One loop body, in order: the dual IRW update of ``position_logits``,
+        document-pathway fit, position-only fit to their softmax,
         backdoor-adjusted estimate over the batch, ranker update."""
         cfg = self.cfg
         B, N, d = batch.features.shape
         scores = self._scores(batch)
         self._position_update(scores, batch)
-        targets = position_targets_from_base(self.position_model)
+        targets = position_targets_from_base(self.position_logits)
 
         confounding_effect_step(self.lpp, self.opt, batch.features,
                                 batch.logging_scores, variant=cfg.target_variant)

@@ -143,26 +143,32 @@ def test_mlp_infer_is_bit_identical_to_the_eval_forward(in_dim, hidden, out_dim)
 
 
 # Block edges for INFER_BLOCK_ROWS = 512, and a split-sized input.
-INFER_ROWS = [1, 511, 512, 513, 1025, 5000]
+INFER_ROWS = [1, 2, 511, 512, 513, 514, 1025, 1026, 5000]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(shape=st.sampled_from(INFER_SHAPES),
        rows=st.one_of(st.sampled_from(INFER_ROWS), st.integers(1, 3 * INFER_BLOCK_ROWS + 2)),
+       stack=st.one_of(st.just(()), st.tuples(st.integers(1, 12)),
+                       st.tuples(st.integers(1, 3), st.integers(1, 4))),
        seed=st.integers(0, 2**32 - 1))
-def test_blocked_infer_keeps_the_one_shot_bits(shape, rows, seed):
+def test_blocked_infer_keeps_the_one_shot_bits(shape, rows, stack, seed):
     """Inputs past one block are scored block by block, every row with the
-    bits of the one-shot eval chain, and the input is left as it was."""
+    bits of the one-shot eval chain, and the input is left as it was. A
+    ``stack`` of row sets scores each one as ``infer`` of it alone does."""
     in_dim, hidden, out_dim = shape
     rng = np.random.default_rng(seed)
     net = MLP(in_dim, hidden, out_dim, rng, "net", dropout=0.1)
     for p in net.parameters():
         p.data += 0.1 * rng.normal(size=p.data.shape)
-    X = rng.normal(scale=3.0, size=(rows, in_dim))
+    X = rng.normal(scale=3.0, size=(*stack, rows, in_dim))
     X_before = X.copy()
     out = net.infer(X)
-    assert out.shape == (rows, out_dim) and out.dtype == np.float64
-    assert out.tobytes() == mlp_op_by_op(net, Tensor(X)).data.tobytes()
+    assert out.shape == (*stack, rows, out_dim) and out.dtype == np.float64
+    for x, got in zip(X.reshape(-1, rows, in_dim), out.reshape(-1, rows, out_dim)):
+        assert got.tobytes() == mlp_op_by_op(net, Tensor(x)).data.tobytes()
+        if stack:
+            assert got.tobytes() == net.infer(x).tobytes()
     assert X.tobytes() == X_before.tobytes()
 
 

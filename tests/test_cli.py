@@ -630,12 +630,15 @@ def test_steep_eta_still_trains(ten_doc_dir, tmp_path):
 
 def test_readout_overflow_fails_cleanly_without_warnings(data_dir, tmp_path):
     """A step size that blows up the LPP head makes exp overflow in the
-    backdoor readout: one error line naming it, and no numpy warning first."""
+    backdoor readout: one error line naming it and the parameters it reads,
+    and no numpy warning first."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         line = _train_fails_cleanly(tmp_path / "o", "--data", str(data_dir),
                                     "--algorithm", "upe", *TINY, "--set", "learning_rate=2.5")
-    assert line.startswith("error: step 2: backdoor readout: ") and line.endswith("is not finite")
+    assert line.startswith("error: step 2: backdoor readout: exp of log-rates [")
+    assert "] read from lpp.encoder_d.*, lpp.ffn.*, lpp.encoder_p: raw weights must be " \
+           "finite, got [" in line
 
 
 @pytest.fixture(scope="module")
@@ -667,6 +670,62 @@ def test_a_diverged_run_fails_naming_its_step_and_parameters(tiny_dir, tmp_path,
                                    "--set", f"refresh_interval={min(steps, 5)}",
                                    "--set", "eval_every=5", "--set", "batch_queries=4")
     assert got == f"error: {line}"
+
+
+def test_readout_underflow_fails_naming_the_readout_and_its_parameters(tiny_dir, tmp_path):
+    """A step size of 2 drives UPE's log-rates to about -1,800 at step 1, so
+    exp underflows to 0 at some ranks: the line names the readout and the
+    parameters it reads, not only the estimate's refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = _train_fails_cleanly(tmp_path / "o", "--data", str(tiny_dir), "--algorithm", "upe",
+                                    "--set", "learning_rate=2", "--set", "total_steps=10",
+                                    "--set", "refresh_interval=5", "--set", "eval_every=5",
+                                    "--set", "batch_queries=4")
+    assert line.startswith("error: step 1: backdoor readout: exp of log-rates [")
+    assert line.endswith("] read from lpp.encoder_d.*, lpp.ffn.*, lpp.encoder_p: raw weights "
+                         "must be positive")
+
+
+WIDTHS = st.lists(st.integers(1, 6), min_size=1, max_size=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algorithm=st.sampled_from(training.ALGORITHMS),
+       paradigm=st.sampled_from(training.PARADIGMS),
+       learning_rate=st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e),
+       eta=st.floats(0.0, 500.0), tau=st.floats(0.0, 1.0, exclude_min=True),
+       dropout=st.floats(0.0, 0.9), ranker_hidden=WIDTHS, lpp_embed_dim=st.integers(1, 6),
+       lpp_encoder_hidden=WIDTHS, lpp_ffn_hidden=WIDTHS)
+def test_every_run_ends_finite_or_fails_in_one_line(tiny_dir, tmp_path_factory, algorithm,
+                                                    paradigm, eta, **overrides):
+    """Any step size from 1e-320 to 1e300, with any click steepness, variance
+    floor, dropout and widths: a 10-step run either exits 0 with a finite
+    snapshot, curves and propensities, or exits 1 with one `error:` line,
+    no numpy warning and no output directory."""
+    out = tmp_path_factory.mktemp("any") / "o"
+    argv = ["train", "--out", str(out), "--data", str(tiny_dir), "--algorithm", algorithm,
+            "--paradigm", paradigm, "--set", f"simulation.eta={eta!r}"]
+    for key, value in {"total_steps": 10, "refresh_interval": 5, "eval_every": 5,
+                       "batch_queries": 4, "probe_docs": 20, "weak_fraction": 0.5,
+                       **overrides}.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert [str(w.message) for w in caught] == []
+    if rc == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and not out.exists(), lines
+        return
+    assert rc == 0 and lines == []
+    with np.load(out / "model_seed0.npz") as model:
+        assert all(np.isfinite(model[name]).all() for name in model.files)
+    for name, first in (("curves_seed0.csv", 3), ("propensity_seed0.csv", 0)):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert rows and np.isfinite([float(c) for r in rows for c in r.split(",")[first:]]).all()
 
 
 @pytest.mark.parametrize("seeds", ["4..0", "", "..", "0..", "a..2", "0..1.5"])

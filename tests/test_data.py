@@ -139,6 +139,12 @@ def test_dataset_validates_its_arrays():
     for override in bad:
         with pytest.raises(ValueError):
             Dataset(**_valid_arrays(**override))
+    features = np.zeros((2, 2, 2))
+    features[1, 1] = [0.0, np.nan]
+    ones = np.ones((2, 2, 2))
+    for override in (dict(features=features), dict(features=ones, labels=[[0, 4], [1, 3]])):
+        with pytest.raises(ValueError, match="^query r: padding must hold zero features"):
+            Dataset(**_valid_arrays(**override))
 
 
 def test_dataset_sorts_each_row_by_doc_id():

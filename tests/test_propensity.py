@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from ultrlab.autodiff import AdaGrad, Tensor, weighted_listwise_ce
+from ultrlab.autodiff import AdaGrad, Parameter, Tensor, weighted_listwise_ce
 from helpers import (
     backdoor_adjust,
     clipped_inverse_weights_mask_checks,
@@ -26,7 +26,6 @@ from ultrlab.propensity import (
     TARGET_VARIANTS,
     FreezeContractError,
     LPPModel,
-    PositionPropensityModel,
     PropensityEstimate,
     backdoor_estimate,
     clipped_inverse_weights,
@@ -35,7 +34,7 @@ from ultrlab.propensity import (
     irw_propensity_loss,
     joint_propensity_step,
     position_targets_from_base,
-    relevance_weights_from_scores,
+    softmax as propensity_softmax,
     target_weights,
 )
 
@@ -187,72 +186,76 @@ def test_bound_checks_refuse_what_the_mask_checks_refused(name, data):
 # ------------------------------------------------------- position-only model
 
 
-def test_position_model_batch_scores_shapes():
-    model = PositionPropensityModel(4)
-    out = model.batch_scores(3)
-    assert out.data.shape == (3, 4)
-    assert np.array_equal(out.data, np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        PositionPropensityModel(0)
+def position_logits(n_positions):
+    """DLA's base model: one logit per rank, zero at the start."""
+    return Parameter(np.zeros((1, n_positions)), "position_logits")
+
+
+def per_session(logits, rows):
+    """The logits repeated per session row, as the dual learner's IRW step does."""
+    return logits.take_rows(np.zeros(rows, dtype=np.int64))
 
 
 def test_dla_propensity_known_values():
-    model = PositionPropensityModel(2)
-    assert np.array_equal(dla_propensity(model).weights, np.ones(2))
-    model.logits.data[:] = np.array([[math.log(2.0), 0.0]])
-    assert np.allclose(dla_propensity(model).weights, [1.0, 0.5], atol=1e-15)
-    single = PositionPropensityModel(1)
-    assert np.array_equal(dla_propensity(single).weights, np.array([1.0]))
+    logits = position_logits(2)
+    assert np.array_equal(dla_propensity(logits).weights, np.ones(2))
+    logits.data[:] = np.array([[math.log(2.0), 0.0]])
+    assert np.allclose(dla_propensity(logits).weights, [1.0, 0.5], atol=1e-15)
+    assert np.array_equal(dla_propensity(position_logits(1)).weights, np.array([1.0]))
+    logits.data[:] = np.array([[0.0, -np.inf]])
+    with pytest.raises(ValueError, match="^estimate from 'position_logits': "):
+        dla_propensity(logits)
 
 
 def test_irw_loss_hand_values():
-    model = PositionPropensityModel(2)
-    scores = model.batch_scores(1)
+    logits = position_logits(2)
+    scores = per_session(logits, 1)
+    assert scores.data.tobytes() == np.zeros((1, 2)).tobytes()
     none = irw_propensity_loss(scores, np.zeros((1, 2)), np.full((1, 2), 0.5))
     assert float(none.data) == 0.0
-    one = irw_propensity_loss(model.batch_scores(1), np.array([[1.0, 0.0]]),
+    one = irw_propensity_loss(per_session(logits, 1), np.array([[1.0, 0.0]]),
                               np.full((1, 2), 0.5))
     assert float(one.data) == pytest.approx(math.log(2.0), abs=1e-12)
-    both = irw_propensity_loss(model.batch_scores(1), np.array([[1.0, 1.0]]),
+    both = irw_propensity_loss(per_session(logits, 1), np.array([[1.0, 1.0]]),
                                np.array([[2 / 3, 1 / 3]]))
     assert float(both.data) == pytest.approx(3 * math.log(2.0), abs=1e-12)
 
 
 def test_irw_loss_validation():
-    model = PositionPropensityModel(3)
+    logits = position_logits(3)
     with pytest.raises(ValueError):
-        irw_propensity_loss(model.batch_scores(1), np.zeros((1, 2)),
+        irw_propensity_loss(per_session(logits, 1), np.zeros((1, 2)),
                             np.full((1, 3), 0.3))
     with pytest.raises(ValueError):
-        irw_propensity_loss(model.batch_scores(1), np.zeros((1, 3)),
+        irw_propensity_loss(per_session(logits, 1), np.zeros((1, 3)),
                             np.array([[0.0, 0.5, 0.5]]))
 
 
 def test_irw_loss_trains_toward_the_click_skew():
     """Clicks concentrated at rank 1 with flat relevance push logit 1 up."""
     rng = np.random.default_rng(5)
-    model = PositionPropensityModel(3)
+    logits = position_logits(3)
     opt = AdaGrad(lr=0.1)
     rel = np.full((8, 3), 1 / 3)
     for _ in range(200):
         clicks = (rng.random((8, 3)) < np.array([0.9, 0.3, 0.1])).astype(float)
-        opt.minimize(irw_propensity_loss(model.batch_scores(8), clicks, rel),
-                     model.parameters())
-    est = dla_propensity(model)
+        opt.minimize(irw_propensity_loss(per_session(logits, 8), clicks, rel), [logits])
+    est = dla_propensity(logits)
     assert est.weights[0] == 1.0
     assert est.weights[1] > est.weights[2]
     assert est.weights[1] < 0.75
 
 
 def test_relevance_weights_rows_sum_to_one():
+    """The dual loss's relevance weights: the softmax of the ranker's scores."""
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 7)) * 10
-    w = relevance_weights_from_scores(z)
+    w = propensity_softmax(z)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(w > 0)
-    shifted = relevance_weights_from_scores(z + 123.0)
+    shifted = propensity_softmax(z + 123.0)
     assert np.allclose(w, shifted, atol=1e-12)
-    one = relevance_weights_from_scores(np.array([0.0, math.log(3.0)]))
+    one = propensity_softmax(np.array([0.0, math.log(3.0)]))
     assert one.shape == (2,)
     assert np.allclose(one, [0.25, 0.75], atol=1e-12)
 
@@ -381,13 +384,13 @@ def test_confounding_step_moves_only_the_document_pathway():
 
 
 def test_position_targets_from_base():
-    base = PositionPropensityModel(3)
+    base = position_logits(3)
     assert np.allclose(position_targets_from_base(base),
                        np.full(3, -math.log(3.0)), atol=1e-15)
-    base.logits.data[:] = np.array([[math.log(2.0), 0.0, 0.0]])
+    base.data[:] = np.array([[math.log(2.0), 0.0, 0.0]])
     targets = position_targets_from_base(base)
     assert np.allclose(targets, np.log([0.5, 0.25, 0.25]), atol=1e-12)
-    base.logits.data += 17.0
+    base.data += 17.0
     assert np.allclose(position_targets_from_base(base), targets, atol=1e-12)
 
 
@@ -606,8 +609,9 @@ def test_backdoor_estimate_validation():
 
 
 def test_backdoor_estimate_refuses_rates_whose_exp_is_not_finite():
-    """A log-rate past exp's range (or NaN) is refused by name, with no numpy
-    warning; a head just inside the range still reads out."""
+    """A log-rate past exp's range (or NaN, or one whose exp underflows to 0)
+    is refused by name, with no numpy warning; a head just inside the range
+    still reads out."""
     model = small_lpp(seed=29)
     X = np.random.default_rng(30).normal(size=(4, 3))
     head = model.ffn.layers[-1].b.data
@@ -621,6 +625,10 @@ def test_backdoor_estimate_refuses_rates_whose_exp_is_not_finite():
         head[:] = np.nan
         with pytest.raises(ValueError, match="^backdoor readout: "):
             backdoor_estimate(model, X)
+        head[:] = -800.0
+        with pytest.raises(ValueError, match="^backdoor readout: .* lpp.encoder_p: raw "
+                                             "weights must be positive$"):
+            backdoor_estimate(model, X)
 
 
 def test_joint_training_recovers_base_ratios():
@@ -629,8 +637,7 @@ def test_joint_training_recovers_base_ratios():
     second-rank weight at 1/2."""
     model = small_lpp(seed=28, n_positions=2)
     opt = AdaGrad(lr=0.5)
-    base = PositionPropensityModel(2)
-    base.logits.data[:] = np.array([[0.0, -math.log(2.0)]])
+    base = Parameter(np.array([[0.0, -math.log(2.0)]]), "position_logits")
     targets = position_targets_from_base(base)
     assert np.allclose(np.exp(targets), [2 / 3, 1 / 3], atol=1e-15)
     x = np.array([0.4, -0.1, 0.7])

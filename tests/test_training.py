@@ -311,7 +311,7 @@ def test_naive_learner_equals_dla_pinned_to_uniform(small_data):
         assert np.array_equal(a.data, b.data)
     for step in range(3):
         _, batch = _policy_and_batch(small_data, cfg, seed=40 + step)
-        pinned.position_model.logits.data[:] = 0.0
+        pinned.position_logits.data[:] = 0.0
         naive.step(batch)
         pinned.step(batch)
     for a, b in zip(naive.ranker.parameters(), pinned.ranker.parameters()):
@@ -355,7 +355,7 @@ def test_upe_iteration_moves_the_right_parameters(small_data, monkeypatch):
     policy, batch = _policy_and_batch(small_data, cfg, seed=55)
     probe = policy.view.flat_features()[:20]
     learner = UPELearner(cfg, 5, 6, probe)
-    base_before = learner.position_model.logits.data.copy()
+    base_before = learner.position_logits.data.copy()
     table_before = learner.lpp.position_table.data.copy()
     pathway_before = [p.data.copy() for p in learner.lpp.g_pt]
     ranker_before = [p.data.copy() for p in learner.ranker.parameters()]
@@ -366,7 +366,7 @@ def test_upe_iteration_moves_the_right_parameters(small_data, monkeypatch):
         est = estimates[-1]
         assert est.weights[0] == 1.0
         assert np.all(est.weights > 0) and np.all(est.weights <= 1.0)
-    assert not np.array_equal(learner.position_model.logits.data, base_before)
+    assert not np.array_equal(learner.position_logits.data, base_before)
     assert not np.array_equal(learner.lpp.position_table.data, table_before)
     assert any(not np.array_equal(p.data, b)
                for p, b in zip(learner.lpp.g_pt, pathway_before))

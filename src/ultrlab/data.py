@@ -12,21 +12,21 @@ objects held at once stay one block's however long the split.
 ``serialize_svmlight`` copies out the documents BLOCK_LINES at a time and
 renders each block through one ``%`` template per dataset, writing values as
 ``repr`` floats, so reparsing gives back the same bits. ``parse_svmlight``
-splits the text into lines one CHUNK_CHARS chunk at a time, checks each
-line's label and qid as it reads it and converts feature tokens a block of
-about BLOCK_CELLS tokens at a time, however wide the rows; a block that fails
-a bulk check is walked token by token, so a text with several faults reports
-the first in file order. A parse holds at once the text, one chunk of lines,
-one block of tokens, 16 bytes per feature cell read so far (an int64 id and a
-float64 value) and the output: each block's cells are scattered straight into
-their query's row of the padded array, so no line is copied twice.
+converts one chunk of whole lines, about CHUNK_CHARS characters, at a time,
+however wide the rows; a chunk that fails a bulk check is walked line by
+line and token by token, so a text with several faults reports the first in
+file order. A parse holds at once the text, one chunk of lines and tokens,
+16 bytes per feature cell read so far (an int64 id and a float64 value),
+each line's grade, comment and cell index, and the output: each chunk's
+cells are scattered straight into their query's row of the padded array, so
+no line is copied twice.
 """
 
 import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import List
 
 import numpy as np
@@ -123,142 +123,110 @@ class Dataset:
 # once; the whole split in one block costs peak memory.
 BLOCK_LINES = 512
 
-# Feature tokens parsed together (512 lines of 16 features). Counting cells,
-# not lines, bounds the token strings held at once however wide the rows.
-BLOCK_CELLS = 8192
-
-# Characters of text split into lines at a time, bounding the line strings
-# held at once; a chunk runs on to the next line boundary.
+# Characters of text parsed at a time, bounding the line and token strings
+# held at once however long or wide the split; a chunk runs on to the next
+# line boundary.
 CHUNK_CHARS = 1 << 16
 
 # Every line boundary of str.splitlines, a CR LF pair as one.
 _LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _lines(text: str):
-    """The lines of ``text.splitlines()``, split one chunk at a time. Each chunk
-    ends just after the first line boundary from its CHUNK_CHARS-th character
-    on, a CR LF pair whole, so no line spans two chunks; a text with no
-    boundary there is one chunk."""
+def _chunks(text: str):
+    """The lines of ``text.splitlines()``, one list per chunk. Each chunk ends
+    just after the first line boundary from its CHUNK_CHARS-th character on, a
+    CR LF pair whole, so no line spans two chunks; a text with no boundary
+    there is one chunk."""
     start = 0
     while start < len(text):
         cut = _LINE_END.search(text, start + CHUNK_CHARS - 1)
         end = cut.end() if cut else len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end].splitlines()
         start = end
 
 
-def _line_head(tokens):
-    """A line's label and qid; a fault raises ValueError with its message."""
-    if len(tokens) < 2:
-        raise ValueError("expected '<label> qid:<id> ...'")
-    try:
-        label = int(tokens[0])
-    except ValueError:
-        raise ValueError(f"bad label {tokens[0]!r}") from None
-    if not 0 <= label <= Y_MAX:
-        raise ValueError(f"label {label} outside [0, {Y_MAX}]")
-    if not tokens[1].startswith("qid:"):
-        raise ValueError(f"expected qid:<id>, got {tokens[1]!r}")
-    if tokens[1] == "qid:":
-        raise ValueError("empty qid")
-    return label, tokens[1][len("qid:"):]
+def _convert(lines: List[str], line_no: int):
+    """A chunk's documents in bulk, as ``_walk`` returns them: the heads by
+    list comprehension, the feature tokens by one split of their joined text
+    into id and value columns for Python's ``int`` and ``float``. A chunk that
+    fails any check raises ValueError or OverflowError instead."""
+    docs = [(n, body.split(None, 2), comment.strip()) for n, (body, _, comment)
+            in enumerate(map(operator.methodcaller("partition", "#"), lines), line_no)]
+    docs = [doc for doc in docs if doc[1] or doc[2]]  # a blank line holds no document
+    if not all(len(head) > 1 and head[1].startswith("qid:") and head[1] != "qid:"
+               for _, head, _ in docs):
+        raise ValueError
+    labels = [int(head[0]) for _, head, _ in docs]
+    if not 0 <= min(labels, default=0) <= max(labels, default=0) <= Y_MAX:
+        raise ValueError
+    feats = [head[2] if len(head) > 2 else "" for _, head, _ in docs]
+    joined = " ".join(feats)
+    tokens = joined.split()
+    n = len(tokens)
+    # One ':' in every token. A token with no text on one side of it leaves
+    # the value column short, which fromiter's count refuses.
+    if joined.count(":") != n or not all(map(operator.contains, tokens, repeat(":"))):
+        raise ValueError
+    fields = joined.replace(":", " ").split()
+    ints = {s: int(s) for s in dict.fromkeys(fields[0::2])}  # ids repeat: convert each once
+    ids = np.fromiter(map(ints.__getitem__, fields[0::2]), np.int64, n)
+    vals = np.fromiter(map(float, fields[1::2]), np.float64, n)
+    counts = np.fromiter(map(operator.methodcaller("count", ":"), feats), np.int64, len(docs))
+    rows = np.repeat(np.arange(len(docs)), counts)  # each cell's document
+    # Ids rising along each line are 1-based and given once.
+    if (ids < 1).any() or ((rows[1:] == rows[:-1]) & (ids[1:] <= ids[:-1])).any():
+        raise ValueError
+    return (labels, [head[1][len("qid:"):] for _, head, _ in docs], [c for _, _, c in docs],
+            counts, ids, vals, int(ids.max(initial=0)), docs[rows[ids.argmax()]][0] if n else 0)
 
 
-class _FeatureCells:
-    """The ``<fid>:<val>`` tokens of the lines read so far, kept per block as
-    its first row, its lines' token counts, and the ids and values of its cells.
-
-    Tokens wait in a block of whole lines, up to the one that brings it to
-    BLOCK_CELLS tokens, and are then converted in bulk: one split of the
-    joined block, then Python's ``int`` and ``float`` over the id and value
-    columns. A block that fails a bulk check is walked token by token
-    instead, which raises its first fault in file order or converts what the
-    bulk route would not take (ids out of order, ids past int64).
-    """
-
-    def __init__(self):
-        self.tokens, self.counts, self.line_nos = [], [], []
-        self.blocks = []  # (first row, counts, ids, values) of each converted block
-        self.n_rows = 0
-        self.max_fid = self.max_line = 0
-
-    def add(self, line_no: int, tokens: List[str]) -> None:
-        self.tokens += tokens
-        self.counts.append(len(tokens))
-        self.line_nos.append(line_no)
-        if len(self.tokens) >= BLOCK_CELLS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Convert the pending block, or raise the first fault in it."""
-        if not self.counts:
-            return
-        n = len(self.tokens)
-        joined = " ".join(self.tokens)
-        fields = joined.replace(":", " ").split()
-        counts = np.array(self.counts, dtype=np.int64)
-        rows = np.repeat(np.arange(counts.size), counts)  # each cell's line in the block
+def _walk(lines: List[str], line_no: int):
+    """A chunk line by line and token by token: raises its first fault in file
+    order, or returns each document's label, qid and comment, its cells'
+    count, their ids and values, and the largest id with its line. It takes
+    what ``_convert`` will not: ids out of order and ids past int64."""
+    labels, qids, comments, counts, ids, vals = [], [], [], [], [], []
+    top = top_line = 0
+    for n, line in enumerate(lines, line_no):
+        body, _, comment = line.partition("#")
+        tokens, comment = body.split(), comment.strip()
+        if not tokens:
+            if comment:
+                raise ParseError(n, "comment-only line has no label")
+            continue
+        if len(tokens) < 2:
+            raise ParseError(n, "expected '<label> qid:<id> ...'")
         try:
-            # One ':' in every token. A token with no text on one side of it
-            # leaves the value column short, which fromiter's count refuses.
-            if joined.count(":") != n or not all(map(operator.contains, self.tokens, repeat(":"))):
-                raise ValueError
-            ids = np.fromiter(map(int, fields[0::2]), np.int64, n)
-            vals = np.fromiter(map(float, fields[1::2]), np.float64, n)
-            # Ids rising along each line are 1-based and given once.
-            if (ids < 1).any() or ((rows[1:] == rows[:-1]) & (ids[1:] <= ids[:-1])).any():
-                raise ValueError
-            top = int(ids.max(initial=0))
-            at = int(ids.argmax()) if n else 0
-        except (ValueError, OverflowError):
-            ids, vals = self._walk()
-            top = max(ids, default=0)
-            at = ids.index(top) if ids else 0
-        if top > self.max_fid:
-            self.max_fid, self.max_line = top, self.line_nos[rows[at]]
-        if top <= np.iinfo(np.int64).max:  # else no int64 holds it, and dense() refuses the width
-            self.blocks.append((self.n_rows, counts, np.asarray(ids, dtype=np.int64),
-                                np.asarray(vals, dtype=np.float64)))
-        self.n_rows += counts.size
-        self.tokens, self.counts, self.line_nos = [], [], []
-
-    def _walk(self):
-        """The pending block token by token: its first fault, or its ids and values."""
-        ids, vals, tokens = [], [], iter(self.tokens)
-        for line_no, count in zip(self.line_nos, self.counts):
-            seen = set()
-            for tok in islice(tokens, count):
-                fid_s, _, val_s = tok.partition(":")
-                try:
-                    fid = int(fid_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ParseError(line_no, f"bad feature token {tok!r}") from None
-                if fid < 1:
-                    raise ParseError(line_no, f"feature ids are 1-based, got {fid}")
-                if fid in seen:
-                    raise ParseError(line_no, f"feature id {fid} given twice")
-                seen.add(fid)
-                ids.append(fid)
-                vals.append(val)
-        return ids, vals
-
-    def dense(self, n_cells: int, cell: np.ndarray) -> np.ndarray:
-        """The (n_cells, max feature id) matrix with line i's features in row
-        ``cell[i]`` and 0.0 elsewhere. Each block's cells are scattered in turn
-        and then dropped, so no copy of all cells is made. A width numpy cannot
-        allocate is refused on the line holding the largest id."""
-        self.flush()
-        try:
-            features = np.zeros((n_cells, self.max_fid), dtype=np.float64)
-        except (MemoryError, ValueError):
-            raise ParseError(self.max_line, f"feature id {self.max_fid} needs a {self.n_rows} x "
-                             f"{self.max_fid} feature matrix, too large to allocate") from None
-        while self.blocks:
-            start, counts, ids, vals = self.blocks.pop()
-            features[cell[np.repeat(np.arange(start, start + counts.size), counts)], ids - 1] = vals
-        return features
+            label = int(tokens[0])
+        except ValueError:
+            raise ParseError(n, f"bad label {tokens[0]!r}") from None
+        if not 0 <= label <= Y_MAX:
+            raise ParseError(n, f"label {label} outside [0, {Y_MAX}]")
+        if not tokens[1].startswith("qid:"):
+            raise ParseError(n, f"expected qid:<id>, got {tokens[1]!r}")
+        if tokens[1] == "qid:":
+            raise ParseError(n, "empty qid")
+        cells = {}
+        for tok in tokens[2:]:
+            fid_s, _, val_s = tok.partition(":")
+            try:
+                fid, val = int(fid_s), float(val_s)
+            except ValueError:
+                raise ParseError(n, f"bad feature token {tok!r}") from None
+            if fid < 1:
+                raise ParseError(n, f"feature ids are 1-based, got {fid}")
+            if fid in cells:
+                raise ParseError(n, f"feature id {fid} given twice")
+            cells[fid] = val
+            if fid > top:
+                top, top_line = fid, n
+        labels.append(label)
+        qids.append(tokens[1][len("qid:"):])
+        comments.append(comment)
+        counts.append(len(cells))
+        ids += cells
+        vals += cells.values()
+    return labels, qids, comments, counts, ids, vals, top, top_line
 
 
 def parse_svmlight(text: str) -> Dataset:
@@ -270,40 +238,52 @@ def parse_svmlight(text: str) -> Dataset:
     present, becomes the document id; otherwise ids are assigned per group.
     A stream with several faults reports the first in file order.
     """
-    qids, labels, comments = [], [], []
-    cells = _FeatureCells()
-    for line_no, raw in enumerate(_lines(text), start=1):
-        line, _, comment = raw.partition("#")
-        comment = comment.strip()
-        tokens = line.split()
+    first: dict = {}  # qid -> its row, by first appearance
+    cell, labels, comments, cells = [], [], [], []
+    max_fid = max_line = 0
+    line_no = 1
+    for lines in _chunks(text):
         try:
-            if not tokens:
-                if comment:
-                    raise ValueError("comment-only line has no label")
-                continue
-            label, qid = _line_head(tokens)
-        except ValueError as exc:
-            cells.flush()  # a feature fault on an earlier line comes first
-            raise ParseError(line_no, str(exc)) from None
-        cells.add(line_no, tokens[2:])
-        qids.append(qid)
-        labels.append(label)
-        comments.append(comment)
+            chunk = _convert(lines, line_no)
+        except (ValueError, OverflowError):
+            chunk = _walk(lines, line_no)
+        line_no += len(lines)
+        chunk_labels, qids, chunk_comments, counts, ids, vals, top, top_line = chunk
+        cell += [first.setdefault(qid, len(first)) for qid in qids]
+        labels += chunk_labels
+        comments += chunk_comments
+        if top > max_fid:
+            max_fid, max_line = top, top_line
+        if top <= np.iinfo(np.int64).max:  # else no int64 holds it, and the width is refused
+            cells.append((np.asarray(counts, dtype=np.int64), np.asarray(ids, dtype=np.int64),
+                          np.asarray(vals, dtype=np.float64)))
 
-    # Line i fills slot[i] of row owner[i]: qids by first appearance, lines in file order.
-    first: dict = {}
-    owner = np.array([first.setdefault(qid, len(first)) for qid in qids], dtype=np.int64)
-    counts = np.bincount(owner, minlength=len(first))
-    order = np.argsort(owner, kind="stable")
-    slot = np.empty_like(owner)
-    slot[order] = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # Line i fills cell[i] of the flat (queries, docs) grid: its query's row,
+    # after the earlier lines with its qid.
+    cell = np.array(cell, dtype=np.int64)  # each line's row, until it becomes its cell
+    counts = np.bincount(cell, minlength=len(first))
     shape = (len(first), int(counts.max(initial=0)))
-    features = cells.dense(shape[0] * shape[1], owner * shape[1] + slot)
-    ids = np.array([c or f"q{qid}_d{j}" for c, qid, j in zip(comments, qids, slot.tolist())])
+    cell[np.argsort(cell, kind="stable")] = np.arange(cell.size) + np.repeat(
+        np.arange(shape[0]) * shape[1] - np.cumsum(counts) + counts, counts)
+    try:
+        features = np.zeros((shape[0] * shape[1], max_fid), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ParseError(max_line, f"feature id {max_fid} needs a {cell.size} x {max_fid} "
+                         "feature matrix, too large to allocate") from None
+    # Each chunk's cells go straight to their rows and are then dropped.
+    end = cell.size
+    while cells:
+        counts, ids, vals = cells.pop()
+        end -= counts.size
+        features[cell[end:end + counts.size].repeat(counts), ids - 1] = vals
+    owner, slot = np.divmod(cell, max(shape[1], 1))
+    names = list(first)
+    ids = np.array([c or f"q{names[q]}_d{j}"
+                    for c, q, j in zip(comments, owner.tolist(), slot.tolist())])
     grades, doc_ids = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=ids.dtype)
-    grades[owner, slot], doc_ids[owner, slot] = labels, ids
-    return Dataset(features=features.reshape(*shape, features.shape[1]), labels=grades,
-                   doc_ids=doc_ids, query_ids=list(first))
+    grades.reshape(-1)[cell], doc_ids.reshape(-1)[cell] = labels, ids
+    return Dataset(features=features.reshape(*shape, max_fid), labels=grades, doc_ids=doc_ids,
+                   query_ids=names)
 
 
 def serialize_svmlight(dataset: Dataset) -> str:

@@ -73,6 +73,8 @@ class PropensityEstimate:
             raise ValueError("weights must be normalized to 1 at position 1")
         if lo <= 0.0 or hi > 1.0:
             raise ValueError("weights must lie in (0, 1]")
+        if lo < np.finfo(np.float64).smallest_normal:  # normalized() overflows on a subnormal
+            raise ValueError(f"weights must be normal floats, got {float(lo)!r}")
 
     def __len__(self) -> int:
         return self.weights.size

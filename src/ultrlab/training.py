@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .autodiff import AdaGrad, Parameter
+from .autodiff import AdaGrad, Parameter, group_names
 from .clicks import PositionBiasCurve, SimulationConfig, check_field_types, sample_click_matrix
 from .data import Dataset, generate_synthetic
 from .metrics import DEFAULT_CUTOFFS, propensity_error, ranking_metrics
@@ -329,9 +329,14 @@ class DLALearner(IPWLearner):
 
     def _position_update(self, scores, batch: StepBatch) -> float:
         """The IRW step on the position logits, repeated per session, against
-        the ranker's softmax."""
+        the ranker's softmax; a refusal of its weights names both."""
         pos_scores = self.position_logits.take_rows(np.zeros(len(batch.clicks), dtype=np.int64))
-        loss = irw_propensity_loss(pos_scores, batch.clicks, softmax(scores.data), tau=self.cfg.tau)
+        try:
+            loss = irw_propensity_loss(pos_scores, batch.clicks, softmax(scores.data),
+                                       tau=self.cfg.tau)
+        except ValueError as exc:
+            raise ValueError(f"IRW update of {self.position_logits.name} against the softmax of "
+                             f"{group_names(self.ranker.parameters())} scores: {exc}") from None
         return self.opt.minimize(loss, [self.position_logits])
 
     def step(self, batch: StepBatch) -> float:

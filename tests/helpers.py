@@ -505,6 +505,8 @@ def propensity_weights_mask_checks(weights):
         raise ValueError("weights must be normalized to 1 at position 1")
     if np.any(weights <= 0.0) or np.any(weights > 1.0):
         raise ValueError("weights must lie in (0, 1]")
+    if np.any(weights < np.finfo(np.float64).smallest_normal):
+        raise ValueError(f"weights must be normal floats, got {float(weights.min())!r}")
     return weights
 
 

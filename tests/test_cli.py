@@ -672,6 +672,20 @@ def test_a_diverged_run_fails_naming_its_step_and_parameters(tiny_dir, tmp_path,
     assert got == f"error: {line}"
 
 
+def test_a_degenerate_irw_update_fails_naming_its_phase_and_parameters(tiny_dir, tmp_path):
+    """A step size of 5 spreads DLA's ranker scores past exp's range, so their
+    softmax gives a first displayed document 0: the line names the IRW update,
+    the position logits it moves and the ranker scores it divides by."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = _train_fails_cleanly(tmp_path / "o", "--data", str(tiny_dir), "--algorithm", "dla",
+                                    "--set", "learning_rate=5", "--set", "total_steps=10",
+                                    "--set", "refresh_interval=5", "--set", "eval_every=5",
+                                    "--set", "batch_queries=4")
+    assert line == ("error: step 2: IRW update of position_logits against the softmax of "
+                    "ranker.* scores: degenerate weights: a row's first entry must be positive")
+
+
 def test_readout_underflow_fails_naming_the_readout_and_its_parameters(tiny_dir, tmp_path):
     """A step size of 2 drives UPE's log-rates to about -1,800 at step 1, so
     exp underflows to 0 at some ranks: the line names the readout and the

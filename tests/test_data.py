@@ -236,19 +236,23 @@ def _parse_outcome(parse, text):
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(st.tuples(_svmlight_lines(), st.sampled_from(_ENDINGS)), max_size=12),
-       block_cells=st.integers(1, 40))
-def test_parse_matches_the_line_by_line_oracle(lines, block_cells):
-    """Block-wise conversion parses as the line-by-line oracle does, bit for bit,
-    and refuses with its message and line, whatever the block size."""
+       chunk_chars=st.integers(8, 400))
+def test_parse_matches_the_line_by_line_oracle(lines, chunk_chars):
+    """Chunk-wise conversion parses as the line-by-line oracle does, bit for bit,
+    and refuses with its message and line, whatever the chunk size."""
     text = "".join(line + end for line, end in lines)
     want = _parse_outcome(parse_svmlight_line_by_line, text)
-    with mock.patch.object(data, "BLOCK_CELLS", block_cells):
+    with mock.patch.object(data, "CHUNK_CHARS", chunk_chars):
         assert _parse_outcome(parse_svmlight, text) == want
 
 
 # Every boundary str.splitlines splits on.
 _ALL_ENDINGS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                 "\u2029"]
+
+
+def _chunked_lines(text):
+    return [line for lines in data._chunks(text) for line in lines]
 
 
 def _qid_token(line_and_end):
@@ -258,17 +262,16 @@ def _qid_token(line_and_end):
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(st.tuples(_svmlight_lines(), st.sampled_from(_ALL_ENDINGS)), max_size=12),
-       grouped=st.booleans(), chunk_chars=st.integers(1, 7), block_cells=st.integers(1, 40))
-def test_chunked_line_split_matches_the_line_by_line_oracle(lines, grouped, chunk_chars,
-                                                            block_cells):
+       grouped=st.booleans(), chunk_chars=st.integers(1, 7))
+def test_chunked_line_split_matches_the_line_by_line_oracle(lines, grouped, chunk_chars):
     """Split a few characters at a time, any text gives ``str.splitlines``'s lines,
     and parses as the oracle does, whether its qids come grouped or interleaved."""
     if grouped:
         lines = sorted(lines, key=_qid_token)
     text = "".join(line + end for line, end in lines)
     want = _parse_outcome(parse_svmlight_line_by_line, text)
-    with mock.patch.multiple(data, CHUNK_CHARS=chunk_chars, BLOCK_CELLS=block_cells):
-        assert list(data._lines(text)) == text.splitlines()
+    with mock.patch.object(data, "CHUNK_CHARS", chunk_chars):
+        assert _chunked_lines(text) == text.splitlines()
         assert _parse_outcome(parse_svmlight, text) == want
 
 
@@ -282,7 +285,7 @@ def test_a_crlf_pair_across_a_chunk_edge_ends_one_line(chunk_chars):
     want = _parse_outcome(parse_svmlight_line_by_line, text)
     assert want[0] == (2, 2, 2)
     with mock.patch.object(data, "CHUNK_CHARS", chunk_chars):
-        assert list(data._lines(text)) == text.splitlines()
+        assert _chunked_lines(text) == text.splitlines()
         assert _parse_outcome(parse_svmlight, text) == want
 
 
@@ -300,8 +303,8 @@ def _parse_peak(text):
 def test_parse_peak_memory_stays_under_two_and_a_half_texts():
     """The parser's memory budget: on a 20,000-line, 16-feature text, the
     tracemalloc peak of a parse stays below 2.5 times the text's length in
-    characters. Beside the text a parse holds one chunk of lines, one block
-    of tokens, 16 bytes per feature cell and its output."""
+    characters. Beside the text a parse holds one chunk of lines and tokens,
+    16 bytes per feature cell, a few per-line values and its output."""
     text = serialize_svmlight(generate_synthetic(2000, 10, 16, seed=0))
     assert text.count("\n") == 20_000
     peak, shape = _parse_peak(text)
@@ -309,10 +312,20 @@ def test_parse_peak_memory_stays_under_two_and_a_half_texts():
     assert peak < 2.5 * len(text), f"peak {peak} bytes for {len(text)} characters"
 
 
-def test_wide_rows_parse_in_blocks_of_cells():
-    """A block holds BLOCK_CELLS tokens however wide the rows, so on a 5,000-line,
-    136-feature text the parse peaks under 1.3 times the text, as narrow rows do:
-    blocks of 512 lines held about 70k token strings at once here."""
+def test_parse_keeps_one_int64_per_line_beside_the_cells():
+    """While the cells are scattered, a parse holds per line only its cell
+    index, grade and comment, so the 20,000-line, 16-feature text peaks under
+    1.4 texts: four int64 arrays per line there made it 1.553."""
+    text = serialize_svmlight(generate_synthetic(2000, 10, 16, seed=0))
+    peak, shape = _parse_peak(text)
+    assert shape == (2000, 10, 16)
+    assert peak < 1.4 * len(text), f"peak {peak} bytes for {len(text)} characters"
+
+
+def test_wide_rows_parse_in_chunks_of_characters():
+    """A chunk holds CHUNK_CHARS characters of tokens however wide the rows, so on
+    a 5,000-line, 136-feature text the parse peaks under 1.3 times the text, as
+    narrow rows do."""
     text = serialize_svmlight(generate_synthetic(500, 10, 136, seed=0))
     peak, shape = _parse_peak(text)
     assert shape == (500, 10, 136)
@@ -399,6 +412,17 @@ def test_the_first_fault_in_file_order_is_reported(lines, want):
         assert str(info.value) == want
 
 
+def _parse_in_chunks_of(n_lines, lines):
+    """What a parse makes of ``lines``, each padded to 48 characters, in chunks
+    of ``n_lines`` whole lines; checked against the oracle's outcome."""
+    assert max(map(len, lines)) <= 48
+    text = "\n".join(line.ljust(48) for line in lines)
+    want = _parse_outcome(parse_svmlight_line_by_line, text)
+    with mock.patch.object(data, "CHUNK_CHARS", n_lines * 49):
+        assert _parse_outcome(parse_svmlight, text) == want
+    return want
+
+
 @pytest.mark.parametrize("faults", [
     {511: "1 qid:1 1:0.5 1:0.5"}, {512: "1 qid:1 0:0.5"}, {513: "1 qid:1 1:x"},
     {1500: "9 qid:1 1:0.5"}, {512: "1 qid:1 1:x", 513: "x qid:1"},
@@ -406,23 +430,36 @@ def test_the_first_fault_in_file_order_is_reported(lines, want):
     {1025: "1 qid:1 4:1 2:1 2:3"},
 ])
 def test_late_faults_on_both_sides_of_a_block_boundary(faults):
-    """With blocks of 1,024 cells, 512 of these two-feature lines, faults at and
-    around the block edges are found where the oracle finds them."""
+    """With chunks of 512 lines, faults at and around the chunk edges are found
+    where the oracle finds them."""
     lines = _valid_lines(1600)
     for line_no, line in faults.items():
         lines[line_no - 1] = line
-    text = "\n".join(lines)
-    want = _parse_outcome(parse_svmlight_line_by_line, text)
-    assert want[2] == min(faults)
-    with mock.patch.object(data, "BLOCK_CELLS", 1024):
-        assert _parse_outcome(parse_svmlight, text) == want
+    assert _parse_in_chunks_of(512, lines)[2] == min(faults)
+
+
+_OUT_OF_ORDER = "2 qid:x 3:1.0 1:2.0 # out of order"
+
+
+@pytest.mark.parametrize("n_lines", [1, 2, 5])
+@pytest.mark.parametrize("edge", ["first", "last"])
+@pytest.mark.parametrize("fault", ["x qid:1", "1 qid:", "1 qid:1 2:1 2:1", "# stray",
+                                   "1 qid:1 1:0.5 5"])
+def test_a_fault_on_the_first_or_last_line_of_a_chunk(n_lines, edge, fault):
+    """A fault on a chunk's first or last line is refused on that line, after a
+    chunk that the walk took in whole: its ids out of order, one written +3."""
+    lines = _valid_lines(4 * n_lines)
+    lines[n_lines - 1] = _OUT_OF_ORDER.replace("3:", "+3:")
+    at = 2 * n_lines + 1 if edge == "first" else 3 * n_lines
+    lines[at - 1] = fault
+    assert _parse_in_chunks_of(n_lines, lines)[2] == at
 
 
 def test_many_blocks_parse_as_the_oracle_does():
-    text = "\r\n".join(_valid_lines(1600)[::-1] + ["2 qid:x 3:1.0 1:2.0 # out of order"])
+    text = "\r\n".join(_valid_lines(1600)[::-1] + [_OUT_OF_ORDER])
     want = _parse_outcome(parse_svmlight_line_by_line, text)
     assert want[0] == (161, 10, 3)
-    with mock.patch.object(data, "BLOCK_CELLS", 1024):
+    with mock.patch.object(data, "CHUNK_CHARS", 1024):
         assert _parse_outcome(parse_svmlight, text) == want
 
 

@@ -86,6 +86,18 @@ def test_from_raw_normalizes_and_saturates():
                 PropensityEstimate.from_raw(np.array(raw))
 
 
+@pytest.mark.parametrize("check", [lambda raw: PropensityEstimate.from_raw(raw).weights,
+                                   propensity_from_raw_mask_checks], ids=["new", "oracle"])
+def test_a_subnormal_weight_is_refused_before_normalized_overflows(check):
+    """1e-310 is below the smallest normal float, so ``normalized()`` would
+    divide by it to inf; 2.3e-308 is just above it and stays finite."""
+    with pytest.raises(ValueError, match=r"^weights must be normal floats, got 1e-310$"):
+        check([1.0, 1e-310])
+    est = PropensityEstimate.from_raw([1.0, 2.3e-308])
+    assert np.isfinite(est.normalized()).all() and "inf" not in est.as_csv()
+    assert np.array_equal(check([1.0, 2.3e-308]), est.weights)
+
+
 def test_uniform_and_true_curve():
     assert np.array_equal(PropensityEstimate.uniform(3).weights, np.ones(3))
     est = PropensityEstimate.from_raw(PositionBiasCurve.inverse_rank(4).examination(2.0))
@@ -125,8 +137,9 @@ def test_clipped_inverse_weights():
 
 
 # Finite edges alone, so that checks past the finiteness check are reached too.
-_FINITE_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0),
-                                 float(Y_MAX), np.nextafter(Y_MAX, np.inf), 1e308, -1e308])
+_FINITE_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 2.3e-308, 0.5, 1.0,
+                                 np.nextafter(1.0, 2.0), float(Y_MAX),
+                                 np.nextafter(Y_MAX, np.inf), 1e308, -1e308])
 _BOUND_VALUES = st.one_of(_FINITE_EDGES, st.sampled_from([np.nan, np.inf, -np.inf]),
                           st.floats(allow_nan=True, allow_infinity=True))
 _SHAPES = array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)

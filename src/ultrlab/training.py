@@ -421,8 +421,17 @@ def _memory_floor(cfg: ExperimentConfig, feature_dim: int, n_positions: int, row
     return 8 * (3 * params + outputs)
 
 
-def _physical_memory() -> float:
-    """The host's physical memory in bytes; unbounded where os.sysconf cannot say."""
+def _available_memory(meminfo: str = "/proc/meminfo") -> float:
+    """Bytes a new allocation can take without the kernel killing a process:
+    MemAvailable from ``meminfo``, else the host's physical memory, else
+    unbounded where os.sysconf cannot say either."""
+    try:
+        with open(meminfo) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the field is in kB
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -458,13 +467,13 @@ def run_experiment(cfg: ExperimentConfig, data: SplitData,
         raise ValueError(f"simulation.eta={cfg.simulation.eta!r} underflows the examination "
                          f"probability at rank {np.argmax(underflow) + 1}")
     test_view = DatasetView(data.test)
-    # Refused before any allocation: a run past physical memory is killed, not failed.
+    # Refused before any allocation: a run past available memory is killed, not failed.
     need = _memory_floor(cfg, train_view.dataset.feature_dim, n_positions,
                          min(cfg.batch_queries, train_view.n_queries) * n_positions)
-    have = _physical_memory()
+    have = _available_memory()
     if need > have:
         raise ValueError(f"the run would allocate at least {need / 2**30:.3g} GiB, more than "
-                         f"the {have / 2**30:.3g} GiB of physical memory")
+                         f"the {have / 2**30:.3g} GiB of available memory")
 
     learner = _build_learner(cfg, train_view, n_positions, curve)
     if policy is None:

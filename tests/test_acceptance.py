@@ -22,8 +22,10 @@ Every test here carries the ``acceptance`` marker, so the fast suite is
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,7 +64,8 @@ pytestmark = pytest.mark.acceptance
 SEEDS = (0, 1, 2, 3, 4)
 
 # The reference runs as (fixture, key, algorithm, paradigm, --set overrides):
-# each row is one `train --seed 0..4` call on the default collection.
+# each row is one `train --seed 0..4` call on the default collection, and the
+# nine calls share one pool.
 GRID = (("ond_runs", "dla", "dla", "OnD", ()), ("ond_runs", "upe", "upe", "OnD", ()),
         *(("off_runs", a, a, "Off", ()) for a in ("naive", "dla", "upe", "ipw_oracle")),
         ("ablation_runs", "mrr", "upe", "OnD", ("target_variant=mrr",)),
@@ -76,40 +79,54 @@ def report(n, ok, detail):
     return line
 
 
-def _train_rows(fixture, tmp_path_factory):
-    """Train the fixture's grid rows through the CLI, each row's seeds on a pool
-    of the usable CPUs, and read back every seed's final metrics and duration
-    from the manifest and its estimate from the propensity CSV."""
-    runs = {}
-    for key, algorithm, paradigm, overrides in (row[1:] for row in GRID if row[0] == fixture):
-        out = tmp_path_factory.getbasetemp() / "grid" / fixture / key
-        sets = [arg for o in ("learning_rate=0.05", *overrides) for arg in ("--set", o)]
-        assert cli_main(["train", "--out", str(out), "--algorithm", algorithm,
-                         "--paradigm", paradigm, *sets, "--seed", f"{SEEDS[0]}..{SEEDS[-1]}",
-                         "--workers", str(len(os.sched_getaffinity(0)))]) == 0
+def _train_argv(root, row):
+    """One grid row as a single-process `train --seed 0..4` call with its own
+    output directory, so no two calls write one manifest."""
+    fixture, key, algorithm, paradigm, overrides = row
+    sets = [arg for o in ("learning_rate=0.05", *overrides) for arg in ("--set", o)]
+    return ["train", "--out", str(root / fixture / key), "--algorithm", algorithm,
+            "--paradigm", paradigm, *sets, "--seed", f"{SEEDS[0]}..{SEEDS[-1]}"]
+
+
+@pytest.fixture(scope="module")
+def grid_runs(tmp_path_factory):
+    """Train every grid row through the CLI on one pool of the usable CPUs, UPE
+    rows first (they take 3-5 times as long, so the short rows fill the last
+    round), and read back every seed's final metrics and duration from the
+    row's manifest and its estimate from the propensity CSV, keyed
+    ``runs[fixture][(key, seed)]``."""
+    root = tmp_path_factory.getbasetemp() / "grid"
+    rows = sorted(GRID, key=lambda row: row[2] != "upe")
+    workers = min(len(os.sched_getaffinity(0)), len(rows))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        codes = list(pool.map(cli_main, [_train_argv(root, row) for row in rows]))
+    assert codes == [0] * len(rows)
+    runs = {fixture: {} for fixture, *_ in GRID}
+    for fixture, key, *_ in GRID:
+        out = root / fixture / key
         for entry in json.loads((out / "manifest.json").read_text())["results"].values():
             with open(out / entry["propensity"]) as fh:
                 weights = np.array([float(row["weight"]) for row in csv.DictReader(fh)])
-            runs[(key, entry["seed"])] = SimpleNamespace(**entry, weights=weights)
+            runs[fixture][(key, entry["seed"])] = SimpleNamespace(**entry, weights=weights)
     return runs
 
 
 @pytest.fixture(scope="module")
-def ond_runs(tmp_path_factory):
+def ond_runs(grid_runs):
     """upe and dla, online, five seeds each, at the reference scale."""
-    return _train_rows("ond_runs", tmp_path_factory)
+    return grid_runs["ond_runs"]
 
 
 @pytest.fixture(scope="module")
-def off_runs(tmp_path_factory):
+def off_runs(grid_runs):
     """All four algorithms, offline on the 1%-data weak policy, five seeds."""
-    return _train_rows("off_runs", tmp_path_factory)
+    return grid_runs["off_runs"]
 
 
 @pytest.fixture(scope="module")
-def ablation_runs(tmp_path_factory):
+def ablation_runs(grid_runs):
     """Target-variant and no-freeze ablations of the policy-aware model."""
-    return _train_rows("ablation_runs", tmp_path_factory)
+    return grid_runs["ablation_runs"]
 
 
 def _mean_ndcg(runs, key):
@@ -327,8 +344,7 @@ def test_converged_estimate_is_monotone_on_average(ond_runs):
     assert mean_curve[0] == 1.0
 
 
-def test_every_reference_run_writes_its_pinned_bytes(tmp_path_factory, ond_runs, off_runs,
-                                                      ablation_runs):
+def test_every_reference_run_writes_its_pinned_bytes(tmp_path_factory, grid_runs):
     """Every grid run's curve and final-propensity CSVs hash to the SHA-256 in
     ``tests/data/acceptance_digests.json``, keyed by grid row and seed (the
     manifest holds clock fields, so it is left out, as is the ranker npz).

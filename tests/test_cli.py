@@ -848,17 +848,17 @@ def test_seed_and_its_one_seed_range_write_the_same_bytes(data_dir, tmp_path):
         assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "3..3" / name).read_bytes()
 
 
-def test_a_run_past_physical_memory_is_refused_before_it_allocates(data_dir, tmp_path,
-                                                                   monkeypatch):
+def test_a_run_past_available_memory_is_refused_before_it_allocates(data_dir, tmp_path,
+                                                                    monkeypatch):
     """The memory figure is patched down, so the refusal is tested on a tiny run."""
     def build(*args):
         raise AssertionError("a refused run built its learner")
 
-    monkeypatch.setattr(training, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(training, "_available_memory", lambda: 1000)
     monkeypatch.setattr(training, "_build_learner", build)
     line = _train_fails_cleanly(tmp_path / "o", "--data", str(data_dir),
                                 "--algorithm", "upe", *TINY)
-    assert line.endswith("GiB of physical memory")
+    assert line.endswith("GiB of available memory")
 
 
 def _parses_as_int(text):

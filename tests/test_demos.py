@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs to completion at a small size."""
+"""Smoke test: every demo script runs to completion at a small size, and so
+does every Python block of the README."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +47,12 @@ def test_offline_comparison_with_49_queries():
     out = _run_demo("offline_comparison.py", ["--steps", "10", "--queries", "49"])
     assert "weak fraction raised" in out
 
+
+def test_every_python_block_of_the_readme_runs(capsys):
+    """The documented import paths and calls work as written."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""No public function or method in ``src/`` that only tests or demos call.
+"""No public function or method in ``src/`` that only tests or demos call, and
+one import path per public name.
 
 Each public def in ``src/ultrlab/*.py`` must be reached from the program
 itself: called from ``src/`` (by name, whatever the owner), read there as an
@@ -6,6 +7,10 @@ attribute when it is a property, registered as an argparse handler, or be
 ``main``. The benchmark also keeps names alive from outside the package: the
 attributes ``perfbench/tracer.py`` wraps (its ``TARGETS``) and every attribute
 ``perfbench/run.py`` reads. Both files are read with ``ast``, not run.
+
+A public name is imported from the module that defines it: the package's
+``__init__.py`` re-exports nothing, and no module imports a name it never
+reads, unless the tracer patches that name on that module.
 """
 
 import ast
@@ -55,12 +60,38 @@ def _attributes_read(trees):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def _tracer_targets():
-    """The attribute of each ``TARGETS`` entry in perfbench/tracer.py."""
+def _tracer_entries():
+    """The ``TARGETS`` of perfbench/tracer.py: (owner, attribute, span name)."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
-    return {attr for _, attr, _ in ast.literal_eval(value)}
+    return ast.literal_eval(value)
+
+
+def _tracer_targets():
+    """The attribute of each ``TARGETS`` entry."""
+    return {attr for _, attr, _ in _tracer_entries()}
+
+
+def _tracer_module_patches():
+    """(module file stem, name) of each ``TARGETS`` entry that patches a module
+    attribute, not a class's."""
+    return {(owner.rpartition(".")[2], attr) for owner, attr, _ in _tracer_entries()
+            if ":" not in owner}
+
+
+def _unread_imports(trees):
+    """(module file stem, name) of each name an import binds and the module
+    never reads (``import a.b`` binds ``a``)."""
+    for path, tree in trees:
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in read:
+                        yield path.stem, name
 
 
 def unreached_public_defs():
@@ -84,3 +115,26 @@ def test_the_guard_sees_the_defs_and_the_benchmark_names():
     assert any(prop for *_, prop in _public_defs(_trees(SRC)))
     assert {"matmul", "elu", "log_softmax", "backward", "step"} <= _tracer_targets()
     assert "groups" in _attributes_read(_trees([ROOT / "perfbench" / "run.py"]))
+
+
+def test_the_package_init_imports_nothing():
+    """``from ultrlab import cli, training`` imports the submodules; a name
+    re-exported from ``__init__.py`` would be a second path to it."""
+    tree = ast.parse((ROOT / "src" / "ultrlab" / "__init__.py").read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = set(_unread_imports(_trees(SRC))) - _tracer_module_patches()
+    assert sorted(f"{stem}.py: {name}" for stem, name in unread) == []
+
+
+def test_the_import_guard_sees_unread_imports_and_the_patched_names(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import os\nimport numpy.linalg\nfrom x import a, b as c\n"
+                   "from . import d\nprint(a, numpy, d)\n")
+    assert sorted(_unread_imports(_trees([mod]))) == [("mod", "c"), ("mod", "os")]
+    assert ("cli", "run_experiment") in _tracer_module_patches()
+    assert ("training", "DatasetView") not in _tracer_module_patches()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -537,14 +538,29 @@ def test_memory_floor_counts_every_network_parameter_three_times(small_data, alg
     assert floor == 24 * sum(p.data.size for p in params)
 
 
-def test_run_is_refused_exactly_when_its_floor_passes_physical_memory(small_data, monkeypatch):
+def test_run_is_refused_exactly_when_its_floor_passes_available_memory(small_data, monkeypatch):
     cfg = _small_cfg(algorithm="upe", total_steps=10, eval_every=10)
     floor = training._memory_floor(cfg, small_data.train.feature_dim, 6, rows=8 * 6)
-    monkeypatch.setattr(training, "_physical_memory", lambda: floor)
+    monkeypatch.setattr(training, "_available_memory", lambda: floor)
     run_experiment(cfg, small_data)
-    monkeypatch.setattr(training, "_physical_memory", lambda: floor - 1)
-    with pytest.raises(ValueError, match="physical memory"):
+    monkeypatch.setattr(training, "_available_memory", lambda: floor - 1)
+    with pytest.raises(ValueError, match="available memory"):
         run_experiment(cfg, small_data)
+
+
+def test_available_memory_reads_memavailable_and_falls_back_to_physical(tmp_path):
+    """MemAvailable counts what the host can hand out now, which a host busy
+    with other work holds well below its physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:       8000000 kB\nMemFree:         100 kB\n"
+                       "MemAvailable:       2048 kB\nBuffers:  12 kB\n")
+    assert training._available_memory(str(meminfo)) == 2 * 2**20
+    for text in ("MemTotal:       8000000 kB\n", "MemAvailable: lots\n", "MemAvailable:\n"):
+        meminfo.write_text(text)
+        assert training._available_memory(str(meminfo)) == physical
+    assert training._available_memory(str(tmp_path / "missing")) == physical
+    assert 0 < training._available_memory() <= physical
 
 
 def test_memory_floor_of_the_embedding_that_was_oom_killed_is_hundreds_of_gib():
